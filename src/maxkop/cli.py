@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .formats import (
     read_profile,
     read_tournament,
 )
-from .profiles import LINEAR, NAMED_RULES, UNIVALENT, aggregate, named_rule, realize_weights
+from .profiles import LINEAR, NAMED_RULES, UNIVALENT, aggregate, aggregate_rule, realize_weights
 from .reductions import (
     add_club_vertex,
     build_fg,
@@ -42,29 +41,6 @@ _REDUCE_EPILOG = (
     "contribution of (2j-3)*n*C in place of 3*n*C; only the 3-level "
     "construction is built here."
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    guard: int = DEFAULT_GUARD
-    all_ties: bool = False
-    exact_k: bool = False
-    coerce: bool = False
-    k: int | None = None
-    threshold: Fraction | None = None
-    rule: str | None = None
-    j_spec: object = None
-    k_spec: object = None
-    gadget: str | None = None
-    theorem: str | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.guard < 1:
-            raise ValueError("guard must be at least 1")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,63 +136,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    cfg.guard = getattr(ns, "guard", DEFAULT_GUARD)
-    cfg.input_path = getattr(ns, "file", None)
-    cfg.output_path = getattr(ns, "output", None)
-    cfg.all_ties = getattr(ns, "all_ties", False)
-    cfg.exact_k = getattr(ns, "exact_k", False)
-    cfg.coerce = getattr(ns, "coerce", False)
-    cfg.rule = getattr(ns, "rule", None)
-    cfg.gadget = getattr(ns, "gadget", None)
-    cfg.theorem = getattr(ns, "theorem", None)
-    cfg.seed = getattr(ns, "seed", 0)
-    if ns.command in ("solve", "decide"):
-        cfg.k = ns.k
-        if getattr(ns, "threshold", None) is not None:
-            cfg.threshold = _parse_rational_arg(ns.threshold)
-    if ns.command == "aggregate":
-        if getattr(ns, "j", None) is not None:
-            cfg.j_spec = _parse_level_spec(ns.j)
-        if getattr(ns, "k", None) is not None:
-            cfg.k_spec = _parse_level_spec(ns.k)
-    return cfg
-
-
-def _default_prefix(cfg: RunConfig) -> Path:
-    if cfg.output_path:
-        return Path(cfg.output_path)
-    path = Path(cfg.input_path)
+def _default_prefix(ns: argparse.Namespace) -> Path:
+    if ns.output:
+        return Path(ns.output)
+    path = Path(ns.file)
     return path.with_suffix("") if path.suffix else path
 
 
-def _run_solve(cfg: RunConfig, out) -> int:
-    t = read_tournament(cfg.input_path)
-    res = solve(
-        t, cfg.k, all_ties=cfg.all_ties, exact_k=cfg.exact_k, guard=cfg.guard
-    )
+def _run_solve(ns: argparse.Namespace, out) -> int:
+    threshold = None if ns.threshold is None else _parse_rational_arg(ns.threshold)
+    t = read_tournament(ns.file)
+    res = solve(t, ns.k, all_ties=ns.all_ties, exact_k=ns.exact_k, guard=ns.guard)
     out(f"optimum {format_rational(res.optimum)}")
     for w in res.witnesses:
         out(f"witness {format_partition(w, t.vertices)}")
     if res.truncated:
         out("witnesses truncated")
-    if cfg.threshold is not None:
-        out(f"decision {'true' if res.optimum >= cfg.threshold else 'false'}")
+    if threshold is not None:
+        out(f"decision {'true' if res.optimum >= threshold else 'false'}")
     return 0
 
 
-def _run_decide(cfg: RunConfig, out) -> int:
-    t = read_tournament(cfg.input_path)
-    res = solve(t, cfg.k, all_ties=False, guard=cfg.guard)
-    out(f"decision {'true' if res.optimum >= cfg.threshold else 'false'}")
+def _run_decide(ns: argparse.Namespace, out) -> int:
+    threshold = _parse_rational_arg(ns.threshold)
+    t = read_tournament(ns.file)
+    res = solve(t, ns.k, all_ties=False, guard=ns.guard)
+    out(f"decision {'true' if res.optimum >= threshold else 'false'}")
     return 0
 
 
-def _run_decompose(cfg: RunConfig, out) -> int:
-    t = read_tournament(cfg.input_path)
+def _run_decompose(ns: argparse.Namespace, out) -> int:
+    t = read_tournament(ns.file)
     d = decompose(t)
-    prefix = _default_prefix(cfg)
+    prefix = _default_prefix(ns)
     cycle_path = prefix.parent / (prefix.name + ".cycle.txt")
     cocycle_path = prefix.parent / (prefix.name + ".cocycle.txt")
     cycle_path.write_text(format_tournament(d.cycle))
@@ -230,22 +182,18 @@ def _run_decompose(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _run_aggregate(cfg: RunConfig, out) -> int:
-    p = read_profile(cfg.input_path)
-    if cfg.rule is not None:
-        if cfg.j_spec is not None or cfg.k_spec is not None:
+def _run_aggregate(ns: argparse.Namespace, out) -> int:
+    j, k = (None if s is None else _parse_level_spec(s) for s in (ns.j, ns.k))
+    p = read_profile(ns.file)
+    if ns.rule is not None:
+        if j is not None or k is not None:
             raise ValueError("give either --rule or --j/--k, not both")
-        orders = named_rule(p, cfg.rule, coerce=cfg.coerce, guard=cfg.guard)
-        for order in orders:
-            out(f"order {format_weak_order(order, p.alternatives)}")
-        return 0
-    if cfg.j_spec is None or cfg.k_spec is None:
+        res = aggregate_rule(p, ns.rule, coerce=ns.coerce, guard=ns.guard)
+    elif j is None or k is None:
         raise ValueError("aggregate needs --rule or both --j and --k")
-    res = aggregate(
-        p, cfg.j_spec, cfg.k_spec,
-        exact_k=cfg.exact_k, coerce=cfg.coerce, guard=cfg.guard,
-    )
-    out(f"optimum {format_rational(res.optimum)}")
+    else:
+        res = aggregate(p, j, k, exact_k=ns.exact_k, coerce=ns.coerce, guard=ns.guard)
+        out(f"optimum {format_rational(res.optimum)}")
     for order in res.orders:
         out(f"order {format_weak_order(order, p.alternatives)}")
     if res.truncated:
@@ -253,29 +201,29 @@ def _run_aggregate(cfg: RunConfig, out) -> int:
     return 0
 
 
-def _run_realize(cfg: RunConfig, out) -> int:
-    t = read_tournament(cfg.input_path)
+def _run_realize(ns: argparse.Namespace, out) -> int:
+    t = read_tournament(ns.file)
     text = format_profile(realize_weights(t))
-    if cfg.output_path:
-        Path(cfg.output_path).write_text(text)
-        out(f"wrote {cfg.output_path}")
+    if ns.output:
+        Path(ns.output).write_text(text)
+        out(f"wrote {ns.output}")
     else:
         out(text.rstrip("\n"))
     return 0
 
 
-def _run_reduce(cfg: RunConfig, out) -> int:
-    g = read_graph(cfg.input_path)
-    prefix = _default_prefix(cfg)
-    map_lines = [f"gadget {cfg.gadget}"]
-    if cfg.gadget == "club":
+def _run_reduce(ns: argparse.Namespace, out) -> int:
+    g = read_graph(ns.file)
+    prefix = _default_prefix(ns)
+    map_lines = [f"gadget {ns.gadget}"]
+    if ns.gadget == "club":
         gstar, sigma = add_club_vertex(g)
         out_path = prefix.parent / (prefix.name + ".club.graph.txt")
         out_path.write_text(format_graph(gstar))
         map_lines.append("constant sigma " + str(sigma))
     else:
-        gm = build_hg(g) if cfg.gadget == "hg" else build_fg(g)
-        out_path = prefix.parent / (prefix.name + f".{cfg.gadget}.tournament.txt")
+        gm = build_hg(g) if ns.gadget == "hg" else build_fg(g)
+        out_path = prefix.parent / (prefix.name + f".{ns.gadget}.tournament.txt")
         out_path.write_text(format_tournament(gm.tournament))
         for v in g.vertices:
             map_lines.append(f"ordinary {v} : " + " ".join(gm.ordinary[v]))
@@ -289,23 +237,23 @@ def _run_reduce(cfg: RunConfig, out) -> int:
             map_lines.append(f"constant epsilon {format_rational(gm.tiny_weight)}")
         if gm.reference_order is not None:
             map_lines.append("reference " + " ".join(gm.reference_order))
-    map_path = prefix.parent / (prefix.name + f".{cfg.gadget}.map.txt")
+    map_path = prefix.parent / (prefix.name + f".{ns.gadget}.map.txt")
     map_path.write_text("\n".join(map_lines) + "\n")
     out(f"wrote {out_path}")
     out(f"wrote {map_path}")
     return 0
 
 
-def _run_verify(cfg: RunConfig, out) -> int:
-    g = read_graph(cfg.input_path)
-    if cfg.theorem == "1":
-        ok, cut, kop = check_tricut_identity(g, guard=cfg.guard)
+def _run_verify(ns: argparse.Namespace, out) -> int:
+    g = read_graph(ns.file)
+    if ns.theorem == "1":
+        ok, cut, kop = check_tricut_identity(g, guard=ns.guard)
         lhs, rhs = cut, format_rational(kop)
-    elif cfg.theorem == "prop1":
-        ok, tri, expected = check_club_identity(g, guard=cfg.guard)
+    elif ns.theorem == "prop1":
+        ok, tri, expected = check_club_identity(g, guard=ns.guard)
         lhs, rhs = tri, expected
     else:
-        report = check_transitive_gadget(g, guard=cfg.guard)
+        report = check_transitive_gadget(g, guard=ns.guard)
         out(f"transitive {'true' if report.transitive else 'false'}")
         out(f"tiny_bound {'true' if report.tiny_bound_ok else 'false'}")
         ok = report.ok
@@ -318,8 +266,8 @@ def _run_verify(cfg: RunConfig, out) -> int:
     return 3
 
 
-def _run_selftest(cfg: RunConfig, out) -> int:
-    return run_selftest(seed=cfg.seed, guard=cfg.guard, emit=out)
+def _run_selftest(ns: argparse.Namespace, out) -> int:
+    return run_selftest(seed=ns.seed, guard=ns.guard, emit=out)
 
 
 _RUNNERS = {
@@ -334,9 +282,10 @@ _RUNNERS = {
 }
 
 
-def run(cfg: RunConfig, out=print) -> int:
+def run(ns: argparse.Namespace, out=print) -> int:
+    """Run one parsed command line, mapping errors onto exit codes."""
     try:
-        return _RUNNERS[cfg.command](cfg, out)
+        return _RUNNERS[ns.command](ns, out)
     except GuardExceededError as exc:
         print(f"guard exhausted: {exc}", file=sys.stderr)
         return 2
@@ -349,14 +298,7 @@ def run(cfg: RunConfig, out=print) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    try:
-        cfg = config_from_args(ns)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Every weight vector decomposes uniquely as the sum of a component spanned by
 basic cycles and a component spanned by basic cocycles; the two subspaces are
 orthogonal complements under the arc-wise inner product.  The acyclic
-(cocycle) component has the closed form of scaled Borda-score differences,
-so no linear system is solved here.
+(cocycle) component has the closed form of scaled Borda-score differences:
+on the tournament's integer form it is the outer difference of the Borda
+vector beta over scale * m, so no linear system is solved here.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tournament import WeightedTournament, borda_score, weight
+from .tournament import WeightedTournament
 
 
 @dataclass(frozen=True)
@@ -33,26 +34,22 @@ def cocycle_component(t: WeightedTournament) -> WeightedTournament:
 
     b is the Borda score and m the vertex count.
     """
-    m = t.m
-    beta = {x: borda_score(t, x) for x in t.vertices}
-    weights = {(x, y): (beta[x] - beta[y]) / m for x, y in t.stored_pairs()}
-    return WeightedTournament(t.vertices, weights)
+    form = t.integer_form
+    return WeightedTournament.from_int_matrix(
+        t.vertices, form.beta_differences(), form.scale * t.m
+    )
 
 
 def cycle_component(t: WeightedTournament) -> WeightedTournament:
     """Complement of the cocycle component: the source weights minus it."""
-    co = cocycle_component(t)
-    weights = {pair: t.weights[pair] - co.weights[pair] for pair in t.stored_pairs()}
-    return WeightedTournament(t.vertices, weights)
+    form = t.integer_form
+    return WeightedTournament.from_int_matrix(
+        t.vertices, form.w * t.m - form.beta_differences(), form.scale * t.m
+    )
 
 
 def decompose(t: WeightedTournament) -> Decomposition:
-    co = cocycle_component(t)
-    cyc = WeightedTournament(
-        t.vertices,
-        {pair: t.weights[pair] - co.weights[pair] for pair in t.stored_pairs()},
-    )
-    return Decomposition(cycle=cyc, cocycle=co)
+    return Decomposition(cycle=cycle_component(t), cocycle=cocycle_component(t))
 
 
 def inner_product(t1: WeightedTournament, t2: WeightedTournament) -> Fraction:
@@ -97,9 +94,9 @@ def basic_cocycle(t: WeightedTournament, a: str) -> WeightedTournament:
 
 def is_purely_acyclic(t: WeightedTournament) -> bool:
     """True iff the cyclic component is exactly zero on every arc."""
-    return all(w == 0 for w in cycle_component(t).weights.values())
+    return t.integer_form.is_acyclic()
 
 
 def is_purely_cyclic(t: WeightedTournament) -> bool:
     """True iff the acyclic component is exactly zero on every arc."""
-    return all(w == 0 for w in cocycle_component(t).weights.values())
+    return not t.integer_form.beta.any()

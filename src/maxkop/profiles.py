@@ -9,13 +9,16 @@ rule, Kemeny) appear at particular (j, k) choices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, solve
-from .tournament import OrderedPartition, WeightedTournament, borda_score
+from .tournament import _INT64_SAFE, OrderedPartition, WeightedTournament
 
 #: Level spec meaning "as many classes as alternatives" (linear orders).
 LINEAR = "linear"
@@ -115,21 +118,22 @@ def _render_order(order: WeakOrder) -> str:
 
 def induce_tournament(p: Profile) -> WeightedTournament:
     """Net-majority tournament: arc (x, y) weighs supporters of x minus of y."""
-    if len(p.alternatives) < 2:
+    m = len(p.alternatives)
+    if m < 2:
         raise ValueError("inducing a tournament needs at least two alternatives")
-    weights: dict[tuple[str, str], int] = {}
-    ranks = [(order.rank_of(), count) for order, count in p.ballots]
-    for i, x in enumerate(p.alternatives):
-        for y in p.alternatives[i + 1 :]:
-            net = 0
-            for rank, count in ranks:
-                rx, ry = rank[x], rank[y]
-                if rx < ry:
-                    net += count
-                elif rx > ry:
-                    net -= count
-            weights[(x, y)] = net
-    return WeightedTournament(p.alternatives, weights)
+    # sum(abs(w)) <= m**2 * voters, so this keeps int64 within the integer form's bound
+    dtype = np.int64 if 2 * m**3 * p.voter_count < _INT64_SAFE else object
+    ranks = np.array(
+        [[rank[a] for a in p.alternatives] for rank in (o.rank_of() for o, _ in p.ballots)]
+    )
+    counts = np.array([n for _, n in p.ballots], dtype)
+    w = np.zeros((m, m), dtype)
+    step = max(1, 2**15 // m**2)  # ballots per pass, bounding the sign table
+    for lo in range(0, len(ranks), step):
+        r = ranks[lo : lo + step]
+        # sign[b, x, y] is +1 when ballot b ranks x above y, -1 when below
+        w += np.tensordot(counts[lo : lo + step], np.sign(r[:, None, :] - r[:, :, None]), 1)
+    return WeightedTournament.from_int_matrix(p.alternatives, w, 1)
 
 
 def _spec_description(spec: LevelSpec, m: int) -> str:
@@ -191,14 +195,16 @@ def aggregate(
     if k == UNIVALENT:
         # the score of a singleton-top 2-partition is exactly the Borda score
         # of its winner, so only the m such partitions need scoring
-        scores = {x: borda_score(t, x) for x in t.vertices}
-        top = max(scores.values())
+        beta = t.integer_form.beta.tolist()
+        top = max(beta)
         orders = tuple(
             WeakOrder((frozenset({x}), frozenset(v for v in t.vertices if v != x)))
-            for x in t.vertices
-            if scores[x] == top
+            for x, b in zip(t.vertices, beta)
+            if b == top
         )
-        return AggregateResult(orders=orders, optimum=top, truncated=False)
+        return AggregateResult(
+            orders=orders, optimum=Fraction(top, t.integer_form.scale), truncated=False
+        )
 
     if k == LINEAR:
         kk, exact = m, True
@@ -242,49 +248,41 @@ def borda_mean_rule(p: Profile, **kwargs) -> list[WeakOrder]:
 def _borda_ranking(p: Profile, witness_cap: int) -> AggregateResult:
     """All linear orders consistent with sorting by Borda score, best first."""
     t = induce_tournament(p)
-    scores = {x: borda_score(t, x) for x in t.vertices}
+    form = t.integer_form
+    beta = dict(zip(t.vertices, form.beta.tolist()))
     groups: list[list[str]] = []
-    for x in sorted(t.vertices, key=lambda v: (-scores[v], t.index(v))):
-        if groups and scores[groups[-1][0]] == scores[x]:
+    for x in sorted(t.vertices, key=lambda v: (-beta[v], t.index(v))):
+        if groups and beta[groups[-1][0]] == beta[x]:
             groups[-1].append(x)
         else:
             groups.append([x])
     orders: list[WeakOrder] = []
-    truncated = False
 
     def emit(i: int, prefix: list[frozenset[str]]) -> bool:
-        nonlocal truncated
         if i == len(groups):
             orders.append(WeakOrder(tuple(prefix)))
-            if len(orders) >= witness_cap:
-                return True
-            return False
+            return len(orders) >= witness_cap
         for perm in permutations(sorted(groups[i])):
             if emit(i + 1, prefix + [frozenset({a}) for a in perm]):
                 return True
         return False
 
-    truncated = emit(0, [])
-    # the score every best linear order achieves
-    best = orders[0]
-    rank = best.rank_of()
-    optimum = Fraction(0)
-    for (x, y), w in t.weights.items():
-        if rank[x] < rank[y]:
-            optimum += w
-        elif rank[x] > rank[y]:
-            optimum -= w
+    emit(0, [])
+    truncated = math.prod(math.factorial(len(g)) for g in groups) > witness_cap
+    # the score every best linear order achieves: the weight above its diagonal
+    top = [t.index(a) for g in groups for a in sorted(g)]
+    optimum = Fraction(int(np.triu(form.w[np.ix_(top, top)], 1).sum()), form.scale)
     return AggregateResult(orders=tuple(orders), optimum=optimum, truncated=truncated)
 
 
-def named_rule(
+def aggregate_rule(
     p: Profile,
     rule: str,
     *,
     coerce: bool = False,
     guard: int = DEFAULT_GUARD,
     witness_cap: int = DEFAULT_WITNESS_CAP,
-) -> list[WeakOrder]:
+) -> AggregateResult:
     """Classic rules as (j, k) choices of the aggregation family.
 
     approval uses dichotomous ballots, plurality univalent ones, and the
@@ -302,11 +300,16 @@ def named_rule(
     if rule == "borda_ranking":
         if not coerce:
             validate_ballots(p, LINEAR)
-        return list(_borda_ranking(p, witness_cap).orders)
+        return _borda_ranking(p, witness_cap)
     if rule not in pairs:
         raise ValueError(f"unknown rule {rule!r}; choose one of {', '.join(NAMED_RULES)}")
     j, k = pairs[rule]
-    return jk_kemeny(p, j, k, coerce=coerce, guard=guard, witness_cap=witness_cap)
+    return aggregate(p, j, k, coerce=coerce, guard=guard, witness_cap=witness_cap)
+
+
+def named_rule(p: Profile, rule: str, **kwargs) -> list[WeakOrder]:
+    """The orders of ``aggregate_rule(p, rule, **kwargs)``."""
+    return list(aggregate_rule(p, rule, **kwargs).orders)
 
 
 def realize_weights(w: WeightedTournament) -> Profile:

@@ -4,17 +4,18 @@ Three routes are provided:
 
 * ``solve_bruteforce`` enumerates every ordered partition into at most (or
   exactly) k nonempty blocks, by walking level assignments in lexicographic
-  order.  It is the oracle the faster routes are tested against.  Weights are
-  scaled to integers (exactly, via the denominator lcm); a single numpy
-  kernel walks the leading vertices in Python and scores every labeling of
-  the trailing ones as one array, in int64 when the scaled magnitudes stay
-  below 2**62 and in Python ints (object arrays) otherwise.
+  order.  It is the oracle the faster routes are tested against.  A single
+  numpy kernel walks the leading vertices in Python and scores every
+  labeling of the trailing ones as one array.
 * ``solve_acyclic_dp`` handles weights with no cyclic part.  Some optimal
-  partition is then monotone in the scaled Borda scores, so a dynamic
-  program over divider positions in the sorted score sequence finds the
-  optimum with O(k m^2) score arithmetic.
+  partition is then monotone in the Borda scores, so a dynamic program over
+  divider positions in the sorted score sequence finds the optimum with
+  O(k m^2) integer arithmetic.
 * ``solve_2op`` replaces the weights by their acyclic component, which leaves
   every 2-partition score unchanged, and runs the dynamic program with k=2.
+
+Every route reads the tournament's ``integer_form`` (see
+``maxkop.tournament``), whose dtype is int64 or Python ints (object arrays).
 
 Results carry every optimal partition (up to a cap, flagged by ``truncated``)
 or just the canonically least one; witnesses are deduplicated and sorted by
@@ -24,19 +25,16 @@ evaluation schedule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .decomposition import cocycle_component, cycle_component
-from .tournament import OrderedPartition, WeightedTournament, borda_score, weight
+from .tournament import OrderedPartition, WeightedTournament
 
 DEFAULT_GUARD = 10**8
 DEFAULT_WITNESS_CAP = 10_000
-_INT64_SAFE = 2**62
 _BLOCK = 3**7  # suffix labelings scored per numpy pass in the exhaustive walk
 
 
@@ -57,9 +55,15 @@ class SolveResult:
     truncated: bool = False
 
 
-def _levels_key(t: WeightedTournament, p: OrderedPartition) -> tuple[int, ...]:
-    level = p.level_of()
-    return tuple(level[v] for v in t.vertices)
+def _levels(m: int, k: int, exact_k: bool, witness_cap: int) -> int:
+    """Validate a request; the number of levels to search with."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if witness_cap < 1:
+        raise ValueError("witness_cap must be at least 1")
+    if exact_k and k > m:
+        raise ValueError(f"cannot split {m} vertices into {k} nonempty blocks")
+    return k if exact_k else min(k, m)
 
 
 def _partition_from_levels(vertices: tuple[str, ...], levels) -> OrderedPartition:
@@ -67,21 +71,6 @@ def _partition_from_levels(vertices: tuple[str, ...], levels) -> OrderedPartitio
     for v, lv in zip(vertices, levels):
         blocks[lv].append(v)
     return OrderedPartition.from_blocks(blocks)
-
-
-def _scaled_int_weights(t: WeightedTournament) -> tuple[list[list[int]], int]:
-    """Full antisymmetric integer matrix W and the scale such that W = scale * w."""
-    scale = 1
-    for w in t.weights.values():
-        scale = scale * w.denominator // math.gcd(scale, w.denominator)
-    m = t.m
-    mat = [[0] * m for _ in range(m)]
-    for (x, y), w in t.weights.items():
-        i, j = t.index(x), t.index(y)
-        v = int(w * scale)
-        mat[i][j] = v
-        mat[j][i] = -v
-    return mat, scale
 
 
 def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int):
@@ -178,41 +167,25 @@ def solve_bruteforce(
     ``guard``.
     """
     m = t.m
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if witness_cap < 1:
-        raise ValueError("witness_cap must be at least 1")
-    if exact_k and k > m:
-        raise ValueError(f"cannot split {m} vertices into {k} nonempty blocks")
-    kk = k if exact_k else min(k, m)
+    kk = _levels(m, k, exact_k, witness_cap)
     count = kk**m
     if count > guard:
         raise GuardExceededError(
             f"enumerating {count} level assignments exceeds the guard of {guard}"
         )
 
-    mat, scale = _scaled_int_weights(t)
-    total_abs = sum(abs(v) for row in mat for v in row) // 2
-    w = np.array(mat, dtype=np.int64 if total_abs < _INT64_SAFE else object)
-    best, nopt, kept = _walk_levels(w, kk, exact_k, witness_cap if all_ties else 1)
-    optimum = Fraction(best, scale)
+    form = t.integer_form
+    best, nopt, kept = _walk_levels(form.w, kk, exact_k, witness_cap if all_ties else 1)
+    optimum = Fraction(best, form.scale)
     witnesses = tuple(_partition_from_levels(t.vertices, lv) for lv in kept)
     truncated = all_ties and nopt > len(kept)
     return SolveResult(optimum=optimum, witnesses=witnesses, truncated=truncated)
 
 
-def _gamma_order(t: WeightedTournament) -> tuple[list[str], list[Fraction]]:
-    """Vertices sorted by scaled Borda score, descending, ties by list order."""
-    gamma = {x: borda_score(t, x) / t.m for x in t.vertices}
-    order = sorted(t.vertices, key=lambda v: (-gamma[v], t.index(v)))
-    return order, [gamma[v] for v in order]
-
-
 def _expand_value_pattern(
-    sorted_vertices: list[str],
-    values: list[Fraction],
+    order: list[int],
+    values: list[int],
     cuts: list[int],
-    index: dict[str, int],
     sink: list[tuple[int, ...]],
     cap: int,
 ) -> bool:
@@ -224,8 +197,8 @@ def _expand_value_pattern(
     consistent with the block counts.  Returns True when the cap stopped the
     expansion early.
     """
-    bounds = [0] + cuts + [len(sorted_vertices)]
-    level_of_pos = [0] * len(sorted_vertices)
+    bounds = [0] + cuts + [len(order)]
+    level_of_pos = [0] * len(order)
     for b in range(len(bounds) - 1):
         for pos in range(bounds[b], bounds[b + 1]):
             level_of_pos[pos] = b
@@ -238,36 +211,29 @@ def _expand_value_pattern(
             groups.append((start, pos))
             start = pos
     # per group: vertices in vertex-list order and the multiset of levels to hand out
-    group_specs: list[tuple[list[str], list[int]]] = []
-    for lo, hi in groups:
-        verts = sorted(sorted_vertices[lo:hi], key=lambda v: index[v])
-        group_specs.append((verts, level_of_pos[lo:hi]))
-
-    assignment: dict[str, int] = {}
+    group_specs = [(sorted(order[lo:hi]), level_of_pos[lo:hi]) for lo, hi in groups]
+    lv = [0] * len(order)
 
     def assign_group(g: int) -> bool:
         if g == len(group_specs):
-            lv = [0] * len(sorted_vertices)
-            for v, b in assignment.items():
-                lv[index[v]] = b
             sink.append(tuple(lv))
             return len(sink) >= cap
         verts, slots = group_specs[g]
         distinct = sorted(set(slots))
         counts = {b: slots.count(b) for b in distinct}
 
-        def place(remaining: tuple[str, ...], bi: int) -> bool:
+        def place(remaining: tuple[int, ...], bi: int) -> bool:
             if bi == len(distinct):
                 return assign_group(g + 1)
             b = distinct[bi]
             need = counts[b]
             if bi == len(distinct) - 1:
                 for v in remaining:
-                    assignment[v] = b
+                    lv[v] = b
                 return assign_group(g + 1)
             for chosen in combinations(remaining, need):
                 for v in chosen:
-                    assignment[v] = b
+                    lv[v] = b
                 rest = tuple(v for v in remaining if v not in chosen)
                 if place(rest, bi + 1):
                     return True
@@ -276,6 +242,84 @@ def _expand_value_pattern(
         return place(tuple(verts), 0)
 
     return assign_group(0)
+
+
+def _divider_dp(
+    t: WeightedTournament,
+    d: np.ndarray,
+    denom: int,
+    kk: int,
+    *,
+    all_ties: bool,
+    exact_k: bool,
+    witness_cap: int,
+) -> SolveResult:
+    """Best ordered partitions of acyclic weights d / denom into at most (or exactly) kk blocks.
+
+    ``d`` is an antisymmetric integer matrix whose vertex potentials sort like
+    the tournament's Borda vector.  Some optimal partition then cuts the
+    Borda-sorted vertex sequence into consecutive runs, so a dynamic program
+    over divider positions on 2-D prefix sums of ``d`` finds the optimum;
+    vertices with equal Borda scores may trade places across a divider, and
+    those trades are expanded afterwards.
+    """
+    m = t.m
+    beta = t.integer_form.beta.tolist()
+    order = sorted(range(m), key=lambda v: (-beta[v], v))
+    prefix = np.zeros((m + 1, m + 1), d.dtype)
+    prefix[1:, 1:] = d[np.ix_(order, order)].cumsum(0).cumsum(1)
+    # cross[c, i]: weight from sorted positions [0, c) into positions [c, i)
+    cross = prefix - prefix.diagonal()[:, None]
+    floor = -int(abs(d).sum()) - 1  # below every partition score
+    pos = np.arange(m + 1)
+    reach = pos == 0  # divider positions c that j - 1 nonempty blocks can end at
+    best = np.zeros((kk + 1, m + 1), d.dtype)
+    for j in range(1, kk + 1):
+        # best[j, i]: best score of j nonempty blocks covering positions [0, i)
+        ok = reach[:, None] & (pos[:, None] < pos)
+        best[j] = np.where(ok, best[j - 1][:, None] + cross, floor).max(0)
+        reach = pos >= j
+    best_rows, cross_rows = best.tolist(), cross.tolist()
+
+    finals = [kk] if exact_k else range(1, kk + 1)
+    top = max(best_rows[j][m] for j in finals)
+    patterns: list[list[int]] = []
+
+    def backtrack(j: int, i: int, tail: list[int]) -> None:
+        # every optimal divider placement, dividers collected bottom up
+        if j == 1:
+            patterns.append(tail[::-1])
+            return
+        for c in range(j - 1, i):
+            if best_rows[j - 1][c] + cross_rows[c][i] == best_rows[j][i]:
+                backtrack(j - 1, c, tail + [c])
+
+    for j in finals:
+        if best_rows[j][m] == top:
+            backtrack(j, m, [])
+    patterns.sort()
+
+    if all_ties:
+        values = [beta[v] for v in order]
+        level_vecs: list[tuple[int, ...]] = []
+        truncated = False
+        for cuts in patterns:
+            if _expand_value_pattern(order, values, cuts, level_vecs, witness_cap + 1):
+                truncated = True
+                break
+        unique = sorted(set(level_vecs))[:witness_cap]
+        truncated = truncated or len(set(level_vecs)) > witness_cap
+    else:
+        reps = []
+        for cuts in patterns:
+            lv = [0] * m
+            for b, (lo, hi) in enumerate(zip([0] + cuts, cuts + [m])):
+                for v in order[lo:hi]:
+                    lv[v] = b
+            reps.append(tuple(lv))
+        unique, truncated = [min(reps)], False
+    witnesses = tuple(_partition_from_levels(t.vertices, lv) for lv in unique)
+    return SolveResult(optimum=Fraction(top, denom), witnesses=witnesses, truncated=truncated)
 
 
 def solve_acyclic_dp(
@@ -294,104 +338,16 @@ def solve_acyclic_dp(
     between equal scores, so the search runs over divider positions and the
     tied trades are expanded afterwards.
     """
-    m = t.m
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if witness_cap < 1:
-        raise ValueError("witness_cap must be at least 1")
-    if exact_k and k > m:
-        raise ValueError(f"cannot split {m} vertices into {k} nonempty blocks")
-    if any(w != 0 for w in cycle_component(t).weights.values()):
+    kk = _levels(t.m, k, exact_k, witness_cap)
+    form = t.integer_form
+    if not form.is_acyclic():
         raise ValueError(
             "weights have a nonzero cyclic component; this solver needs purely "
             "acyclic input (decompose first)"
         )
-
-    order, values = _gamma_order(t)
-    index = {v: t.index(v) for v in t.vertices}
-    kk = k if exact_k else min(k, m)
-
-    # mat[i][j]: weight from sorted position i to sorted position j
-    mat = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                mat[i][j] = weight(t, order[i], order[j])
-
-    # cross[c][i]: flow from positions [0, c) into positions [c, i)
-    zero = Fraction(0)
-    cross = [[zero] * (m + 1) for _ in range(m + 1)]
-    colsum = [zero] * m
-    for c in range(m + 1):
-        acc = zero
-        row = cross[c]
-        for i in range(c + 1, m + 1):
-            acc += colsum[i - 1]
-            row[i] = acc
-        if c < m:
-            for y in range(m):
-                colsum[y] += mat[c][y]
-
-    NEG = None
-    best: list[list[Fraction | None]] = [[NEG] * (m + 1) for _ in range(kk + 1)]
-    best[0][0] = zero
-    for j in range(1, kk + 1):
-        for i in range(j, m + 1):
-            b = NEG
-            for c in range(j - 1, i):
-                prev = best[j - 1][c]
-                if prev is None:
-                    continue
-                val = prev + cross[c][i]
-                if b is None or val > b:
-                    b = val
-            best[j][i] = b
-
-    if exact_k:
-        final = [(kk, best[kk][m])]
-    else:
-        final = [(j, best[j][m]) for j in range(1, kk + 1) if best[j][m] is not None]
-    optimum = max(v for _, v in final)  # type: ignore[type-var]
-    top_js = [j for j, v in final if v == optimum]
-
-    # backtrack every optimal divider placement
-    patterns: list[list[int]] = []
-
-    def backtrack(j: int, i: int, tail: list[int]) -> None:
-        if j == 0:
-            patterns.append(list(reversed(tail)))
-            return
-        for c in range(j - 1, i):
-            prev = best[j - 1][c]
-            if prev is not None and prev + cross[c][i] == best[j][i]:
-                backtrack(j - 1, c, tail + [c] if j > 1 else tail)
-
-    for j in top_js:
-        backtrack(j, m, [])
-    patterns.sort()
-
-    if all_ties:
-        level_vecs: list[tuple[int, ...]] = []
-        truncated = False
-        for cuts in patterns:
-            if _expand_value_pattern(order, values, cuts, index, level_vecs, witness_cap + 1):
-                truncated = True
-                break
-        unique = sorted(set(level_vecs))[:witness_cap]
-        truncated = truncated or len(set(level_vecs)) > witness_cap
-        witnesses = tuple(_partition_from_levels(t.vertices, lv) for lv in unique)
-    else:
-        reps = []
-        for cuts in patterns:
-            bounds = [0] + cuts + [m]
-            lv = [0] * m
-            for b in range(len(bounds) - 1):
-                for pos in range(bounds[b], bounds[b + 1]):
-                    lv[index[order[pos]]] = b
-            reps.append(tuple(lv))
-        witnesses = (_partition_from_levels(t.vertices, min(reps)),)
-        truncated = False
-    return SolveResult(optimum=optimum, witnesses=witnesses, truncated=truncated)
+    return _divider_dp(
+        t, form.w, form.scale, kk, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap
+    )
 
 
 def solve_2op(
@@ -405,12 +361,17 @@ def solve_2op(
 
     Cyclic weights are invisible to 2-partitions (every cycle crosses a
     2-partition as often downward as upward), so optimizing the acyclic
-    component alone is exact for the original weights.
+    component alone is exact for the original weights.  That component is
+    the outer difference of the Borda vector over scale * m, so the divider
+    program runs on it directly.
     """
     if t.m < 2:
         raise ValueError("max-2OP needs at least two vertices")
-    return solve_acyclic_dp(
-        cocycle_component(t), 2, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap
+    kk = _levels(t.m, 2, exact_k, witness_cap)
+    form = t.integer_form
+    return _divider_dp(
+        t, form.beta_differences(), form.scale * t.m, kk,
+        all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap,
     )
 
 
@@ -431,7 +392,7 @@ def solve(
     """
     if k == 2 and t.m >= 2:
         return solve_2op(t, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
-    if all(w == 0 for w in cycle_component(t).weights.values()):
+    if t.integer_form.is_acyclic():
         return solve_acyclic_dp(
             t, k, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap
         )

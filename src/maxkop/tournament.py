@@ -4,16 +4,28 @@ A weighted tournament links every vertex pair by a single arc carrying an
 exact rational weight.  One arc is stored per pair, oriented by vertex-list
 order; reading the reverse arc negates the stored weight, so the weight
 function is antisymmetric by construction.
+
+Every fast path reads the tournament's cached ``integer_form``: the weights
+times one common scale as an antisymmetric integer matrix, plus its row sums
+(the scaled Borda scores).  Results stay exact ``Fraction``s; ``weight`` and
+``partition_score`` keep plain ``Fraction`` loops as the independent
+reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Mapping
 
+import numpy as np
+
 _RESERVED_CHARS = set(">|")
+_INT64_SAFE = 2**62
+_ZERO = Fraction(0)
 
 
 def _validate_name(name: object) -> str:
@@ -28,6 +40,37 @@ def _as_fraction(value: object) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"weights must be exact rationals, got float {value!r}")
     return Fraction(value)
+
+
+@dataclass(frozen=True, eq=False)
+class IntegerForm:
+    """Exact integer image of a tournament's weights.
+
+    ``w`` is the antisymmetric m-by-m matrix with ``w == scale * weights`` and
+    ``beta = w.sum(1)`` the scaled Borda vector.  The dtype is int64 when every
+    quantity derived from ``w`` stays below 2**62 (``m * w``, ``beta`` and its
+    differences, 2-D prefix sums of ``w`` or of those differences, each at most
+    ``2 * m * sum(abs(w))``) and object (Python ints) otherwise: int64 wraps
+    silently, so bounding ``w`` alone is not enough.
+    """
+
+    w: np.ndarray
+    scale: int
+    beta: np.ndarray
+
+    @classmethod
+    def of(cls, w: np.ndarray, scale: int) -> "IntegerForm":
+        """Form of an exact integer matrix (int64 input must not have wrapped)."""
+        w = w.astype(np.int64 if 2 * len(w) * int(abs(w).sum()) < _INT64_SAFE else object)
+        return cls(w, scale, w.sum(1))
+
+    def beta_differences(self) -> np.ndarray:
+        """beta[x] - beta[y] at [x, y]: the acyclic part of the weights times scale * m."""
+        return self.beta[:, None] - self.beta[None, :]
+
+    def is_acyclic(self) -> bool:
+        """True iff the weights are differences of vertex potentials (no cyclic part)."""
+        return bool((self.w * len(self.w) == self.beta_differences()).all())
 
 
 @dataclass(frozen=True)
@@ -52,9 +95,7 @@ class WeightedTournament:
         if len(index) != len(vertices):
             raise ValueError("vertex names must be distinct")
 
-        normalized: dict[tuple[str, str], Fraction] = {
-            pair: Fraction(0) for pair in combinations(vertices, 2)
-        }
+        normalized = dict.fromkeys(combinations(vertices, 2), _ZERO)
         seen: set[tuple[str, str]] = set()
         for (x, y), value in dict(self.weights).items():
             if x not in index or y not in index:
@@ -89,6 +130,27 @@ class WeightedTournament:
     @classmethod
     def zeros(cls, vertices: Iterable[str]) -> "WeightedTournament":
         return cls(tuple(vertices), {})
+
+    @classmethod
+    def from_int_matrix(
+        cls, vertices: Iterable[str], w: np.ndarray, scale: int
+    ) -> "WeightedTournament":
+        """Tournament with weights w / scale, for an antisymmetric integer matrix w."""
+        t = cls(tuple(vertices), {})
+        upper = w[np.triu_indices(t.m, 1)].tolist()
+        t.weights.update(zip(t.weights, (Fraction(v, scale) for v in upper)))
+        t.__dict__["integer_form"] = IntegerForm.of(w, scale)
+        return t
+
+    @cached_property
+    def integer_form(self) -> IntegerForm:
+        """The weights as one integer matrix over their common denominator."""
+        scale = math.lcm(*(w.denominator for w in self.weights.values()))
+        w = np.zeros((self.m, self.m), object)
+        w[np.triu_indices(self.m, 1)] = [
+            v.numerator * (scale // v.denominator) for v in self.weights.values()
+        ]
+        return IntegerForm.of(w - w.T, scale)
 
 
 @dataclass(frozen=True)
@@ -157,12 +219,8 @@ def partition_score(t: WeightedTournament, p: OrderedPartition) -> Fraction:
 
 def borda_score(t: WeightedTournament, x: str) -> Fraction:
     """Sum of x's outgoing weights over all other vertices."""
-    t.index(x)
-    total = Fraction(0)
-    for y in t.vertices:
-        if y != x:
-            total += weight(t, x, y)
-    return total
+    form = t.integer_form
+    return Fraction(int(form.beta[t.index(x)]), form.scale)
 
 
 def is_quantitatively_transitive(t: WeightedTournament) -> bool:
@@ -191,9 +249,7 @@ def difference_generator(t: WeightedTournament) -> dict[str, Fraction] | None:
     satisfies weight(x,y) == g(x) - g(y) for every pair, and None otherwise.
     Presence of a generator is exactly pure acyclicity of the weights.
     """
-    m = t.m
-    g = {x: borda_score(t, x) / m for x in t.vertices}
-    for (x, y), w in t.weights.items():
-        if w != g[x] - g[y]:
-            return None
-    return g
+    form = t.integer_form
+    if not form.is_acyclic():
+        return None
+    return {x: Fraction(b, form.scale * t.m) for x, b in zip(t.vertices, form.beta.tolist())}

@@ -115,6 +115,22 @@ def test_aggregate_rule(capsys, tmp_path):
     assert out.splitlines() == ["order a | b c"]
 
 
+def test_aggregate_rule_reports_truncation(capsys, tmp_path):
+    # a linear ballot and its reversal tie every alternative: m! Borda orders
+    for m, printed, truncated in ((3, 6, False), (8, 10_000, True)):
+        alts = tuple(f"c{i}" for i in range(m))
+        up = WeakOrder.from_classes([[a] for a in alts])
+        down = WeakOrder.from_classes([[a] for a in reversed(alts)])
+        path = tmp_path / f"tie{m}.txt"
+        path.write_text(format_profile(Profile(alts, ((up, 1), (down, 1)))))
+        code, out = run_cli(capsys, "aggregate", "--rule", "borda_ranking", str(path))
+        lines = out.splitlines()
+        assert code == 0
+        assert sum(ln.startswith("order ") for ln in lines) == printed
+        assert (lines[-1] == "orders truncated") == truncated
+        assert lines[0] == "order " + " | ".join(alts)
+
+
 def test_aggregate_jk(capsys, tmp_path):
     p = Profile(
         ("a", "b", "c"),

@@ -1,0 +1,280 @@
+"""Differential tests of the integer form against plain Fraction loops.
+
+Every fast path (induced tournaments, Borda scores, the decomposition, the
+acyclicity tests and the divider DP) reads ``WeightedTournament.integer_form``,
+which is int64 below 2**62 and Python ints above.  Each case here runs at
+small magnitudes, past 2**62, and with 2**70 denominators, against reference
+loops kept in this file (or against ``solve_bruteforce`` for the solvers).
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+from maxkop import (
+    Profile,
+    WeakOrder,
+    WeightedTournament,
+    borda_score,
+    cocycle_component,
+    cycle_component,
+    decompose,
+    difference_generator,
+    induce_tournament,
+    is_purely_acyclic,
+    is_purely_cyclic,
+    solve,
+    solve_2op,
+    solve_acyclic_dp,
+    solve_bruteforce,
+    weight,
+)
+from maxkop.profiles import _borda_ranking
+from maxkop.selftest import random_weak_order, vertex_names
+
+BIG = 2**63 + 12345
+DENOM = 2**70
+# each maps a small integer to a weight of one magnitude regime
+MAGNITUDES = {
+    "small": lambda v: Fraction(v),
+    "past-2^62": lambda v: Fraction(v * BIG),
+    "2^70-denominators": lambda v: Fraction(v, DENOM) + Fraction(v, 3),
+}
+by_magnitude = pytest.mark.parametrize("scale", list(MAGNITUDES.values()), ids=list(MAGNITUDES))
+
+
+def tournament(values: dict[tuple[int, int], int], m: int, scale) -> WeightedTournament:
+    verts = vertex_names(m)
+    weights = {(verts[i], verts[j]): scale(v) for (i, j), v in values.items()}
+    return WeightedTournament(verts, weights)
+
+
+def random_general(rng, m, scale, lo=-4, hi=4):
+    return tournament({p: rng.randint(lo, hi) for p in combinations(range(m), 2)}, m, scale)
+
+
+def random_acyclic(rng, m, scale, lo=-3, hi=3):
+    pot = [rng.randint(lo, hi) for _ in range(m)]  # small range: equal potentials tie
+    return tournament({(i, j): pot[i] - pot[j] for i, j in combinations(range(m), 2)}, m, scale)
+
+
+# ---- Fraction reference loops -------------------------------------------------------
+
+
+def ref_borda(t, x):
+    return sum((weight(t, x, y) for y in t.vertices if y != x), Fraction(0))
+
+
+def ref_cocycle(t):
+    b = {x: ref_borda(t, x) for x in t.vertices}
+    return {(x, y): (b[x] - b[y]) / t.m for x, y in t.stored_pairs()}
+
+
+def ref_cycle(t):
+    co = ref_cocycle(t)
+    return {pair: t.weights[pair] - co[pair] for pair in t.stored_pairs()}
+
+
+def ref_induce(p):
+    weights = {}
+    for x, y in combinations(p.alternatives, 2):
+        net = 0
+        for order, count in p.ballots:
+            rank = order.rank_of()
+            net += count * ((rank[x] < rank[y]) - (rank[x] > rank[y]))
+        weights[(x, y)] = Fraction(net)
+    return weights
+
+
+def levels(t, p):
+    level = p.level_of()
+    return tuple(level[v] for v in t.vertices)
+
+
+def same_result(t, got, want):
+    assert got.optimum == want.optimum
+    assert type(got.optimum) is Fraction
+    assert [levels(t, w) for w in got.witnesses] == [levels(t, w) for w in want.witnesses]
+    assert got.truncated == want.truncated
+
+
+def matches_bruteforce(t, got, k, *, all_ties, exact_k, witness_cap):
+    """Same optimum, witnesses and flag as the walk; under truncation, a canonical subset.
+
+    The divider DP keeps ``witness_cap`` tied witnesses in canonical order,
+    but not necessarily the canonically least ones that the walk keeps.
+    """
+    kw = dict(all_ties=all_ties, exact_k=exact_k)
+    want = solve_bruteforce(t, k, witness_cap=witness_cap, **kw)
+    if not want.truncated:
+        same_result(t, got, want)
+        return
+    assert got.optimum == want.optimum and got.truncated
+    keys = [levels(t, w) for w in got.witnesses]
+    assert len(keys) == witness_cap and keys == sorted(set(keys))
+    full = solve_bruteforce(t, k, witness_cap=10**6, **kw)
+    assert set(keys) <= {levels(t, w) for w in full.witnesses}
+
+
+# ---- induce_tournament ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("counts", [(1, 9), (2**61, 2**62), (2**62 + 7, 3 * 2**61 + 1)])
+def test_induce_matches_reference(counts):
+    rng = random.Random(sum(counts) % 1000)
+    for m in (2, 3, 5, 9):
+        alts = vertex_names(m)
+        ballots = tuple(
+            (random_weak_order(rng, alts, rng.randint(1, m)), rng.randint(*counts))
+            for _ in range(rng.randint(1, 12))
+        )
+        p = Profile(alts, ballots)
+        t = induce_tournament(p)
+        assert t.weights == ref_induce(p)
+        assert all(type(w) is Fraction for w in t.weights.values())
+
+
+def test_induce_multiplicities_summing_past_2_62():
+    alts = ("a", "b", "c")
+    top_a = WeakOrder.from_classes([["a"], ["b"], ["c"]])
+    top_c = WeakOrder.from_classes([["c"], ["b", "a"]])
+    p = Profile(alts, ((top_a, 2**62), (top_a, 2**62), (top_c, 1)))
+    t = induce_tournament(p)
+    assert t.weights == ref_induce(p)
+    assert t.weights[("a", "b")] == 2**63
+    assert t.weights[("a", "c")] == 2**63 - 1
+
+
+# ---- Borda and the decomposition ----------------------------------------------------
+
+
+@by_magnitude
+def test_borda_and_components_match_reference(scale):
+    rng = random.Random(7)
+    for m in (1, 2, 3, 4, 7):
+        for t in (random_general(rng, m, scale), random_acyclic(rng, m, scale)):
+            for x in t.vertices:
+                assert borda_score(t, x) == ref_borda(t, x)
+            co, cyc = cocycle_component(t), cycle_component(t)
+            assert co.weights == ref_cocycle(t)
+            assert cyc.weights == ref_cycle(t)
+            d = decompose(t)
+            assert d.cocycle.weights == co.weights and d.cycle.weights == cyc.weights
+            # the components' own integer forms agree with fresh ones
+            for part in (co, cyc):
+                fresh = WeightedTournament(part.vertices, dict(part.weights))
+                for x in t.vertices:
+                    assert borda_score(part, x) == borda_score(fresh, x)
+
+
+# ---- acyclicity ---------------------------------------------------------------------
+
+
+@by_magnitude
+def test_acyclicity_tests_match_reference(scale):
+    rng = random.Random(8)
+    for m in (1, 2, 3, 5, 6):
+        for t in (random_general(rng, m, scale), random_acyclic(rng, m, scale)):
+            acyclic = all(w == 0 for w in ref_cycle(t).values())
+            assert is_purely_acyclic(t) == acyclic
+            assert is_purely_cyclic(t) == all(w == 0 for w in ref_cocycle(t).values())
+            gen = difference_generator(t)
+            assert (gen is not None) == acyclic
+            if gen is not None:
+                assert gen == {x: ref_borda(t, x) / t.m for x in t.vertices}
+
+
+def wrapping_cycle() -> WeightedTournament:
+    """Acyclic weights on 8 vertices plus 2**61 around the cycle a > b > c > a.
+
+    Every weight stays below 2**62, but 8 * 2**61 == 2**64: in wrapping int64
+    arithmetic m * w equals the Borda differences, and the cycle is invisible.
+    """
+    verts = vertex_names(8)
+    pot = dict(zip(verts, (3, 1, 0, -2, 5, 1, -4, 2)))
+    weights = {(x, y): pot[x] - pot[y] for x, y in combinations(verts, 2)}
+    weights[("a", "b")] += 2**61
+    weights[("b", "c")] += 2**61
+    weights[("a", "c")] -= 2**61
+    return WeightedTournament(verts, weights)
+
+
+def test_cycle_hidden_by_int64_wraparound_is_seen():
+    t = wrapping_cycle()
+    assert any(w != 0 for w in ref_cycle(t).values())
+    assert not is_purely_acyclic(t)
+    assert not is_purely_cyclic(t)
+    assert difference_generator(t) is None
+    with pytest.raises(ValueError, match="cyclic component"):
+        solve_acyclic_dp(t, 3)
+    # the dispatcher must take the exhaustive walk, not the divider program
+    same_result(t, solve(t, 3, all_ties=True), solve_bruteforce(t, 3, all_ties=True))
+    assert cycle_component(t).weights == ref_cycle(t)
+    assert t.integer_form.w.dtype == object
+
+
+# ---- the divider DP against the exhaustive walk -------------------------------------
+
+
+@by_magnitude
+def test_acyclic_dp_matches_bruteforce(scale):
+    rng = random.Random(9)
+    for m in (1, 2, 3, 5, 7):
+        t = random_acyclic(rng, m, scale)
+        for k in (1, 2, 3, 4):
+            for exact_k in (False, True) if k <= m else (False,):
+                for all_ties, cap in ((False, 10_000), (True, 10_000), (True, 3)):
+                    kw = dict(all_ties=all_ties, exact_k=exact_k, witness_cap=cap)
+                    matches_bruteforce(t, solve_acyclic_dp(t, k, **kw), k, **kw)
+
+
+@by_magnitude
+def test_2op_matches_bruteforce(scale):
+    rng = random.Random(10)
+    for m in (2, 3, 4, 6, 8):
+        for t in (random_general(rng, m, scale), random_general(rng, m, scale, -1, 1)):
+            for exact_k in (False, True):
+                for all_ties, cap in ((False, 10_000), (True, 10_000), (True, 2)):
+                    kw = dict(all_ties=all_ties, exact_k=exact_k, witness_cap=cap)
+                    matches_bruteforce(t, solve_2op(t, **kw), 2, **kw)
+
+
+def test_all_zero_weights_every_route():
+    for m in (1, 2, 5):
+        t = WeightedTournament.zeros(vertex_names(m))
+        for k in (1, 2, 3):
+            for exact_k in (False, True) if k <= m else (False,):
+                for cap in (7, 10_000):
+                    kw = dict(all_ties=True, exact_k=exact_k, witness_cap=cap)
+                    matches_bruteforce(t, solve_acyclic_dp(t, k, **kw), k, **kw)
+                    matches_bruteforce(t, solve(t, k, **kw), k, **kw)
+        assert is_purely_acyclic(t) and is_purely_cyclic(t)
+        assert difference_generator(t) == {x: 0 for x in t.vertices}
+
+
+@pytest.mark.parametrize("cap,truncated", [(30, True), (31, False), (32, False)])
+def test_divider_dp_truncates_only_when_witnesses_are_dropped(cap, truncated):
+    # zero weights on 5 vertices: every one of the 2**5 - 1 ordered 2-partitions
+    # with a nonempty top block ties
+    t = WeightedTournament.zeros(vertex_names(5))
+    for res in (solve_2op(t, all_ties=True, witness_cap=cap),
+                solve_acyclic_dp(t, 2, all_ties=True, witness_cap=cap)):
+        assert len(res.witnesses) == min(cap, 31)
+        assert res.truncated == truncated
+
+
+# ---- Borda ranking truncation -------------------------------------------------------
+
+
+@pytest.mark.parametrize("cap,truncated", [(119, True), (120, False), (121, False)])
+def test_borda_ranking_truncates_only_when_orders_are_dropped(cap, truncated):
+    # a ballot and its reversal: all 5 alternatives tie, so 5! = 120 orders
+    alts = vertex_names(5)
+    up = WeakOrder.from_classes([[a] for a in alts])
+    down = WeakOrder.from_classes([[a] for a in reversed(alts)])
+    res = _borda_ranking(Profile(alts, ((up, 1), (down, 1))), cap)
+    assert len(res.orders) == min(cap, 120)
+    assert res.truncated == truncated
+    assert res.optimum == 0
