@@ -33,7 +33,7 @@ from .reductions import (
     check_transitive_gadget,
     check_tricut_identity,
 )
-from .solvers import DEFAULT_GUARD, GuardExceededError, solve
+from .solvers import DEFAULT_GUARD, GuardExceededError, decide, solve
 from .selftest import run_selftest
 
 _REDUCE_EPILOG = (
@@ -78,10 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="maxkop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, guard: bool = True) -> None:
-        if guard:
-            p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                           help="enumeration cap (default %(default)s)")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
+                       help="enumeration cap (default %(default)s)")
 
     p_solve = sub.add_parser("solve", help="maximize the ordered k-partition score")
     p_solve.add_argument("--k", type=int, required=True)
@@ -160,8 +159,7 @@ def _run_solve(ns: argparse.Namespace, out) -> int:
 def _run_decide(ns: argparse.Namespace, out) -> int:
     threshold = _parse_rational_arg(ns.threshold)
     t = read_tournament(ns.file)
-    res = solve(t, ns.k, all_ties=False, guard=ns.guard)
-    out(f"decision {'true' if res.optimum >= threshold else 'false'}")
+    out(f"decision {'true' if decide(t, ns.k, threshold, guard=ns.guard) else 'false'}")
     return 0
 
 

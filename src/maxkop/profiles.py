@@ -136,7 +136,7 @@ def induce_tournament(p: Profile) -> WeightedTournament:
     return WeightedTournament.from_int_matrix(p.alternatives, w, 1)
 
 
-def _spec_description(spec: LevelSpec, m: int) -> str:
+def _spec_description(spec: LevelSpec) -> str:
     if spec == LINEAR:
         return "a linear order"
     if spec == UNIVALENT:
@@ -162,7 +162,7 @@ def validate_ballots(p: Profile, j: LevelSpec) -> None:
         if not _conforms(order, j, m):
             raise ValueError(
                 f"ballot {i} ({_render_order(order)!r}) is not "
-                f"{_spec_description(j, m)}"
+                f"{_spec_description(j)}"
             )
 
 

@@ -15,6 +15,9 @@ Two tournament gadgets are built from a weighted undirected graph:
 
 ``add_club_vertex`` augments a graph so that maximal tricuts isolate the new
 heavy vertex, reducing maximum bipartition cuts to maximum tripartition cuts.
+
+``solve_cut_bruteforce`` runs the exhaustive walk of ``maxkop.solvers``, so
+both sides of every identity check run on one kernel.
 """
 
 from __future__ import annotations
@@ -25,10 +28,19 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .solvers import DEFAULT_GUARD, GuardExceededError, solve_bruteforce
+import numpy as np
+
+from .solvers import (
+    DEFAULT_GUARD,
+    GuardExceededError,
+    _partition_from_levels,
+    _walk_levels,
+    solve_bruteforce,
+)
 from .tournament import (
     OrderedPartition,
     WeightedTournament,
+    exact_int_matrix,
     is_qualitatively_transitive,
     partition_score,
 )
@@ -152,7 +164,9 @@ def solve_cut_bruteforce(
     """Maximum cut over unordered partitions into at most `pieces` nonempty pieces.
 
     Returns the optimum and every maximizing partition (pieces listed in
-    order of first appearance).
+    order of first appearance), in lexicographic order of their
+    restricted-growth level vectors.  Runs the exhaustive walk with the pair
+    term ``w * [l_i != l_j]``; the guard counts unordered partitions.
     """
     if pieces < 1:
         raise ValueError("pieces must be at least 1")
@@ -162,45 +176,14 @@ def solve_cut_bruteforce(
         raise GuardExceededError(
             f"enumerating {count} partitions exceeds the guard of {guard}"
         )
-    verts = g.vertices
-    index = g._index  # type: ignore[attr-defined]
-    wmat = [[0] * m for _ in range(m)]
-    for (x, y), w in g.edge_weights.items():
-        i, j = index[x], index[y]
-        wmat[i][j] = w
-        wmat[j][i] = w
-    best = -1
-    witnesses: list[tuple[int, ...]] = []
-    labels = [0] * m
-
-    def rec(i: int, used: int, acc: int) -> None:
-        nonlocal best, witnesses
-        if i == m:
-            if acc > best:
-                best = acc
-                witnesses = [tuple(labels)]
-            elif acc == best:
-                witnesses.append(tuple(labels))
-            return
-        limit = min(used + 1, pieces)
-        row = wmat[i]
-        for lab in range(limit):
-            labels[i] = lab
-            gain = 0
-            for j in range(i):
-                if labels[j] != lab:
-                    gain += row[j]
-            rec(i + 1, max(used, lab + 1), acc + gain)
-
-    rec(0, 0, 0)
-    out = []
-    for lab in witnesses:
-        nblocks = max(lab) + 1
-        blocks: list[list[str]] = [[] for _ in range(nblocks)]
-        for v, b in zip(verts, lab):
-            blocks[b].append(v)
-        out.append(tuple(frozenset(b) for b in blocks))
-    return best, out
+    w = np.zeros((m, m), object)
+    for (x, y), weight in g.edge_weights.items():
+        w[g.index(x), g.index(y)] = w[g.index(y), g.index(x)] = weight
+    # the cap is the partition count, so every maximizer is kept
+    best, _, kept = _walk_levels(
+        exact_int_matrix(w), min(pieces, m), False, count, np.not_equal, unordered=True
+    )
+    return best, [_partition_from_levels(g.vertices, lv).blocks for lv in kept]
 
 
 def _arc_adder(vertices: tuple[str, ...]):
@@ -567,10 +550,10 @@ def check_transitive_gadget(
         if round_nearest(partition_score(t, lifted)) != expected:
             lift_identity_ok = False
 
-    brute_rounded: int | None = None
-    if min(3, t.m) ** t.m <= guard:
-        opt = solve_bruteforce(t, 3, guard=guard).optimum
-        brute_rounded = round_nearest(opt)
+    try:
+        brute_rounded = round_nearest(solve_bruteforce(t, 3, guard=guard).optimum)
+    except GuardExceededError:
+        brute_rounded = None
 
     return TransitiveGadgetReport(
         transitive=transitive,

@@ -6,7 +6,9 @@ Three routes are provided:
   exactly) k nonempty blocks, by walking level assignments in lexicographic
   order.  It is the oracle the faster routes are tested against.  A single
   numpy kernel walks the leading vertices in Python and scores every
-  labeling of the trailing ones as one array.
+  labeling of the trailing ones as one array.  The kernel takes the pair
+  term as a callable, and in unordered mode visits each unordered partition
+  once, so ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.
 * ``solve_acyclic_dp`` handles weights with no cyclic part.  Some optimal
   partition is then monotone in the Borda scores, so a dynamic program over
   divider positions in the sorted score sequence finds the optimum with
@@ -73,18 +75,22 @@ def _partition_from_levels(vertices: tuple[str, ...], levels) -> OrderedPartitio
     return OrderedPartition.from_blocks(blocks)
 
 
-def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int):
+def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unordered: bool):
     """Score every gap-free level vector in lexicographic order.
 
-    A level vector is gap-free when the levels it uses are 0..j-1, so each
-    ordered partition has exactly one.  Returns the best score, the number of
-    level vectors reaching it, and the first ``cap`` of those in visit order.
+    A level vector l scores the sum of ``w[i, j] * term(l[i], l[j])`` over
+    pairs i < j, ``term`` being a vectorised pair term.  It is gap-free when
+    the levels it uses are 0..j-1, so each ordered partition has exactly one;
+    with ``unordered`` only restricted-growth vectors (each level first used
+    after every lower one) are visited, one per unordered partition.  Returns
+    the best score, the number of level vectors reaching it, and the first
+    ``cap`` of those in visit order.
     The last ``s`` vertices (the suffix) are scored all at once in numpy,
     ``k**s`` being about ``_BLOCK``.  The prefix is walked depth first in
-    Python, keeping an s-by-k table of the prefix's arcs into each suffix
-    vertex at each level; a leaf spreads it over all suffix labelings as a
-    Kronecker sum.  The valid suffix labelings are cached per set of levels
-    the prefix uses.
+    Python, keeping an s-by-k table of the prefix's pair terms with each
+    suffix vertex at each level; a leaf spreads it over all suffix labelings
+    as a Kronecker sum.  The valid suffix labelings are cached per set of
+    levels the prefix uses.
     """
     m = w.shape[0]
     s = 1
@@ -97,13 +103,12 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int):
     own = np.zeros(size, w.dtype)
     for a in range(s):
         for b in range(a + 1, s):
-            own += w[p + a, p + b] * np.sign(digits[b] - digits[a]).astype(w.dtype)
+            own += w[p + a, p + b] * term(digits[a], digits[b]).astype(w.dtype)
     used = np.bitwise_or.reduce(1 << digits, axis=0)
-    # inc[i, l, j, c]: score of the arc from prefix vertex i at level l into
-    # suffix vertex j at level c
-    step = np.sign(np.arange(k) - np.arange(k)[:, None])  # step[l, c] = sign(c - l)
+    step = term(np.arange(k)[:, None], np.arange(k)).astype(w.dtype)  # step[l, c] = term(l, c)
+    # inc[i, l, j, c]: pair term of prefix vertex i at level l with suffix vertex j at level c
     inc = w[:p, None, p:, None] * step[None, :, None, :]
-    rows = w[:p, :p].tolist()
+    rows, steps = w[:p, :p].tolist(), step.tolist()
     full = (1 << k) - 1
     valid: dict[int, np.ndarray] = {}
     labels = [0] * p
@@ -112,14 +117,12 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int):
     kept: list[tuple[int, ...]] = []
 
     def visit(d: int, score: int, table: np.ndarray, pmask: int) -> None:
-        # table[j, c]: score of the arcs from the prefix into suffix vertex j at level c
+        # table[j, c]: pair terms of the prefix with suffix vertex j at level c
         nonlocal best, nopt, kept
         if d < p:
-            for lam in range(k):
+            for lam in range(min(k, pmask.bit_length() + 1) if unordered else k):
                 labels[d] = lam
-                delta = sum(
-                    rows[i][d] * ((lam > li) - (lam < li)) for i, li in enumerate(labels[:d])
-                )
+                delta = sum(rows[i][d] * steps[li][lam] for i, li in enumerate(labels[:d]))
                 visit(d + 1, score + delta, table + inc[d, lam], pmask | 1 << lam)
             return
         idx = valid.get(pmask)
@@ -128,6 +131,11 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int):
             ok = (u & (u + 1)) == 0
             if exact_k:
                 ok &= u == full
+            if unordered:  # each suffix level at most one above the highest level before it
+                fresh = pmask.bit_length()
+                for row in digits:
+                    ok &= row <= fresh
+                    fresh = np.maximum(fresh, row + 1)
             idx = valid[pmask] = np.flatnonzero(ok)
         if idx.size == 0:
             return
@@ -175,7 +183,10 @@ def solve_bruteforce(
         )
 
     form = t.integer_form
-    best, nopt, kept = _walk_levels(form.w, kk, exact_k, witness_cap if all_ties else 1)
+    best, nopt, kept = _walk_levels(
+        form.w, kk, exact_k, witness_cap if all_ties else 1,
+        lambda l, c: np.sign(c - l), unordered=False,
+    )
     optimum = Fraction(best, form.scale)
     witnesses = tuple(_partition_from_levels(t.vertices, lv) for lv in kept)
     truncated = all_ties and nopt > len(kept)

@@ -42,6 +42,11 @@ def _as_fraction(value: object) -> Fraction:
     return Fraction(value)
 
 
+def exact_int_matrix(w: np.ndarray) -> np.ndarray:
+    """An integer m-by-m matrix as int64 if 2 * m * sum(abs(w)) < 2**62, else as Python ints."""
+    return w.astype(np.int64 if 2 * len(w) * int(abs(w).sum()) < _INT64_SAFE else object)
+
+
 @dataclass(frozen=True, eq=False)
 class IntegerForm:
     """Exact integer image of a tournament's weights.
@@ -61,7 +66,7 @@ class IntegerForm:
     @classmethod
     def of(cls, w: np.ndarray, scale: int) -> "IntegerForm":
         """Form of an exact integer matrix (int64 input must not have wrapped)."""
-        w = w.astype(np.int64 if 2 * len(w) * int(abs(w).sum()) < _INT64_SAFE else object)
+        w = exact_int_matrix(w)
         return cls(w, scale, w.sum(1))
 
     def beta_differences(self) -> np.ndarray:

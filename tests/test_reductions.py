@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -69,6 +69,65 @@ def test_cut_bruteforce_guard():
 
     with pytest.raises(GuardExceededError):
         solve_cut_bruteforce(g, 3, guard=10)
+
+
+def _reference_cuts(g: CutInstance, pieces: int):
+    """Every restricted-growth labeling in lexicographic order, scored by cut_score."""
+    best, witnesses = -1, []
+    for labels in product(range(min(pieces, g.n)), repeat=g.n):
+        if any(lab > max(labels[:i], default=-1) + 1 for i, lab in enumerate(labels)):
+            continue  # some label appears before a smaller one
+        parts = tuple(
+            frozenset(v for v, lab in zip(g.vertices, labels) if lab == b)
+            for b in range(max(labels) + 1)
+        )
+        score = cut_score(g, parts)
+        if score > best:
+            best, witnesses = score, [parts]
+        elif score == best:
+            witnesses.append(parts)
+    return best, witnesses
+
+
+def _weighted_graph(n: int, weights: str, seed: int) -> CutInstance:
+    rng = random.Random(seed)
+    draw = {
+        "zero": lambda: 0,
+        "small": lambda: rng.choice([0, 0, 1, 2, 3]),
+        "huge": lambda: rng.choice([0, 1, 2**62, 2**63 + 5]),
+    }[weights]
+    verts = tuple(f"v{i}" for i in range(n))
+    return CutInstance(verts, {(x, y): draw() for x, y in combinations(verts, 2)})
+
+
+@pytest.mark.parametrize(
+    "n, pieces, weights",
+    [
+        (5, 1, "small"),
+        (7, 2, "small"),
+        (10, 3, "small"),  # 3 prefix vertices ahead of the 7-vertex suffix
+        (9, 3, "huge"),
+        (8, 4, "small"),  # 3 prefix vertices ahead of the 5-vertex suffix
+        (7, 4, "huge"),
+        (6, 6, "small"),
+        (5, 8, "small"),
+        (6, 3, "zero"),
+        (7, 2, "zero"),
+    ],
+)
+def test_cut_bruteforce_matches_reference_enumeration(n, pieces, weights):
+    g = _weighted_graph(n, weights, seed=n * 10 + pieces)
+    assert solve_cut_bruteforce(g, pieces) == _reference_cuts(g, pieces)
+
+
+def test_cut_bruteforce_guard_is_the_partition_count():
+    from maxkop import GuardExceededError
+
+    g = _weighted_graph(6, "zero", seed=0)
+    count = len(_reference_cuts(g, 3)[1])  # every partition ties on zero weights
+    assert len(solve_cut_bruteforce(g, 3, guard=count)[1]) == count
+    with pytest.raises(GuardExceededError):
+        solve_cut_bruteforce(g, 3, guard=count - 1)
 
 
 def test_build_hg_single_edge():
@@ -384,3 +443,12 @@ def test_check_transitive_gadget_reports():
     assert report.expected == 3 * 3 * 4 + 2 == 38
     assert report.brute_rounded is None  # 3^18 sits beyond the default guard
     assert report.ok
+
+
+def test_check_transitive_gadget_guard_is_the_walk_guard():
+    # the EDGE gadget has 10 vertices, so the walk visits 3^10 level vectors
+    report = check_transitive_gadget(EDGE, guard=3**10)
+    assert report.brute_rounded == report.expected == 13
+    report = check_transitive_gadget(EDGE, guard=3**10 - 1)
+    assert report.brute_rounded is None
+    assert report.lift_identity_ok and report.ok
