@@ -14,12 +14,11 @@ from pathlib import Path
 from .decomposition import decompose, norm_squared
 from .formats import (
     ParseError,
+    _format_levels,
     format_graph,
-    format_partition,
     format_profile,
     format_rational,
     format_tournament,
-    format_weak_order,
     read_graph,
     read_profile,
     read_tournament,
@@ -147,8 +146,8 @@ def _run_solve(ns: argparse.Namespace, out) -> int:
     t = read_tournament(ns.file)
     res = solve(t, ns.k, all_ties=ns.all_ties, exact_k=ns.exact_k, guard=ns.guard)
     out(f"optimum {format_rational(res.optimum)}")
-    for w in res.witnesses:
-        out(f"witness {format_partition(w, t.vertices)}")
+    for line in _format_levels(res.vertices, res.levels, " > "):
+        out(f"witness {line}")
     if res.truncated:
         out("witnesses truncated")
     if threshold is not None:
@@ -192,8 +191,8 @@ def _run_aggregate(ns: argparse.Namespace, out) -> int:
     else:
         res = aggregate(p, j, k, exact_k=ns.exact_k, coerce=ns.coerce, guard=ns.guard)
         out(f"optimum {format_rational(res.optimum)}")
-    for order in res.orders:
-        out(f"order {format_weak_order(order, p.alternatives)}")
+    for line in _format_levels(res.alternatives, res.levels, " | "):
+        out(f"order {line}")
     if res.truncated:
         out("orders truncated")
     return 0

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .profiles import Profile, WeakOrder
 from .reductions import CutInstance
@@ -112,6 +114,27 @@ def parse_partition(text: str, path: str = "<string>") -> OrderedPartition:
         return OrderedPartition.from_blocks(blocks)
     except ValueError as exc:
         raise ParseError(path, lineno, str(exc)) from None
+
+
+def _format_levels(
+    names: Sequence[str], levels: Sequence[Sequence[int]], sep: str
+) -> Iterator[str]:
+    """One line per level vector over ``names``: its partition or weak order as text.
+
+    Names are listed by level, level 0 first and in the order of ``names``
+    within a level, levels separated by ``sep``: the text ``format_partition``
+    (``sep`` " > ") or ``format_weak_order`` (``sep`` " | ") gives the object
+    a level vector stands for, with ``names`` as the vertex or alternative list.
+    """
+    tokens, gaps = np.array(names, object), np.array([" ", sep], object)
+    for lo in range(0, len(levels), 2048):  # rows per pass, bounding the text table
+        lv = np.array(levels[lo : lo + 2048])
+        order = np.argsort(lv, axis=1, kind="stable")
+        ranked = np.take_along_axis(lv, order, 1)
+        cells = np.empty((len(lv), 2 * len(names) - 1), object)
+        cells[:, ::2] = tokens[order]
+        cells[:, 1::2] = gaps[(ranked[:, 1:] != ranked[:, :-1]).astype(np.intp)]
+        yield from map("".join, cells.tolist())
 
 
 def format_partition(p: OrderedPartition, vertices: Iterable[str]) -> str:

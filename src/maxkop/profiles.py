@@ -5,6 +5,10 @@ net majorities.  The family of rules implemented here aggregates j-chotomous
 ballots into the k-chotomous weak order(s) of maximal partition score on that
 tournament; familiar rules (approval, plurality, Borda, mean rule, Borda mean
 rule, Kemeny) appear at particular (j, k) choices.
+
+An ``AggregateResult`` stores its orders as level vectors over the
+alternatives and builds the ``WeakOrder`` objects only when ``orders`` is
+read.
 """
 
 from __future__ import annotations
@@ -12,13 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import cached_property
+from itertools import islice, permutations
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, solve
-from .tournament import _INT64_SAFE, OrderedPartition, WeightedTournament
+from .tournament import _INT64_SAFE, WeightedTournament, _level_blocks
 
 #: Level spec meaning "as many classes as alternatives" (linear orders).
 LINEAR = "linear"
@@ -45,22 +50,18 @@ class WeakOrder:
     classes: tuple[frozenset[str], ...]
 
     def __post_init__(self) -> None:
-        classes = tuple(frozenset(c) for c in self.classes)
+        classes = tuple(map(frozenset, self.classes))
         if not classes:
             raise ValueError("a weak order needs at least one class")
-        total = 0
-        for c in classes:
-            if not c:
-                raise ValueError("classes must be nonempty")
-            total += len(c)
-        union = frozenset().union(*classes)
-        if len(union) != total:
+        if not all(classes):
+            raise ValueError("classes must be nonempty")
+        if len(frozenset().union(*classes)) != sum(map(len, classes)):
             raise ValueError("classes must be pairwise disjoint")
         object.__setattr__(self, "classes", classes)
 
     @classmethod
     def from_classes(cls, classes: Iterable[Iterable[str]]) -> "WeakOrder":
-        return cls(tuple(frozenset(c) for c in classes))
+        return cls(tuple(classes))
 
     def rank_of(self) -> dict[str, int]:
         return {a: i for i, c in enumerate(self.classes) for a in c}
@@ -78,7 +79,8 @@ class Profile:
 
     def __post_init__(self) -> None:
         alternatives = tuple(self.alternatives)
-        if len(set(alternatives)) != len(alternatives):
+        members = frozenset(alternatives)
+        if len(members) != len(alternatives):
             raise ValueError("alternatives must be distinct")
         ballots = []
         for entry in self.ballots:
@@ -88,7 +90,7 @@ class Profile:
                 order, count = entry
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"ballot multiplicity must be a positive integer, got {count!r}")
-            if order.members() != frozenset(alternatives):
+            if order.members() != members:
                 raise ValueError(
                     f"ballot {_render_order(order)!r} does not cover the alternatives exactly"
                 )
@@ -105,11 +107,22 @@ class Profile:
 
 @dataclass(frozen=True)
 class AggregateResult:
-    """Winning weak orders plus the score they achieve on the induced tournament."""
+    """Winning weak orders plus the score they achieve on the induced tournament.
 
-    orders: tuple[WeakOrder, ...]
+    ``levels`` holds the orders as level vectors over ``alternatives``
+    (``levels[i][a]`` is the class of ``alternatives[a]`` in the i-th order, 0
+    the best class); ``orders`` derives the ``WeakOrder`` objects from them on
+    first access.  ``truncated`` marks that further tied orders were dropped.
+    """
+
     optimum: Fraction
+    alternatives: tuple[str, ...]
+    levels: tuple[tuple[int, ...], ...]
     truncated: bool = False
+
+    @cached_property
+    def orders(self) -> tuple[WeakOrder, ...]:
+        return tuple(WeakOrder(tuple(_level_blocks(self.alternatives, lv))) for lv in self.levels)
 
 
 def _render_order(order: WeakOrder) -> str:
@@ -166,10 +179,6 @@ def validate_ballots(p: Profile, j: LevelSpec) -> None:
             )
 
 
-def _order_from_partition(part: OrderedPartition) -> WeakOrder:
-    return WeakOrder(part.blocks)
-
-
 def aggregate(
     p: Profile,
     j: LevelSpec,
@@ -197,14 +206,10 @@ def aggregate(
         # of its winner, so only the m such partitions need scoring
         beta = t.integer_form.beta.tolist()
         top = max(beta)
-        orders = tuple(
-            WeakOrder((frozenset({x}), frozenset(v for v in t.vertices if v != x)))
-            for x, b in zip(t.vertices, beta)
-            if b == top
+        levels = tuple(
+            tuple(int(y != x) for y in range(m)) for x, b in enumerate(beta) if b == top
         )
-        return AggregateResult(
-            orders=orders, optimum=Fraction(top, t.integer_form.scale), truncated=False
-        )
+        return AggregateResult(Fraction(top, t.integer_form.scale), t.vertices, levels)
 
     if k == LINEAR:
         kk, exact = m, True
@@ -214,8 +219,7 @@ def aggregate(
         raise ValueError(f"invalid level spec {k!r}")
 
     res = solve(t, kk, all_ties=True, exact_k=exact, guard=guard, witness_cap=witness_cap)
-    orders = tuple(_order_from_partition(w) for w in res.witnesses)
-    return AggregateResult(orders=orders, optimum=res.optimum, truncated=res.truncated)
+    return AggregateResult(res.optimum, res.vertices, res.levels, res.truncated)
 
 
 def jk_kemeny(
@@ -246,33 +250,42 @@ def borda_mean_rule(p: Profile, **kwargs) -> list[WeakOrder]:
 
 
 def _borda_ranking(p: Profile, witness_cap: int) -> AggregateResult:
-    """All linear orders consistent with sorting by Borda score, best first."""
+    """All linear orders consistent with sorting by Borda score, best first.
+
+    Alternatives of equal Borda score are permuted in every way, the group of
+    the highest score outermost and each group's permutations in the order
+    ``itertools.permutations`` gives them on its alternatives sorted by name.
+    """
     t = induce_tournament(p)
     form = t.integer_form
-    beta = dict(zip(t.vertices, form.beta.tolist()))
-    groups: list[list[str]] = []
-    for x in sorted(t.vertices, key=lambda v: (-beta[v], t.index(v))):
-        if groups and beta[groups[-1][0]] == beta[x]:
-            groups[-1].append(x)
+    beta = form.beta.tolist()
+    groups: list[list[int]] = []
+    for v in sorted(range(t.m), key=lambda v: (-beta[v], v)):
+        if groups and beta[groups[-1][0]] == beta[v]:
+            groups[-1].append(v)
         else:
-            groups.append([x])
-    orders: list[WeakOrder] = []
-
-    def emit(i: int, prefix: list[frozenset[str]]) -> bool:
-        if i == len(groups):
-            orders.append(WeakOrder(tuple(prefix)))
-            return len(orders) >= witness_cap
-        for perm in permutations(sorted(groups[i])):
-            if emit(i + 1, prefix + [frozenset({a}) for a in perm]):
-                return True
-        return False
-
-    emit(0, [])
-    truncated = math.prod(math.factorial(len(g)) for g in groups) > witness_cap
+            groups.append([v])
+    groups = [sorted(g, key=t.vertices.__getitem__) for g in groups]
+    top = [v for g in groups for v in g]
+    count = math.prod(math.factorial(len(g)) for g in groups)
+    n = min(count, witness_cap)
+    # seq[r]: the r-th order as alternative indices, best first; the last group varies fastest
+    seq = np.tile(top, (n, 1))
+    rows = np.arange(n)
+    start, stride = t.m, 1
+    for g in reversed(groups):
+        start -= len(g)
+        if len(g) > 1 and stride < n:
+            perms = np.array(list(islice(permutations(g), -(-n // stride))))
+            seq[:, start : start + len(g)] = perms[rows // stride % len(perms)]
+        stride *= math.factorial(len(g))
+    levels = np.empty_like(seq)
+    levels[rows[:, None], seq] = np.arange(t.m)
     # the score every best linear order achieves: the weight above its diagonal
-    top = [t.index(a) for g in groups for a in sorted(g)]
     optimum = Fraction(int(np.triu(form.w[np.ix_(top, top)], 1).sum()), form.scale)
-    return AggregateResult(orders=tuple(orders), optimum=optimum, truncated=truncated)
+    return AggregateResult(
+        optimum, t.vertices, tuple(map(tuple, levels.tolist())), count > witness_cap
+    )
 
 
 def aggregate_rule(
@@ -287,7 +300,9 @@ def aggregate_rule(
 
     approval uses dichotomous ballots, plurality univalent ones, and the
     Borda/Kemeny rules linear ones.  ``borda_ranking`` sorts by Borda score
-    directly (the family yields Borda winners, not a full Borda ranking).
+    directly (the family yields Borda winners, not a full Borda ranking) and
+    lists tied orders group by group (see ``_borda_ranking``), not by level
+    vector.
     """
     pairs: Mapping[str, tuple[LevelSpec, LevelSpec]] = {
         "approval_ranking": (2, LINEAR),

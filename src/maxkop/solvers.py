@@ -20,20 +20,23 @@ Every route reads the tournament's ``integer_form`` (see
 ``maxkop.tournament``), whose dtype is int64 or Python ints (object arrays).
 
 Results carry every optimal partition (up to a cap, flagged by ``truncated``)
-or just the canonically least one; witnesses are deduplicated and sorted by
-their level vector in vertex-list order, so results do not depend on
-evaluation schedule.
+or just the canonically least one.  Witnesses are stored as level vectors
+(the block index of each vertex, 0 the top block) in lexicographic order, the
+order the walk visits them in, so every route keeps the same witnesses under
+a cap; ``SolveResult.witnesses`` builds the ``OrderedPartition`` objects only
+when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
-from .tournament import OrderedPartition, WeightedTournament
+from .tournament import OrderedPartition, WeightedTournament, _level_blocks
 
 DEFAULT_GUARD = 10**8
 DEFAULT_WITNESS_CAP = 10_000
@@ -48,13 +51,21 @@ class GuardExceededError(RuntimeError):
 class SolveResult:
     """Optimal score plus the partitions achieving it.
 
-    ``witnesses`` is canonically ordered; ``truncated`` marks that further
-    tied witnesses were dropped at the cap.
+    ``levels`` holds the witnesses as level vectors over ``vertices``
+    (``levels[i][v]`` is the block of ``vertices[v]`` in the i-th witness, 0
+    the top block), in canonical (lexicographic) order; ``witnesses`` derives
+    the ``OrderedPartition`` objects from them on first access.
+    ``truncated`` marks that further tied witnesses were dropped at the cap.
     """
 
     optimum: Fraction
-    witnesses: tuple[OrderedPartition, ...]
+    vertices: tuple[str, ...]
+    levels: tuple[tuple[int, ...], ...]
     truncated: bool = False
+
+    @cached_property
+    def witnesses(self) -> tuple[OrderedPartition, ...]:
+        return tuple(_partition_from_levels(self.vertices, lv) for lv in self.levels)
 
 
 def _levels(m: int, k: int, exact_k: bool, witness_cap: int) -> int:
@@ -69,10 +80,32 @@ def _levels(m: int, k: int, exact_k: bool, witness_cap: int) -> int:
 
 
 def _partition_from_levels(vertices: tuple[str, ...], levels) -> OrderedPartition:
-    blocks: list[list[str]] = [[] for _ in range(max(levels) + 1)]
-    for v, lv in zip(vertices, levels):
-        blocks[lv].append(v)
-    return OrderedPartition.from_blocks(blocks)
+    return OrderedPartition(tuple(_level_blocks(vertices, levels)))
+
+
+def _ordered_term(l, c):
+    """Pair term of ordered partitions: +1 downward, -1 upward, 0 within a block."""
+    return np.sign(c - l)
+
+
+@lru_cache(maxsize=64)
+def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool, term):
+    """The walk's read-only tables for k levels, an s-vertex suffix and a pair term.
+
+    ``digits[j, x]`` is the level of suffix vertex j in suffix labeling x,
+    ``used[x]`` the bit mask of the levels labeling x uses, ``step[l, c]`` is
+    ``term(l, c)``, and ``terms[q, x]`` the term of the q-th suffix pair
+    ``(first[q], second[q])`` under labeling x.  The last item is the cache of
+    valid labelings per set of prefix levels, filled by ``_walk_levels``.
+    """
+    digits = np.arange(k**s) // k ** np.arange(s - 1, -1, -1)[:, None] % k
+    used = np.bitwise_or.reduce(1 << digits, axis=0)
+    step = term(np.arange(k)[:, None], np.arange(k)).astype(np.int8)
+    first, second = np.triu_indices(s, 1)
+    terms = term(digits[first], digits[second]).astype(np.int8)
+    for table in (digits, used, step, first, second, terms):
+        table.flags.writeable = False
+    return digits, used, step, first, second, terms, {}
 
 
 def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unordered: bool):
@@ -89,28 +122,21 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
     ``k**s`` being about ``_BLOCK``.  The prefix is walked depth first in
     Python, keeping an s-by-k table of the prefix's pair terms with each
     suffix vertex at each level; a leaf spreads it over all suffix labelings
-    as a Kronecker sum.  The valid suffix labelings are cached per set of
-    levels the prefix uses.
+    as a Kronecker sum.  The tables that depend only on (k, s, ``exact_k``,
+    ``unordered``, ``term``) are cached across calls, the valid suffix
+    labelings among them (per set of levels the prefix uses).
     """
     m = w.shape[0]
     s = 1
     while s < m and k ** (s + 1) <= _BLOCK:
         s += 1
     p = m - s
-    size = k**s
-    # digits[j, x]: level of suffix vertex j in suffix labeling x
-    digits = np.arange(size) // k ** np.arange(s - 1, -1, -1)[:, None] % k
-    own = np.zeros(size, w.dtype)
-    for a in range(s):
-        for b in range(a + 1, s):
-            own += w[p + a, p + b] * term(digits[a], digits[b]).astype(w.dtype)
-    used = np.bitwise_or.reduce(1 << digits, axis=0)
-    step = term(np.arange(k)[:, None], np.arange(k)).astype(w.dtype)  # step[l, c] = term(l, c)
+    digits, used, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered, term)
+    own = w[p + first, p + second] @ terms  # own[x]: suffix-internal score of labeling x
     # inc[i, l, j, c]: pair term of prefix vertex i at level l with suffix vertex j at level c
     inc = w[:p, None, p:, None] * step[None, :, None, :]
     rows, steps = w[:p, :p].tolist(), step.tolist()
     full = (1 << k) - 1
-    valid: dict[int, np.ndarray] = {}
     labels = [0] * p
     best = None
     nopt = 0
@@ -137,6 +163,7 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
                     ok &= row <= fresh
                     fresh = np.maximum(fresh, row + 1)
             idx = valid[pmask] = np.flatnonzero(ok)
+            idx.flags.writeable = False
         if idx.size == 0:
             return
         cross = table[0]
@@ -150,8 +177,8 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
             best, nopt, kept = score + top, 0, []
         hits = idx[vals == top]
         nopt += hits.size
-        for x in hits[: cap - len(kept)]:
-            kept.append(tuple(labels) + tuple(digits[:, x].tolist()))
+        head = tuple(labels)
+        kept.extend(head + tuple(x) for x in digits[:, hits[: cap - len(kept)]].T.tolist())
 
     visit(0, 0, np.zeros((s, k), w.dtype), 0)
     return best, nopt, kept
@@ -184,75 +211,81 @@ def solve_bruteforce(
 
     form = t.integer_form
     best, nopt, kept = _walk_levels(
-        form.w, kk, exact_k, witness_cap if all_ties else 1,
-        lambda l, c: np.sign(c - l), unordered=False,
+        form.w, kk, exact_k, witness_cap if all_ties else 1, _ordered_term, unordered=False
     )
-    optimum = Fraction(best, form.scale)
-    witnesses = tuple(_partition_from_levels(t.vertices, lv) for lv in kept)
     truncated = all_ties and nopt > len(kept)
-    return SolveResult(optimum=optimum, witnesses=witnesses, truncated=truncated)
+    return SolveResult(Fraction(best, form.scale), t.vertices, tuple(kept), truncated)
 
 
-def _expand_value_pattern(
-    order: list[int],
-    values: list[int],
-    cuts: list[int],
-    sink: list[tuple[int, ...]],
-    cap: int,
-) -> bool:
-    """Emit level vectors of all partitions matching a monotone cut pattern.
+def _canonical_ties(
+    order: list[int], values: list[int], patterns: list[list[int]], kk: int, limit: int
+) -> list[tuple[int, ...]]:
+    """The first ``limit`` level vectors, in lexicographic order, matching some cut pattern.
 
-    A cut pattern fixes how many sorted positions land in each block; vertices
-    with equal values may trade places across blocks without changing the
-    score, so each maximal equal-value run is redistributed in every way
-    consistent with the block counts.  Returns True when the cap stopped the
-    expansion early.
+    ``order`` lists the vertices by position and ``values`` their sorted
+    potentials; a pattern's cuts split the positions into consecutive blocks.
+    Vertices of equal value (a group) may trade places, so a level vector
+    matches a pattern when each group holds as many vertices at each level as
+    the pattern puts in that level's positions of the group (the group's
+    quota for that level).  Vertices are assigned in index order, levels
+    tried in ascending order, keeping the set of patterns (a bit mask) whose
+    quotas the assignment so far still fits; a nonempty set can always be
+    completed, so the walk never backtracks from a dead end.
     """
-    bounds = [0] + cuts + [len(order)]
-    level_of_pos = [0] * len(order)
-    for b in range(len(bounds) - 1):
-        for pos in range(bounds[b], bounds[b + 1]):
-            level_of_pos[pos] = b
+    m = len(order)
+    lo = list(range(m))  # lo[i]: first position of the group holding position i
+    hi = list(range(1, m + 1))  # hi[i]: one past its last position
+    for i in range(1, m):
+        if values[i] == values[i - 1]:
+            lo[i] = lo[i - 1]
+    for i in range(m - 2, -1, -1):
+        if values[i] == values[i + 1]:
+            hi[i] = hi[i + 1]
+    # bounds[b, p]: first position of block b under pattern p (m past its last block)
+    rows = ([0, *cuts] + [m] * (kk - len(cuts)) for cuts in patterns)
+    bounds = np.fromiter(chain.from_iterable(rows), np.int32).reshape(-1, kk + 1).T
+    # masks[(lo[i] + t) * kk + b]: the patterns whose quota at level b in i's group exceeds t
+    masks: list[int] = []
+    step = max(1, 2**20 // bounds.size)  # positions per pass, bounding the quota table
+    for start in range(0, m, step):
+        pos = np.arange(start, min(start + step, m))
+        first, last = (np.array(ends, np.int32)[pos, None, None] for ends in (lo, hi))
+        # quota[i, b, p]: positions of i's group at level b under pattern p
+        quota = np.minimum(last, bounds[None, 1:]) - np.maximum(first, bounds[None, :-1])
+        packed = np.packbits(quota > pos[:, None, None] - first, axis=-1, bitorder="little")
+        raw, width = packed.tobytes(), packed.shape[-1]
+        masks += [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
 
-    # maximal runs of equal values
-    groups: list[tuple[int, int]] = []
-    start = 0
-    for pos in range(1, len(values) + 1):
-        if pos == len(values) or values[pos] != values[start]:
-            groups.append((start, pos))
-            start = pos
-    # per group: vertices in vertex-list order and the multiset of levels to hand out
-    group_specs = [(sorted(order[lo:hi]), level_of_pos[lo:hi]) for lo, hi in groups]
-    lv = [0] * len(order)
-
-    def assign_group(g: int) -> bool:
-        if g == len(group_specs):
-            sink.append(tuple(lv))
-            return len(sink) >= cap
-        verts, slots = group_specs[g]
-        distinct = sorted(set(slots))
-        counts = {b: slots.count(b) for b in distinct}
-
-        def place(remaining: tuple[int, ...], bi: int) -> bool:
-            if bi == len(distinct):
-                return assign_group(g + 1)
-            b = distinct[bi]
-            need = counts[b]
-            if bi == len(distinct) - 1:
-                for v in remaining:
-                    lv[v] = b
-                return assign_group(g + 1)
-            for chosen in combinations(remaining, need):
-                for v in chosen:
-                    lv[v] = b
-                rest = tuple(v for v in remaining if v not in chosen)
-                if place(rest, bi + 1):
-                    return True
-            return False
-
-        return place(tuple(verts), 0)
-
-    return assign_group(0)
+    row = [0] * m  # row[v]: lo of v's group times kk
+    for i, v in enumerate(order):
+        row[v] = lo[i] * kk
+    taken = [0] * (m * kk)  # taken[row + b]: vertices of the group assigned level b so far
+    live = [(1 << len(patterns)) - 1] + [0] * m  # live[v]: patterns that vertices < v fit
+    lv = [-1] * m
+    found: list[tuple[int, ...]] = []
+    v = 0
+    while v >= 0:
+        if v == m:
+            found.append(tuple(lv))
+            if len(found) == limit:
+                break
+            v -= 1
+            continue
+        r, b = row[v], lv[v]
+        if b >= 0:
+            taken[r + b] -= 1
+        for b in range(b + 1, kk):
+            fit = live[v] & masks[r + taken[r + b] * kk + b]
+            if fit:
+                lv[v] = b
+                taken[r + b] += 1
+                live[v + 1] = fit
+                v += 1
+                break
+        else:
+            lv[v] = -1
+            v -= 1
+    return found
 
 
 def _divider_dp(
@@ -272,7 +305,8 @@ def _divider_dp(
     Borda-sorted vertex sequence into consecutive runs, so a dynamic program
     over divider positions on 2-D prefix sums of ``d`` finds the optimum;
     vertices with equal Borda scores may trade places across a divider, and
-    those trades are expanded afterwards.
+    the witnesses are those trades of the optimal cut patterns, in canonical
+    order.
     """
     m = t.m
     beta = t.integer_form.beta.tolist()
@@ -308,29 +342,11 @@ def _divider_dp(
     for j in finals:
         if best_rows[j][m] == top:
             backtrack(j, m, [])
-    patterns.sort()
 
-    if all_ties:
-        values = [beta[v] for v in order]
-        level_vecs: list[tuple[int, ...]] = []
-        truncated = False
-        for cuts in patterns:
-            if _expand_value_pattern(order, values, cuts, level_vecs, witness_cap + 1):
-                truncated = True
-                break
-        unique = sorted(set(level_vecs))[:witness_cap]
-        truncated = truncated or len(set(level_vecs)) > witness_cap
-    else:
-        reps = []
-        for cuts in patterns:
-            lv = [0] * m
-            for b, (lo, hi) in enumerate(zip([0] + cuts, cuts + [m])):
-                for v in order[lo:hi]:
-                    lv[v] = b
-            reps.append(tuple(lv))
-        unique, truncated = [min(reps)], False
-    witnesses = tuple(_partition_from_levels(t.vertices, lv) for lv in unique)
-    return SolveResult(optimum=Fraction(top, denom), witnesses=witnesses, truncated=truncated)
+    limit = witness_cap + 1 if all_ties else 1  # one past the cap shows truncation
+    found = _canonical_ties(order, [beta[v] for v in order], patterns, kk, limit)
+    truncated = len(found) > witness_cap
+    return SolveResult(Fraction(top, denom), t.vertices, tuple(found[:witness_cap]), truncated)
 
 
 def solve_acyclic_dp(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -165,22 +165,18 @@ class OrderedPartition:
     blocks: tuple[frozenset[str], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(frozenset(b) for b in self.blocks)
+        blocks = tuple(map(frozenset, self.blocks))
         if not blocks:
             raise ValueError("an ordered partition needs at least one block")
-        total = 0
-        for b in blocks:
-            if not b:
-                raise ValueError("blocks must be nonempty")
-            total += len(b)
-        union = frozenset().union(*blocks)
-        if len(union) != total:
+        if not all(blocks):
+            raise ValueError("blocks must be nonempty")
+        if len(frozenset().union(*blocks)) != sum(map(len, blocks)):
             raise ValueError("blocks must be pairwise disjoint")
         object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[str]]) -> "OrderedPartition":
-        return cls(tuple(frozenset(b) for b in blocks))
+        return cls(tuple(blocks))
 
     def level_of(self) -> dict[str, int]:
         """Map each member to the index of its block (0 is the top block)."""
@@ -191,6 +187,18 @@ class OrderedPartition:
 
     def reversed(self) -> "OrderedPartition":
         return OrderedPartition(tuple(reversed(self.blocks)))
+
+
+def _level_blocks(names: Iterable[str], levels: Sequence[int]) -> list[list[str]]:
+    """Names grouped by level, level 0 first, each group in the order of ``names``.
+
+    ``levels[i]`` is the level of the i-th name; a gap-free level vector (one
+    using every level from 0 to its maximum) gives nonempty groups.
+    """
+    blocks: list[list[str]] = [[] for _ in range(max(levels) + 1)]
+    for name, lv in zip(names, levels):
+        blocks[lv].append(name)
+    return blocks
 
 
 def weight(t: WeightedTournament, x: str, y: str) -> Fraction:

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from maxkop import WeightedTournament, cli, induce_tournament
+from maxkop import WeightedTournament, cli, induce_tournament, solve_bruteforce
 from maxkop.formats import (
     format_graph,
+    format_partition,
     format_profile,
     format_tournament,
     parse_profile,
@@ -143,6 +144,34 @@ def test_aggregate_jk(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "optimum 4"
     assert "order a b | c" in lines
+
+
+def test_aggregate_mirrored_profile_prints_the_walks_witnesses(capsys, tmp_path):
+    # dichotomous ballots plus their reversals induce all-zero weights, so every
+    # one of the 2**14 - 1 ordered 2-partitions ties and the cap of 10,000 cuts them
+    alts = tuple(f"x{i}" for i in range(14))
+    halves = [(alts[:5], alts[5:]), (alts[3:9], alts[:3] + alts[9:]), (alts[::2], alts[1::2])]
+    ballots = tuple(
+        (WeakOrder.from_classes(classes), count)
+        for count, (hi, lo) in enumerate(halves, 1)
+        for classes in ([hi, lo], [lo, hi])
+    )
+    p = Profile(alts, ballots)
+    prof_path, tour_path = tmp_path / "p.txt", tmp_path / "t.txt"
+    prof_path.write_text(format_profile(p))
+    t = induce_tournament(p)
+    tour_path.write_text(format_tournament(t))
+    code, agg = run_cli(capsys, "aggregate", "--j", "2", "--k", "2", str(prof_path))
+    assert code == 0
+    code, sol = run_cli(capsys, "solve", "--k", "2", "--all-ties", str(tour_path))
+    assert code == 0
+    agg_lines, sol_lines = agg.splitlines(), sol.splitlines()
+    assert agg_lines[0] == sol_lines[0] == "optimum 0"
+    assert agg_lines[-1] == "orders truncated" and sol_lines[-1] == "witnesses truncated"
+    as_witnesses = [ln.replace("order", "witness", 1).replace(" | ", " > ") for ln in agg_lines]
+    assert as_witnesses[1:-1] == sol_lines[1:-1]
+    walk = solve_bruteforce(t, 2, all_ties=True)
+    assert sol_lines[1:-1] == [f"witness {format_partition(w, alts)}" for w in walk.witnesses]
 
 
 def test_aggregate_validation_exit_1(capsys, tmp_path):

@@ -9,7 +9,7 @@ loops kept in this file (or against ``solve_bruteforce`` for the solvers).
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -17,6 +17,8 @@ from maxkop import (
     Profile,
     WeakOrder,
     WeightedTournament,
+    aggregate,
+    aggregate_rule,
     borda_score,
     cocycle_component,
     cycle_component,
@@ -278,3 +280,120 @@ def test_borda_ranking_truncates_only_when_orders_are_dropped(cap, truncated):
     assert len(res.orders) == min(cap, 120)
     assert res.truncated == truncated
     assert res.optimum == 0
+
+
+# ---- every route keeps the same witnesses under truncation --------------------------
+
+
+def potential_tournament(pot: list[int], scale) -> WeightedTournament:
+    """Acyclic weights pot[i] - pot[j]: vertices of equal potential tie."""
+    m = len(pot)
+    return tournament({(i, j): pot[i] - pot[j] for i, j in combinations(range(m), 2)}, m, scale)
+
+
+def with_cycles(t: WeightedTournament, rng, count: int) -> WeightedTournament:
+    """``t`` plus unit-weight three-cycles, which change no Borda score and no 2-partition score."""
+    weights = dict(t.weights)
+    for _ in range(count):
+        x, y, z = sorted(rng.sample(range(t.m), 3))
+        c = Fraction(rng.choice((-1, 1)))
+        vx, vy, vz = (t.vertices[i] for i in (x, y, z))
+        weights[(vx, vy)] += c
+        weights[(vy, vz)] += c
+        weights[(vx, vz)] -= c
+    return WeightedTournament(t.vertices, weights)
+
+
+def truncation_cases():
+    """(tournament, k, exact_k, tied): tied cases have more optimal witnesses than cap 1 keeps."""
+    rng = random.Random(14)
+    small, big, fine = (MAGNITUDES[name] for name in ("small", "past-2^62", "2^70-denominators"))
+    ties = [1, 1, 0, 0, 0, 0, -1, -1]  # 2**4 optimal 2-partitions
+    return [
+        # at cap 7 the divider DP once kept a subset other than the least 7
+        (WeightedTournament.zeros(vertex_names(5)), 2, False, True),
+        (WeightedTournament.zeros(vertex_names(6)), 3, False, True),
+        (WeightedTournament.zeros(vertex_names(6)), 3, True, True),
+        (potential_tournament(ties, small), 2, False, True),
+        (potential_tournament(ties, small), 2, True, True),
+        (potential_tournament([1, 0, 1, 0, 1, 0], small), 3, False, True),
+        (potential_tournament([1, 0, 1, 0, 1, 0], small), 4, True, True),
+        (potential_tournament([0, 0, 0, 0, 0, 0, 1], fine), 3, False, True),
+        (potential_tournament(ties, big), 2, False, True),
+        (potential_tournament([1, 0, 1, 0, 1, 0], big), 4, False, True),
+        (with_cycles(potential_tournament(ties, small), rng, 6), 2, False, True),
+        (with_cycles(potential_tournament(ties, small), rng, 6), 2, True, True),
+        (with_cycles(potential_tournament(ties, big), rng, 4), 2, False, True),
+        (random_general(rng, 7, small, -1, 1), 2, False, False),
+    ]
+
+
+@pytest.mark.parametrize("t,k,exact_k,tied", truncation_cases())
+def test_routes_keep_the_walks_witnesses_under_truncation(t, k, exact_k, tied):
+    routes = [solve_2op] if k == 2 else []
+    if is_purely_acyclic(t):
+        routes.append(lambda t, **kw: solve_acyclic_dp(t, k, **kw))
+    assert routes
+    if tied:
+        assert solve_bruteforce(t, k, all_ties=True, exact_k=exact_k, witness_cap=1).truncated
+    for cap in range(1, 13):
+        kw = dict(all_ties=True, exact_k=exact_k, witness_cap=cap)
+        want = solve_bruteforce(t, k, **kw)
+        for route in routes:
+            got = route(t, **kw)
+            same_result(t, got, want)
+            assert got.levels == want.levels and got.vertices == t.vertices
+
+
+# ---- results store level vectors ----------------------------------------------------
+
+
+def test_solve_levels_give_witnesses():
+    t = potential_tournament([1, 0, 1, 0, 1, 0], MAGNITUDES["small"])
+    for res in (
+        solve_bruteforce(t, 3, all_ties=True, witness_cap=9),
+        solve_acyclic_dp(t, 3, all_ties=True, witness_cap=9),
+        solve_2op(t, all_ties=True),
+        solve(t, 4, exact_k=True),
+    ):
+        assert res.vertices == t.vertices
+        assert len(res.levels) == len(res.witnesses) > 0
+        for lv, w in zip(res.levels, res.witnesses):
+            assert levels(t, w) == lv
+        assert res.witnesses is res.witnesses  # built once
+
+
+def order_levels(res, order):
+    rank = order.rank_of()
+    return tuple(rank[a] for a in res.alternatives)
+
+
+@pytest.mark.parametrize("cap", [11, 12, 13])
+def test_borda_ranking_levels_give_orders(cap):
+    # e and b share the top Borda score, the other three tie below: 2! * 3! orders
+    alts = ("d", "b", "e", "a", "c")
+    up = WeakOrder.from_classes([[a] for a in alts])
+    down = WeakOrder.from_classes([[a] for a in reversed(alts)])
+    top = WeakOrder.from_classes([["e", "b"], ["d", "a", "c"]])
+    res = _borda_ranking(Profile(alts, ((up, 1), (down, 1), (top, 1))), cap)
+    expected = [
+        first + second
+        for first in permutations(("b", "e"))
+        for second in permutations(("a", "c", "d"))
+    ]
+    assert [tuple(sorted(alts, key=dict(zip(alts, lv)).get)) for lv in res.levels] == expected[:cap]
+    assert len(res.orders) == len(res.levels) == min(cap, 12)
+    for lv, order in zip(res.levels, res.orders):
+        assert order_levels(res, order) == lv
+    assert res.truncated == (cap < 12)
+
+
+def test_approval_winner_levels_give_orders():
+    alts = vertex_names(4)
+    ballots = ((WeakOrder.from_classes([["a", "c"], ["b", "d"]]), 2),
+               (WeakOrder.from_classes([["c", "a", "d"], ["b"]]), 1))
+    res = aggregate_rule(Profile(alts, ballots), "approval_winner")
+    assert res.levels == ((0, 1, 1, 1), (1, 1, 0, 1))  # a and c tie for the win
+    assert [order_levels(res, o) for o in res.orders] == list(res.levels)
+    mean = aggregate(Profile(alts, ballots), 2, 2)
+    assert [order_levels(mean, o) for o in mean.orders] == list(mean.levels)
