@@ -123,3 +123,124 @@ def test_graph_parse_errors():
         parse_graph("graph 2\na\nb\na b 1\nb a 1\n")
     with pytest.raises(ParseError):
         parse_graph("graph 2\na\nb\na b -1\n")
+
+
+_T3 = "tournament 3\na\nb\nc\n"
+_P3 = "profile 3\na\nb\nc\n"
+
+# Malformed texts and their exact error: per-line errors first, in line
+# order; then the constructor's errors at line 1 (names, then arcs or
+# ballots in line order).
+PARSE_ERRORS = [
+    (parse_tournament, _T3 + "a b one\n", "in.txt:5: expected a rational p/q, got 'one'"),
+    (parse_tournament, _T3 + "a b 1/0\n", "in.txt:5: expected a rational p/q, got '1/0'"),
+    (parse_tournament, _T3 + "a b 1\nb a 2\n", "in.txt:6: duplicate arc for pair {'b', 'a'}"),
+    (parse_tournament, _T3 + "a b\n", "in.txt:5: expected 'x y p/q' arc line, got 'a b'"),
+    (parse_tournament, _T3 + "a b 1 2\n", "in.txt:5: expected 'x y p/q' arc line, got 'a b 1 2'"),
+    (parse_tournament, _T3 + "a b 1\na z 2\n", "in.txt:1: unknown vertex in weight key ('a', 'z')"),
+    (parse_tournament, _T3 + "a a 1\n", "in.txt:1: self-pair ('a', 'a') is not an arc"),
+    (parse_tournament, _T3 + "b b 1\na z 2\n", "in.txt:1: self-pair ('b', 'b') is not an arc"),
+    (parse_tournament, _T3 + "a z 1\nb b 2\nc c 3/0\n", "in.txt:7: expected a rational p/q, got '3/0'"),
+    (parse_tournament, _T3 + "a b 1\n\nc a x/2\n", "in.txt:7: expected a rational p/q, got 'x/2'"),
+    (
+        parse_tournament,
+        "tournament 2\na>b\nc\na>b c 1\n",
+        "in.txt:1: vertex name 'a>b' may not contain whitespace, '>' or '|'",
+    ),
+    (
+        parse_tournament,
+        "tournament 2\nx|y\ny\nz y 1\n",
+        "in.txt:1: vertex name 'x|y' may not contain whitespace, '>' or '|'",
+    ),
+    (parse_tournament, "tournament 2\na\na\na a 1\n", "in.txt:1: vertex names must be distinct"),
+    (parse_tournament, "tournament 0\n", "in.txt:1: count must be positive, got 0"),
+    (parse_tournament, "tournament 3\na\nb\n", "in.txt:3: expected 3 name lines after the header"),
+    (
+        parse_tournament,
+        "tourney 3\na\nb\nc\n",
+        "in.txt:1: expected header 'tournament <count>', got 'tourney 3'",
+    ),
+    (parse_tournament, "tournament two\na\nb\n", "in.txt:1: expected a vertex count, got 'two'"),
+    (parse_tournament, "tournament 2\na b\nc\n", "in.txt:2: expected a single name, got 'a b'"),
+    (parse_tournament, "", "in.txt:1: expected header 'tournament <count>'"),
+    (parse_profile, _P3 + "a | b | c × 0\n", "in.txt:5: multiplicity must be positive, got 0"),
+    (parse_profile, _P3 + "a b c × -3\n", "in.txt:5: multiplicity must be positive, got -3"),
+    (parse_profile, _P3 + "a | b | c * x\n", "in.txt:5: expected a multiplicity, got 'x'"),
+    (parse_profile, _P3 + "a | | b c\n", "in.txt:5: classes must be nonempty"),
+    (parse_profile, _P3 + "× 2\n", "in.txt:5: classes must be nonempty"),
+    (parse_profile, _P3 + "a | | b a\n", "in.txt:5: classes must be nonempty"),
+    (parse_profile, _P3 + "a | b a | c\n", "in.txt:5: classes must be pairwise disjoint"),
+    (
+        parse_profile,
+        _P3 + "a | b\na b c\n| a b c\n",
+        "in.txt:7: classes must be nonempty",
+    ),
+    (
+        parse_profile,
+        _P3 + "a b c\nc | b | a\na | b\nb | c\na b | c\n",
+        "in.txt:1: ballot 'a | b' does not cover the alternatives exactly",
+    ),
+    (
+        parse_profile,
+        _P3 + "a | b | c\nc c | z | a\n",
+        "in.txt:1: ballot 'c | z | a' does not cover the alternatives exactly",
+    ),
+    (parse_profile, "profile 2\na\na\na | b\n", "in.txt:1: alternatives must be distinct"),
+    (parse_profile, "profile 2\na\na\n| a\n", "in.txt:4: classes must be nonempty"),
+    (parse_profile, "profile 2\na\nb\n", "in.txt:1: a profile needs at least one ballot"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", PARSE_ERRORS)
+def test_parse_error_messages_exact(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text, "in.txt")
+    assert str(err.value) == message
+
+
+def test_profile_parse_accepts_a_name_repeated_in_one_class():
+    p = parse_profile("profile 2\na\nb\na a | b\n")
+    assert p == Profile(("a", "b"), ((WeakOrder.from_classes([["a"], ["b"]]), 1),))
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("linear", "ballot 1 ('b | a c d') is not a linear order"),
+        (
+            "univalent",
+            "ballot 2 ('c d | a | b') is not univalent dichotomous (two classes, singleton top)",
+        ),
+        (3, "ballot 3 ('c | b | d | a') is not a weak order with at most 3 classes"),
+    ],
+)
+def test_validate_ballots_messages_exact(spec, message):
+    from maxkop import validate_ballots
+
+    ballots = {
+        "linear": "a | b | c | d\nb | a c d × 2\nd c | a | b\n",
+        "univalent": "a | b c d\nb | a c d × 2\nd c | a | b\nc | b | d | a\n",
+        3: "a | b | c d\nb | a c d × 2\nd c | a | b\nc | b | d | a\na b c d\n",
+    }[spec]
+    p = parse_profile("profile 4\nd\nb\nc\na\n" + ballots)
+    with pytest.raises(ValueError) as err:
+        validate_ballots(p, spec)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["solve", "--k", "2"], _T3 + "a b 1\nb a 2\n", ":6: duplicate arc for pair {'b', 'a'}"),
+        (["aggregate", "--rule", "borda_winner"], _P3 + "a | b\na b c\n| a b c\n", ":7: classes must be nonempty"),
+    ],
+)
+def test_cli_parse_error_exit_code_and_location(capsys, tmp_path, command, text, message):
+    from maxkop import cli
+
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    assert cli.main(command + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}{message}\n"
