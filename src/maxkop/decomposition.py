@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .tournament import WeightedTournament
 
 
@@ -53,13 +55,18 @@ def decompose(t: WeightedTournament) -> Decomposition:
 
 
 def inner_product(t1: WeightedTournament, t2: WeightedTournament) -> Fraction:
-    """Arc-wise inner product of two weight vectors on the same tournament."""
+    """Arc-wise inner product of two weight vectors on the same tournament.
+
+    The sum of w1 * w2 over the stored arcs of the two integer forms, over the
+    product of their scales.
+    """
     if t1.vertices != t2.vertices:
         raise ValueError("inner product needs identical vertex lists")
-    total = Fraction(0)
-    for pair, w in t1.weights.items():
-        total += w * t2.weights[pair]
-    return total
+    f1, f2 = t1.integer_form, t2.integer_form
+    upper = np.triu_indices(t1.m, 1)
+    # Python ints: the products of two int64 matrices may not fit in int64
+    total = (f1.w[upper].astype(object) * f2.w[upper].astype(object)).sum()
+    return Fraction(int(total), f1.scale * f2.scale)
 
 
 def norm_squared(t: WeightedTournament) -> Fraction:

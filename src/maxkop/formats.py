@@ -7,15 +7,23 @@ elided.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .profiles import Profile, WeakOrder
+from .profiles import RANK_DTYPE, Profile, WeakOrder
 from .reductions import CutInstance
-from .tournament import OrderedPartition, WeightedTournament
+from .tournament import (
+    _INT64_SAFE,
+    OrderedPartition,
+    WeightedTournament,
+    _arc_error,
+    _vertex_index,
+)
 
 
 class ParseError(ValueError):
@@ -73,22 +81,79 @@ def _parse_header(
     return count, names, lines[1 + count :]
 
 
-def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
-    _, names, rest = _parse_header(_lines(text), "tournament", path)
-    weights: dict[tuple[str, str], Fraction] = {}
-    for lineno, ln in rest:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise ParseError(path, lineno, f"expected 'x y p/q' arc line, got {ln!r}")
-        x, y, wtok = toks
-        w = _parse_rational(wtok, path, lineno)
-        if (x, y) in weights or (y, x) in weights:
-            raise ParseError(path, lineno, f"duplicate arc for pair {{{x!r}, {y!r}}}")
-        weights[(x, y)] = w
+def _weight_tokens(tokens: Sequence[str], path: str, linenos: Sequence[int]):
+    """Numerators and denominators of weight tokens, up to the first that is no rational.
+
+    Tokens are read as ``int`` where they are one and as ``Fraction`` only
+    otherwise (``3/6``, ``1.5``, ``1e3``); ``dens`` is None when every token is
+    an int.  ``error`` is the first bad token's ParseError, or None.
+    """
     try:
-        return WeightedTournament(tuple(names), weights)
-    except (ValueError, TypeError) as exc:
+        return list(map(int, tokens)), None, None
+    except ValueError:
+        pass
+    nums, dens = [], []
+    for tok, lineno in zip(tokens, linenos):
+        try:
+            num, den = int(tok), 1
+        except ValueError:
+            try:
+                w = _parse_rational(tok, path, lineno)
+            except ParseError as exc:
+                return nums, dens, exc
+            num, den = w.numerator, w.denominator
+        nums.append(num)
+        dens.append(den)
+    return nums, dens, None
+
+
+def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
+    """Tournament of a text, read straight into its integer form.
+
+    Errors come in the constructor's order: every line's own error first, in
+    line order (the arc line's shape, then its weight, then a repeated pair),
+    then the vertex names and the first arc naming no pair of them, both
+    reported at line 1.
+    """
+    _, names, rest = _parse_header(_lines(text), "tournament", path)
+    m = len(names)
+    arcs = [ln.split() for _, ln in rest]
+    linenos = [lineno for lineno, _ in rest]
+    n = next((i for i, toks in enumerate(arcs) if len(toks) != 3), len(arcs))
+    xs, ys, wtoks = zip(*arcs[:n]) if n else ((), (), ())
+    nums, dens, error = _weight_tokens(wtoks, path, linenos)
+    n = len(nums)
+    if error is None and n < len(arcs):
+        error = ParseError(path, linenos[n], f"expected 'x y p/q' arc line, got {rest[n][1]!r}")
+    # one code per distinct name, the vertices first: a pair repeats iff its codes do
+    code = {v: i for i, v in enumerate(dict.fromkeys([*names, *xs[:n], *ys[:n]]))}
+    xi = np.fromiter(map(code.__getitem__, xs[:n]), np.int64, n)
+    yi = np.fromiter(map(code.__getitem__, ys[:n]), np.int64, n)
+    pair = np.minimum(xi, yi) * len(code) + np.maximum(xi, yi)
+    repeated = np.ones(n, bool)
+    repeated[np.unique(pair, return_index=True)[1]] = False
+    if repeated.any():
+        i = int(repeated.argmax())
+        error = ParseError(path, linenos[i], f"duplicate arc for pair {{{xs[i]!r}, {ys[i]!r}}}")
+    if error is not None:
+        raise error
+    try:
+        _vertex_index(tuple(names))
+        bad = (xi >= m) | (yi >= m) | (xi == yi)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(_arc_error(set(names), xs[i], ys[i]))
+    except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
+    scale = 1 if dens is None else math.lcm(*dens)
+    if scale != 1:
+        nums = [num * (scale // den) for num, den in zip(nums, dens)]
+    # the integer form's own dtype test (sum(abs(w)) == 2 * sum(abs(nums))): an int64
+    # matrix that fails it could wrap already in the sum IntegerForm.of takes
+    safe = 4 * m * sum(map(abs, nums)) < _INT64_SAFE
+    w = np.zeros((m, m), np.int64 if safe else object)
+    w[xi, yi] = nums
+    return WeightedTournament.from_int_matrix(names, w - w.T, scale)
 
 
 def format_tournament(t: WeightedTournament) -> str:
@@ -145,31 +210,110 @@ def format_partition(p: OrderedPartition, vertices: Iterable[str]) -> str:
     return " > ".join(parts)
 
 
+def _ballot_classes(toks: list[str]) -> list[list[str]]:
+    """The classes of a ballot's tokens: the runs between tokens that are exactly '|'."""
+    # framed by newlines, which no token holds, "\n|\n" marks exactly a '|' token
+    return [part.split() for part in ("\n" + "\n\n".join(toks) + "\n").split("\n|\n")]
+
+
+def _ballot_row(toks: list[str], names: tuple[str, ...]) -> tuple[str | None, list[int] | None]:
+    """One ballot line by ``WeakOrder``'s rules: (error, None) or (None, rank row or None).
+
+    The row is None when the ballot does not cover ``names`` exactly.
+    """
+    classes = _ballot_classes(toks)
+    if not all(classes):
+        return "classes must be nonempty", None
+    rank = {a: r for r, c in enumerate(classes) for a in c}
+    if len(rank) != sum(len(set(c)) for c in classes):
+        return "classes must be pairwise disjoint", None
+    row = [rank.get(a, -1) for a in names]
+    return None, (row if len(rank) == len(names) and -1 not in row else None)
+
+
+def _regular_rows(ballots: list[list[str]], names: tuple[str, ...]):
+    """Rank rows of ballot lines read together on arrays: (ranks, covers, irregular).
+
+    A line is regular when its tokens are distinct alternatives and '|'
+    tokens with no empty class between them; ``ranks`` and ``covers`` are
+    exact for those lines only, and every other line is marked ``irregular``.
+    """
+    n, m = len(ballots), len(names)
+    lens = np.fromiter(map(len, ballots), np.intp, n)
+    flat = list(chain.from_iterable(ballots))
+    index = {a: i for i, a in enumerate(names)}
+    index["|"] = -1
+    # code per token: the alternative's position, -1 for '|', m for any other name
+    code = np.fromiter(map(index.get, flat, repeat(m)), np.intp, len(flat))
+    line = np.repeat(np.arange(n), lens)
+    starts, ends = np.cumsum(lens) - lens, np.cumsum(lens)
+    sep = code < 0
+    # an empty class: a line without tokens, or a '|' first, last or before another '|'
+    edge = np.zeros(len(flat) + 1, bool)  # the extra slot takes ends - 1 == -1
+    edge[starts] = edge[ends - 1] = True
+    empty_at = sep & (edge[:-1] | np.r_[sep[1:], False])
+    irregular = (lens == 0) | (np.bincount(line[empty_at | (code == m)], minlength=n) > 0)
+    named = ~sep & (code < m)
+    uses = np.bincount(line[named] * m + code[named], minlength=n * m).reshape(n, m)
+    irregular |= (uses > 1).any(1)
+    ranks = np.zeros((n, m), RANK_DTYPE)
+    # a name's class: the '|' tokens before it on its line
+    seps = np.cumsum(sep)
+    ranks[line[named], code[named]] = (seps - np.r_[0, seps][starts][line])[named]
+    return ranks, (uses == 1).all(1), irregular
+
+
 def parse_profile(text: str, path: str = "<string>") -> Profile:
+    """Profile of a text, read straight into its rank matrix.
+
+    Errors come in ``WeakOrder``'s and the constructor's order: every line's
+    own error first, in line order (its multiplicity, then an empty class,
+    then a name in two classes; a name repeated inside one class is one
+    name); then, at line 1, repeated alternatives and the first ballot that
+    does not cover the alternatives exactly.  Regular lines are read on
+    arrays (``_regular_rows``), the others one by one (``_ballot_row``).
+    """
     _, names, rest = _parse_header(_lines(text), "profile", path)
-    ballots: list[tuple[WeakOrder, int]] = []
+    names = tuple(names)
+    linenos, ballots, counts = [], [], []
+    error = None
     for lineno, ln in rest:
         toks = ln.split()
         count = 1
         if len(toks) >= 2 and toks[-2] in ("×", "*"):
-            count = _parse_int(toks[-1], path, lineno, "a multiplicity")
-            if count < 1:
-                raise ParseError(path, lineno, f"multiplicity must be positive, got {count}")
+            try:
+                count = _parse_int(toks[-1], path, lineno, "a multiplicity")
+                if count < 1:
+                    raise ParseError(path, lineno, f"multiplicity must be positive, got {count}")
+            except ParseError as exc:
+                error = exc  # raised after any error on an earlier line
+                break
             toks = toks[:-2]
-        classes: list[list[str]] = [[]]
-        for tok in toks:
-            if tok == "|":
-                classes.append([])
-            else:
-                classes[-1].append(tok)
-        try:
-            ballots.append((WeakOrder.from_classes(classes), count))
-        except ValueError as exc:
-            raise ParseError(path, lineno, str(exc)) from None
+        linenos.append(lineno)
+        ballots.append(toks)
+        counts.append(count)
+    ranks, covers, irregular = _regular_rows(ballots, names)
+    for b in np.flatnonzero(irregular).tolist():
+        message, row = _ballot_row(ballots[b], names)
+        if message:
+            raise ParseError(path, linenos[b], message)
+        covers[b] = row is not None
+        if row is not None:
+            ranks[b] = row
+    if error is not None:
+        raise error
     try:
-        return Profile(tuple(names), tuple(ballots))
+        if len(set(names)) != len(names):
+            raise ValueError("alternatives must be distinct")
+        if not covers.all():
+            classes = _ballot_classes(ballots[int(covers.argmin())])
+            shown = " | ".join(" ".join(sorted(set(c))) for c in classes)
+            raise ValueError(f"ballot {shown!r} does not cover the alternatives exactly")
+        if not ballots:
+            raise ValueError("a profile needs at least one ballot")
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
+    return Profile._of_ranks(names, ranks, tuple(counts))
 
 
 def format_weak_order(order: WeakOrder, alternatives: Iterable[str]) -> str:
@@ -182,11 +326,8 @@ def format_weak_order(order: WeakOrder, alternatives: Iterable[str]) -> str:
 def format_profile(p: Profile) -> str:
     out = [f"profile {len(p.alternatives)}"]
     out.extend(p.alternatives)
-    for order, count in p.ballots:
-        line = format_weak_order(order, p.alternatives)
-        if count != 1:
-            line += f" × {count}"
-        out.append(line)
+    for line, count in zip(_format_levels(p.alternatives, p.ranks, " | "), p.counts):
+        out.append(line if count == 1 else f"{line} × {count}")
     return "\n".join(out) + "\n"
 
 

@@ -6,9 +6,12 @@ ballots into the k-chotomous weak order(s) of maximal partition score on that
 tournament; familiar rules (approval, plurality, Borda, mean rule, Borda mean
 rule, Kemeny) appear at particular (j, k) choices.
 
-An ``AggregateResult`` stores its orders as level vectors over the
-alternatives and builds the ``WeakOrder`` objects only when ``orders`` is
-read.
+Both ends keep integer forms and build objects only when read.  A
+``Profile`` stores a rank matrix over its alternatives plus the ballot
+multiplicities; ``induce_tournament`` and ``validate_ballots`` work on that
+matrix, and its ``ballots`` derive the ``WeakOrder`` objects.  An
+``AggregateResult`` stores its orders as level vectors over the alternatives
+and builds the ``WeakOrder`` objects only when ``orders`` is read.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, permutations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +34,9 @@ LINEAR = "linear"
 UNIVALENT = "univalent"
 
 LevelSpec = int | str
+
+#: dtype of a profile's rank matrix (one fixed dtype keeps equal profiles' hashes equal)
+RANK_DTYPE = np.int32
 
 NAMED_RULES = (
     "approval_ranking",
@@ -70,20 +76,33 @@ class WeakOrder:
         return frozenset().union(*self.classes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Profile:
-    """Multiset of weak-order ballots over a common alternative set."""
+    """Multiset of weak-order ballots over a common alternative set.
+
+    The stored form is the alternatives, the rank matrix ``ranks`` (one row
+    per ballot line; ``ranks[b, a]`` is the class of ``alternatives[a]`` in
+    ballot b, 0 the best class) and the multiplicities ``counts``.
+    ``ballots`` derives the ``(WeakOrder, count)`` pairs from them on first
+    access.  The constructor takes those pairs (or bare ``WeakOrder``s, each
+    counted once); ``parse_profile`` fills the rank matrix directly.
+    """
 
     alternatives: tuple[str, ...]
-    ballots: tuple[tuple[WeakOrder, int], ...]
+    ranks: np.ndarray
+    counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        alternatives = tuple(self.alternatives)
+    def __init__(
+        self,
+        alternatives: Iterable[str],
+        ballots: Iterable[WeakOrder | tuple[WeakOrder, int]],
+    ) -> None:
+        alternatives = tuple(alternatives)
         members = frozenset(alternatives)
         if len(members) != len(alternatives):
             raise ValueError("alternatives must be distinct")
-        ballots = []
-        for entry in self.ballots:
+        rows, counts = [], []
+        for entry in ballots:
             if isinstance(entry, WeakOrder):
                 order, count = entry, 1
             else:
@@ -94,15 +113,54 @@ class Profile:
                 raise ValueError(
                     f"ballot {_render_order(order)!r} does not cover the alternatives exactly"
                 )
-            ballots.append((order, count))
-        if not ballots:
+            rank = order.rank_of()
+            rows.append([rank[a] for a in alternatives])
+            counts.append(count)
+        if not rows:
             raise ValueError("a profile needs at least one ballot")
+        self._store(alternatives, np.array(rows, RANK_DTYPE), tuple(counts))
+
+    @classmethod
+    def _of_ranks(
+        cls, alternatives: tuple[str, ...], ranks: np.ndarray, counts: tuple[int, ...]
+    ) -> "Profile":
+        """Profile of a checked rank matrix: every row gap-free, every count a positive int."""
+        p = cls.__new__(cls)
+        p._store(alternatives, ranks, counts)
+        return p
+
+    def _store(self, alternatives: tuple[str, ...], ranks: np.ndarray, counts: tuple) -> None:
+        ranks = ranks.astype(RANK_DTYPE, copy=False)
+        ranks.flags.writeable = False
         object.__setattr__(self, "alternatives", alternatives)
-        object.__setattr__(self, "ballots", tuple(ballots))
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "counts", counts)
+
+    @cached_property
+    def ballots(self) -> tuple[tuple[WeakOrder, int], ...]:
+        return tuple(
+            (_order_of(self.alternatives, row), n)
+            for row, n in zip(self.ranks.tolist(), self.counts)
+        )
 
     @property
     def voter_count(self) -> int:
-        return sum(n for _, n in self.ballots)
+        return sum(self.counts)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Profile):
+            return NotImplemented
+        return (
+            self.alternatives == other.alternatives
+            and self.counts == other.counts
+            and np.array_equal(self.ranks, other.ranks)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.alternatives, self.counts, self.ranks.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Profile(alternatives={self.alternatives!r}, ballots={self.ballots!r})"
 
 
 @dataclass(frozen=True)
@@ -129,6 +187,11 @@ def _render_order(order: WeakOrder) -> str:
     return " | ".join(" ".join(sorted(c)) for c in order.classes)
 
 
+def _order_of(alternatives: tuple[str, ...], row: Sequence[int]) -> WeakOrder:
+    """The weak order a gap-free rank row stands for."""
+    return WeakOrder(tuple(map(frozenset, _level_blocks(alternatives, row))))
+
+
 def induce_tournament(p: Profile) -> WeightedTournament:
     """Net-majority tournament: arc (x, y) weighs supporters of x minus of y."""
     m = len(p.alternatives)
@@ -136,12 +199,11 @@ def induce_tournament(p: Profile) -> WeightedTournament:
         raise ValueError("inducing a tournament needs at least two alternatives")
     # sum(abs(w)) <= m**2 * voters, so this keeps int64 within the integer form's bound
     dtype = np.int64 if 2 * m**3 * p.voter_count < _INT64_SAFE else object
-    ranks = np.array(
-        [[rank[a] for a in p.alternatives] for rank in (o.rank_of() for o, _ in p.ballots)]
-    )
-    counts = np.array([n for _, n in p.ballots], dtype)
+    # the narrowest dtype holding every rank difference keeps the sign table small
+    ranks = p.ranks.astype(np.min_scalar_type(-m))
+    counts = np.array(p.counts, dtype)
     w = np.zeros((m, m), dtype)
-    step = max(1, 2**15 // m**2)  # ballots per pass, bounding the sign table
+    step = max(1, 2**16 // m**2)  # ballots per pass, bounding the sign table
     for lo in range(0, len(ranks), step):
         r = ranks[lo : lo + step]
         # sign[b, x, y] is +1 when ballot b ranks x above y, -1 when below
@@ -157,26 +219,29 @@ def _spec_description(spec: LevelSpec) -> str:
     return f"a weak order with at most {spec} classes"
 
 
-def _conforms(order: WeakOrder, spec: LevelSpec, m: int) -> bool:
+def _conforms(ranks: np.ndarray, spec: LevelSpec) -> np.ndarray:
+    """Which rows of a rank matrix are ballots of the level spec."""
     # a fixed integer bounds the class count; fully indifferent ballots are
     # admitted as degenerate cases (the mean rule's all-approved ballot)
+    classes = ranks.max(1) + 1
     if spec == LINEAR:
-        return len(order.classes) == m
+        return classes == ranks.shape[1]
     if spec == UNIVALENT:
-        return len(order.classes) == 2 and len(order.classes[0]) == 1
+        return (classes == 2) & ((ranks == 0).sum(1) == 1)
     if isinstance(spec, int) and spec >= 1:
-        return len(order.classes) <= spec
+        return classes <= spec
     raise ValueError(f"invalid level spec {spec!r}")
 
 
 def validate_ballots(p: Profile, j: LevelSpec) -> None:
-    m = len(p.alternatives)
-    for i, (order, _) in enumerate(p.ballots):
-        if not _conforms(order, j, m):
-            raise ValueError(
-                f"ballot {i} ({_render_order(order)!r}) is not "
-                f"{_spec_description(j)}"
-            )
+    bad = np.flatnonzero(~_conforms(p.ranks, j))
+    if len(bad):
+        i = int(bad[0])
+        order = _order_of(p.alternatives, p.ranks[i].tolist())
+        raise ValueError(
+            f"ballot {i} ({_render_order(order)!r}) is not "
+            f"{_spec_description(j)}"
+        )
 
 
 def aggregate(

@@ -5,11 +5,14 @@ exact rational weight.  One arc is stored per pair, oriented by vertex-list
 order; reading the reverse arc negates the stored weight, so the weight
 function is antisymmetric by construction.
 
-Every fast path reads the tournament's cached ``integer_form``: the weights
-times one common scale as an antisymmetric integer matrix, plus its row sums
-(the scaled Borda scores).  Results stay exact ``Fraction``s; ``weight`` and
-``partition_score`` keep plain ``Fraction`` loops as the independent
-reference.
+A tournament stores its ``integer_form``: the weights times one common scale
+as an antisymmetric integer matrix, plus its row sums (the scaled Borda
+scores).  Parsing and ``from_int_matrix`` fill it directly; the mapping
+constructor converts its ``Fraction``s once.  Every fast path reads it, and
+so do the transitivity tests and inner products.  The ``Fraction`` view
+``weights`` is derived on first read.  Results stay exact ``Fraction``s;
+``weight`` and ``partition_score`` keep plain ``Fraction`` loops as the
+independent reference.
 """
 
 from __future__ import annotations
@@ -17,15 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations, permutations
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 _RESERVED_CHARS = set(">|")
 _INT64_SAFE = 2**62
-_ZERO = Fraction(0)
 
 
 def _validate_name(name: object) -> str:
@@ -78,44 +79,100 @@ class IntegerForm:
         return bool((self.w * len(self.w) == self.beta_differences()).all())
 
 
+class ArcWeights(Mapping):
+    """Read-only view of a tournament's weights as ``Fraction``s, keyed by stored arc.
+
+    Keys are the vertex pairs in ``combinations`` order, each oriented by the
+    vertex list; the value of (x, y) is ``w[x, y] / scale`` of the integer
+    form.  The ``Fraction``s are built on first read; a view compares equal to
+    the dict of the same items.
+    """
+
+    __slots__ = ("_vertices", "_form", "_items")
+
+    def __init__(self, vertices: tuple[str, ...], form: IntegerForm):
+        self._vertices = vertices
+        self._form = form
+        self._items: dict[tuple[str, str], Fraction] | None = None
+
+    def _dict(self) -> dict[tuple[str, str], Fraction]:
+        if self._items is None:
+            m, scale = len(self._vertices), self._form.scale
+            upper = self._form.w[np.triu_indices(m, 1)].tolist()
+            self._items = dict(
+                zip(combinations(self._vertices, 2), (Fraction(v, scale) for v in upper))
+            )
+        return self._items
+
+    def __getitem__(self, key: tuple[str, str]) -> Fraction:
+        return self._dict()[key]
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        m = len(self._vertices)
+        return m * (m - 1) // 2
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ArcWeights):
+            other = other._dict()
+        return self._dict() == other if isinstance(other, Mapping) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
+def _vertex_index(vertices: tuple[str, ...]) -> dict[str, int]:
+    """Position of each vertex, after checking every name and their distinctness."""
+    if not vertices:
+        raise ValueError("a tournament needs at least one vertex")
+    for v in vertices:
+        _validate_name(v)
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValueError("vertex names must be distinct")
+    return index
+
+
+def _arc_error(vertices: Container[str], x: str, y: str) -> str | None:
+    """Why (x, y) names no arc between ``vertices``, or None when it does."""
+    if x not in vertices or y not in vertices:
+        return f"unknown vertex in weight key ({x!r}, {y!r})"
+    if x == y:
+        return f"self-pair ({x!r}, {x!r}) is not an arc"
+    return None
+
+
 @dataclass(frozen=True)
 class WeightedTournament:
     """Complete directed graph with antisymmetric rational arc weights.
 
-    `weights` may be keyed by either orientation of a pair; entries are
-    normalized to the vertex-list orientation and missing pairs default to
-    weight zero.  Values are immutable after construction.
+    The stored form is ``integer_form``: the weights times one common scale
+    as an antisymmetric integer matrix over the vertex list.  ``weights`` is
+    derived from it: a read-only ``ArcWeights`` mapping from each stored arc
+    (x earlier than y in the vertex list) to its ``Fraction`` weight, built
+    on first read.
+
+    The constructor takes ``weights`` as a mapping keyed by either
+    orientation of a pair; missing pairs weigh zero.  ``from_int_matrix``
+    passes an ``IntegerForm`` over the vertex list in its place, which is
+    taken as is: only the vertex names are checked.
     """
 
     vertices: tuple[str, ...]
     weights: Mapping[tuple[str, str], Fraction] = field(default_factory=dict)
+    integer_form: IntegerForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vertices = tuple(self.vertices)
-        if not vertices:
-            raise ValueError("a tournament needs at least one vertex")
-        for v in vertices:
-            _validate_name(v)
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise ValueError("vertex names must be distinct")
-
-        normalized = dict.fromkeys(combinations(vertices, 2), _ZERO)
-        seen: set[tuple[str, str]] = set()
-        for (x, y), value in dict(self.weights).items():
-            if x not in index or y not in index:
-                raise ValueError(f"unknown vertex in weight key ({x!r}, {y!r})")
-            if x == y:
-                raise ValueError(f"self-pair ({x!r}, {x!r}) is not an arc")
-            key = (x, y) if index[x] < index[y] else (y, x)
-            if key in seen:
-                raise ValueError(f"duplicate weight for pair {{{x!r}, {y!r}}}")
-            seen.add(key)
-            w = _as_fraction(value)
-            normalized[key] = w if key == (x, y) else -w
-
+        index = _vertex_index(vertices)
+        form = self.weights
+        if not isinstance(form, IntegerForm):
+            form = _mapping_form(index, form)
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "weights", normalized)
+        object.__setattr__(self, "weights", ArcWeights(vertices, form))
+        object.__setattr__(self, "integer_form", form)
         object.__setattr__(self, "_index", index)
 
     @property
@@ -141,21 +198,28 @@ class WeightedTournament:
         cls, vertices: Iterable[str], w: np.ndarray, scale: int
     ) -> "WeightedTournament":
         """Tournament with weights w / scale, for an antisymmetric integer matrix w."""
-        t = cls(tuple(vertices), {})
-        upper = w[np.triu_indices(t.m, 1)].tolist()
-        t.weights.update(zip(t.weights, (Fraction(v, scale) for v in upper)))
-        t.__dict__["integer_form"] = IntegerForm.of(w, scale)
-        return t
+        return cls(tuple(vertices), IntegerForm.of(w, scale))  # type: ignore[arg-type]
 
-    @cached_property
-    def integer_form(self) -> IntegerForm:
-        """The weights as one integer matrix over their common denominator."""
-        scale = math.lcm(*(w.denominator for w in self.weights.values()))
-        w = np.zeros((self.m, self.m), object)
-        w[np.triu_indices(self.m, 1)] = [
-            v.numerator * (scale // v.denominator) for v in self.weights.values()
-        ]
-        return IntegerForm.of(w - w.T, scale)
+
+def _mapping_form(index: Mapping[str, int], weights: Mapping) -> IntegerForm:
+    """Integer form of weights keyed by vertex pairs, with the constructor's checks."""
+    entries: dict[tuple[int, int], Fraction] = {}
+    for (x, y), value in dict(weights).items():
+        error = _arc_error(index, x, y)
+        if error:
+            raise ValueError(error)
+        i, j = index[x], index[y]
+        key = (i, j) if i < j else (j, i)
+        if key in entries:
+            raise ValueError(f"duplicate weight for pair {{{x!r}, {y!r}}}")
+        w = _as_fraction(value)
+        entries[key] = w if i < j else -w
+    scale = math.lcm(*(w.denominator for w in entries.values()))
+    m = len(index)
+    w = np.zeros((m, m), object)
+    for (i, j), v in entries.items():
+        w[i, j] = v.numerator * (scale // v.denominator)
+    return IntegerForm.of(w - w.T, scale)
 
 
 @dataclass(frozen=True)
@@ -239,20 +303,22 @@ def borda_score(t: WeightedTournament, x: str) -> Fraction:
 def is_quantitatively_transitive(t: WeightedTournament) -> bool:
     """True iff weight(x,y) + weight(y,z) == weight(x,z) for all distinct triples.
 
-    By antisymmetry one orientation per unordered triple suffices.
+    On a complete graph that triple-wise additivity says exactly that the
+    weights are differences of vertex potentials, which is the integer form's
+    acyclicity test.
     """
-    for x, y, z in combinations(t.vertices, 3):
-        if weight(t, x, y) + weight(t, y, z) != weight(t, x, z):
-            return False
-    return True
+    return t.integer_form.is_acyclic()
 
 
 def is_qualitatively_transitive(t: WeightedTournament) -> bool:
-    """True iff strictly positive weights chain: w(x,y)>0 and w(y,z)>0 imply w(x,z)>0."""
-    for x, y, z in permutations(t.vertices, 3):
-        if weight(t, x, y) > 0 and weight(t, y, z) > 0 and not weight(t, x, z) > 0:
-            return False
-    return True
+    """True iff strictly positive weights chain: w(x,y)>0 and w(y,z)>0 imply w(x,z)>0.
+
+    With P the boolean matrix of positive weights, (P @ P)[x, z] says some y
+    has w(x,y)>0 and w(y,z)>0; the diagonal of P @ P is empty because w is
+    antisymmetric.
+    """
+    p = np.asarray(t.integer_form.w > 0, bool)
+    return not ((p @ p) & ~p).any()
 
 
 def difference_generator(t: WeightedTournament) -> dict[str, Fraction] | None:

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from maxkop import CutInstance, OrderedPartition, Profile, WeakOrder, WeightedTournament
+from maxkop import (
+    CutInstance,
+    OrderedPartition,
+    Profile,
+    WeakOrder,
+    WeightedTournament,
+    cli,
+    validate_ballots,
+)
 from maxkop.formats import (
     ParseError,
     format_graph,
@@ -215,8 +223,6 @@ def test_profile_parse_accepts_a_name_repeated_in_one_class():
     ],
 )
 def test_validate_ballots_messages_exact(spec, message):
-    from maxkop import validate_ballots
-
     ballots = {
         "linear": "a | b | c | d\nb | a c d × 2\nd c | a | b\n",
         "univalent": "a | b c d\nb | a c d × 2\nd c | a | b\nc | b | d | a\n",
@@ -236,8 +242,6 @@ def test_validate_ballots_messages_exact(spec, message):
     ],
 )
 def test_cli_parse_error_exit_code_and_location(capsys, tmp_path, command, text, message):
-    from maxkop import cli
-
     path = tmp_path / "in.txt"
     path.write_text(text)
     assert cli.main(command + [str(path)]) == 1

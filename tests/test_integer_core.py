@@ -8,25 +8,33 @@ loops kept in this file (or against ``solve_bruteforce`` for the solvers).
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from maxkop import (
+    CutInstance,
     Profile,
     WeakOrder,
     WeightedTournament,
     aggregate,
     aggregate_rule,
     borda_score,
+    build_fg,
     cocycle_component,
     cycle_component,
     decompose,
     difference_generator,
     induce_tournament,
+    inner_product,
     is_purely_acyclic,
     is_purely_cyclic,
+    is_qualitatively_transitive,
+    is_quantitatively_transitive,
+    norm_squared,
     solve,
     solve_2op,
     solve_acyclic_dp,
@@ -397,3 +405,78 @@ def test_approval_winner_levels_give_orders():
     assert [order_levels(res, o) for o in res.orders] == list(res.levels)
     mean = aggregate(Profile(alts, ballots), 2, 2)
     assert [order_levels(mean, o) for o in mean.orders] == list(mean.levels)
+
+
+# ---- transitivity and inner products ------------------------------------------------
+
+
+def ref_quantitatively_transitive(t):
+    return all(
+        weight(t, x, y) + weight(t, y, z) == weight(t, x, z)
+        for x, y, z in combinations(t.vertices, 3)
+    )
+
+
+def ref_qualitatively_transitive(t):
+    return not any(
+        weight(t, x, y) > 0 and weight(t, y, z) > 0 and not weight(t, x, z) > 0
+        for x, y, z in permutations(t.vertices, 3)
+    )
+
+
+def ref_inner_product(t1, t2):
+    return sum((w * t2.weights[pair] for pair, w in t1.weights.items()), Fraction(0))
+
+
+def transitivity_cases(scale):
+    rng = random.Random(9)
+    for m in (1, 2, 3, 4, 6):
+        yield tournament({}, m, scale)
+        for _ in range(3):
+            yield random_general(rng, m, scale)
+            yield random_general(rng, m, scale, 0, 1)  # nonnegative: more chains to test
+            yield random_acyclic(rng, m, scale)
+    yield wrapping_cycle()
+
+
+@by_magnitude
+def test_transitivity_tests_match_reference(scale):
+    seen = set()
+    for t in transitivity_cases(scale):
+        quant, qual = ref_quantitatively_transitive(t), ref_qualitatively_transitive(t)
+        assert is_quantitatively_transitive(t) == quant
+        assert is_qualitatively_transitive(t) == qual
+        seen.add((quant, qual))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@by_magnitude
+def test_inner_product_matches_reference(scale):
+    cases = list(transitivity_cases(scale))
+    rng = random.Random(10)
+    for t in cases:
+        other = rng.choice([u for u in cases if u.vertices == t.vertices])
+        for t1, t2 in ((t, t), (t, other), (other, t)):
+            got = inner_product(t1, t2)
+            assert got == ref_inner_product(t1, t2) and type(got) is Fraction
+        assert norm_squared(t) == ref_inner_product(t, t)
+
+
+def test_inner_product_of_int64_forms_past_2_63():
+    # each weight fits the int64 form; their products do not
+    t = tournament({(0, 1): 2**40, (1, 2): -(2**40) + 3}, 3, Fraction)
+    assert t.integer_form.w.dtype == np.int64
+    assert inner_product(t, t) == 2**80 + (2**40 - 3) ** 2 == ref_inner_product(t, t)
+
+
+def test_qualitative_transitivity_of_the_k6_fg_gadget_is_fast():
+    verts = vertex_names(6)
+    t = build_fg(CutInstance(verts, {pair: 1 for pair in combinations(verts, 2)})).tournament
+    assert t.m == 54
+    seconds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        got = is_qualitatively_transitive(t)
+        seconds.append(time.perf_counter() - start)
+    assert got == ref_qualitatively_transitive(t)
+    assert min(seconds) < 0.01
