@@ -55,7 +55,7 @@ def _parse_int(token: str, path: str, line: int, what: str) -> int:
 
 
 def _lines(text: str) -> list[tuple[int, str]]:
-    return [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    return [(i + 1, s) for i, ln in enumerate(text.splitlines()) if (s := ln.strip())]
 
 
 def _parse_header(
