@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .profiles import RANK_DTYPE, Profile, WeakOrder
+from .profiles import RANK_DTYPE, Profile, WeakOrder, _coverage_error
 from .reductions import CutInstance
 from .tournament import (
     _INT64_SAFE,
@@ -82,11 +82,11 @@ def _parse_header(
 
 
 def _weight_tokens(tokens: Sequence[str], path: str, linenos: Sequence[int]):
-    """Numerators and denominators of weight tokens, up to the first that is no rational.
+    """(nums, dens, error): weight tokens read up to the first that is no rational.
 
-    Tokens are read as ``int`` where they are one and as ``Fraction`` only
-    otherwise (``3/6``, ``1.5``, ``1e3``); ``dens`` is None when every token is
-    an int.  ``error`` is the first bad token's ParseError, or None.
+    When every token is an ``int`` they are read as such and ``dens`` is
+    None; otherwise each is read as a ``Fraction`` (``3/6``, ``1.5``,
+    ``1e3``).  ``error`` is the first bad token's ParseError, or None.
     """
     try:
         return list(map(int, tokens)), None, None
@@ -95,15 +95,11 @@ def _weight_tokens(tokens: Sequence[str], path: str, linenos: Sequence[int]):
     nums, dens = [], []
     for tok, lineno in zip(tokens, linenos):
         try:
-            num, den = int(tok), 1
-        except ValueError:
-            try:
-                w = _parse_rational(tok, path, lineno)
-            except ParseError as exc:
-                return nums, dens, exc
-            num, den = w.numerator, w.denominator
-        nums.append(num)
-        dens.append(den)
+            w = _parse_rational(tok, path, lineno)
+        except ParseError as exc:
+            return nums, dens, exc
+        nums.append(w.numerator)
+        dens.append(w.denominator)
     return nums, dens, None
 
 
@@ -125,10 +121,11 @@ def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
     n = len(nums)
     if error is None and n < len(arcs):
         error = ParseError(path, linenos[n], f"expected 'x y p/q' arc line, got {rest[n][1]!r}")
+    xs, ys = xs[:n], ys[:n]
     # one code per distinct name, the vertices first: a pair repeats iff its codes do
-    code = {v: i for i, v in enumerate(dict.fromkeys([*names, *xs[:n], *ys[:n]]))}
-    xi = np.fromiter(map(code.__getitem__, xs[:n]), np.int64, n)
-    yi = np.fromiter(map(code.__getitem__, ys[:n]), np.int64, n)
+    code = {v: i for i, v in enumerate(dict.fromkeys([*names, *xs, *ys]))}
+    xi = np.fromiter(map(code.__getitem__, xs), np.int64, n)
+    yi = np.fromiter(map(code.__getitem__, ys), np.int64, n)
     pair = np.minimum(xi, yi) * len(code) + np.maximum(xi, yi)
     repeated = np.ones(n, bool)
     repeated[np.unique(pair, return_index=True)[1]] = False
@@ -216,21 +213,6 @@ def _ballot_classes(toks: list[str]) -> list[list[str]]:
     return [part.split() for part in ("\n" + "\n\n".join(toks) + "\n").split("\n|\n")]
 
 
-def _ballot_row(toks: list[str], names: tuple[str, ...]) -> tuple[str | None, list[int] | None]:
-    """One ballot line by ``WeakOrder``'s rules: (error, None) or (None, rank row or None).
-
-    The row is None when the ballot does not cover ``names`` exactly.
-    """
-    classes = _ballot_classes(toks)
-    if not all(classes):
-        return "classes must be nonempty", None
-    rank = {a: r for r, c in enumerate(classes) for a in c}
-    if len(rank) != sum(len(set(c)) for c in classes):
-        return "classes must be pairwise disjoint", None
-    row = [rank.get(a, -1) for a in names]
-    return None, (row if len(rank) == len(names) and -1 not in row else None)
-
-
 def _regular_rows(ballots: list[list[str]], names: tuple[str, ...]):
     """Rank rows of ballot lines read together on arrays: (ranks, covers, irregular).
 
@@ -249,7 +231,8 @@ def _regular_rows(ballots: list[list[str]], names: tuple[str, ...]):
     starts, ends = np.cumsum(lens) - lens, np.cumsum(lens)
     sep = code < 0
     # an empty class: a line without tokens, or a '|' first, last or before another '|'
-    edge = np.zeros(len(flat) + 1, bool)  # the extra slot takes ends - 1 == -1
+    # the extra slot takes the positions -1 and len(flat) that empty lines give
+    edge = np.zeros(len(flat) + 1, bool)
     edge[starts] = edge[ends - 1] = True
     empty_at = sep & (edge[:-1] | np.r_[sep[1:], False])
     irregular = (lens == 0) | (np.bincount(line[empty_at | (code == m)], minlength=n) > 0)
@@ -266,12 +249,11 @@ def _regular_rows(ballots: list[list[str]], names: tuple[str, ...]):
 def parse_profile(text: str, path: str = "<string>") -> Profile:
     """Profile of a text, read straight into its rank matrix.
 
-    Errors come in ``WeakOrder``'s and the constructor's order: every line's
-    own error first, in line order (its multiplicity, then an empty class,
-    then a name in two classes; a name repeated inside one class is one
-    name); then, at line 1, repeated alternatives and the first ballot that
+    Errors come in the constructors' order: every line's own error first, in
+    line order (its multiplicity, then ``WeakOrder``'s checks of its
+    classes); then, at line 1, repeated alternatives and the first ballot that
     does not cover the alternatives exactly.  Regular lines are read on
-    arrays (``_regular_rows``), the others one by one (``_ballot_row``).
+    arrays (``_regular_rows``), the others one by one through ``WeakOrder``.
     """
     _, names, rest = _parse_header(_lines(text), "profile", path)
     names = tuple(names)
@@ -294,21 +276,21 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
         counts.append(count)
     ranks, covers, irregular = _regular_rows(ballots, names)
     for b in np.flatnonzero(irregular).tolist():
-        message, row = _ballot_row(ballots[b], names)
-        if message:
-            raise ParseError(path, linenos[b], message)
-        covers[b] = row is not None
-        if row is not None:
-            ranks[b] = row
+        try:
+            rank = WeakOrder.from_classes(_ballot_classes(ballots[b])).rank_of()
+        except ValueError as exc:
+            raise ParseError(path, linenos[b], str(exc)) from None
+        covers[b] = rank.keys() == set(names)
+        if covers[b]:
+            ranks[b] = [rank[a] for a in names]
     if error is not None:
         raise error
     try:
         if len(set(names)) != len(names):
             raise ValueError("alternatives must be distinct")
         if not covers.all():
-            classes = _ballot_classes(ballots[int(covers.argmin())])
-            shown = " | ".join(" ".join(sorted(set(c))) for c in classes)
-            raise ValueError(f"ballot {shown!r} does not cover the alternatives exactly")
+            order = WeakOrder.from_classes(_ballot_classes(ballots[int(covers.argmin())]))
+            raise ValueError(_coverage_error(order))
         if not ballots:
             raise ValueError("a profile needs at least one ballot")
     except ValueError as exc:

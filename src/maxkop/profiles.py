@@ -110,9 +110,7 @@ class Profile:
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"ballot multiplicity must be a positive integer, got {count!r}")
             if order.members() != members:
-                raise ValueError(
-                    f"ballot {_render_order(order)!r} does not cover the alternatives exactly"
-                )
+                raise ValueError(_coverage_error(order))
             rank = order.rank_of()
             rows.append([rank[a] for a in alternatives])
             counts.append(count)
@@ -185,6 +183,10 @@ class AggregateResult:
 
 def _render_order(order: WeakOrder) -> str:
     return " | ".join(" ".join(sorted(c)) for c in order.classes)
+
+
+def _coverage_error(order: WeakOrder) -> str:
+    return f"ballot {_render_order(order)!r} does not cover the alternatives exactly"
 
 
 def _order_of(alternatives: tuple[str, ...], row: Sequence[int]) -> WeakOrder:

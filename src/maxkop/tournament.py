@@ -114,11 +114,6 @@ class ArcWeights(Mapping):
         m = len(self._vertices)
         return m * (m - 1) // 2
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ArcWeights):
-            other = other._dict()
-        return self._dict() == other if isinstance(other, Mapping) else NotImplemented
-
     def __repr__(self) -> str:
         return repr(self._dict())
 

@@ -145,10 +145,18 @@ PARSE_ERRORS = [
     (parse_tournament, _T3 + "a b 1\nb a 2\n", "in.txt:6: duplicate arc for pair {'b', 'a'}"),
     (parse_tournament, _T3 + "a b\n", "in.txt:5: expected 'x y p/q' arc line, got 'a b'"),
     (parse_tournament, _T3 + "a b 1 2\n", "in.txt:5: expected 'x y p/q' arc line, got 'a b 1 2'"),
-    (parse_tournament, _T3 + "a b 1\na z 2\n", "in.txt:1: unknown vertex in weight key ('a', 'z')"),
+    (
+        parse_tournament,
+        _T3 + "a b 1\na z 2\n",
+        "in.txt:1: unknown vertex in weight key ('a', 'z')",
+    ),
     (parse_tournament, _T3 + "a a 1\n", "in.txt:1: self-pair ('a', 'a') is not an arc"),
     (parse_tournament, _T3 + "b b 1\na z 2\n", "in.txt:1: self-pair ('b', 'b') is not an arc"),
-    (parse_tournament, _T3 + "a z 1\nb b 2\nc c 3/0\n", "in.txt:7: expected a rational p/q, got '3/0'"),
+    (
+        parse_tournament,
+        _T3 + "a z 1\nb b 2\nc c 3/0\n",
+        "in.txt:7: expected a rational p/q, got '3/0'",
+    ),
     (parse_tournament, _T3 + "a b 1\n\nc a x/2\n", "in.txt:7: expected a rational p/q, got 'x/2'"),
     (
         parse_tournament,
@@ -238,7 +246,11 @@ def test_validate_ballots_messages_exact(spec, message):
     "command, text, message",
     [
         (["solve", "--k", "2"], _T3 + "a b 1\nb a 2\n", ":6: duplicate arc for pair {'b', 'a'}"),
-        (["aggregate", "--rule", "borda_winner"], _P3 + "a | b\na b c\n| a b c\n", ":7: classes must be nonempty"),
+        (
+            ["aggregate", "--rule", "borda_winner"],
+            _P3 + "a | b\na b c\n| a b c\n",
+            ":7: classes must be nonempty",
+        ),
     ],
 )
 def test_cli_parse_error_exit_code_and_location(capsys, tmp_path, command, text, message):

@@ -137,8 +137,8 @@ def tournament_texts(draw):
         tok = fraction_token(rng) if fractions and rng.randrange(3) == 0 else int_token(rng)
         if rng.randrange(12) == 0:
             # a broken line: wrong shape, an unknown vertex, a repeated or self pair, a blank
-            broken = [f"{x} {y}", f"{x} {y} {tok} 4", f"{x} z {tok}", f"{y} {x} 1", f"{x} {x} 1", ""]
-            lines.append(rng.choice(broken))
+            shapes = [f"{x} {y}", f"{x} {y} {tok} 4", f"{x} z {tok}", f"{y} {x} 1", f"{x} {x} 1"]
+            lines.append(rng.choice([*shapes, ""]))
         lines.append(f"{x} {y} {tok}")
     return "\n".join(lines) + "\n"
 
@@ -225,7 +225,8 @@ def test_parse_profile_matches_reference(text):
 def test_formatted_values_parse_like_the_reference(seed):
     rng = random.Random(seed)
     t = random_tournament(rng, rng.randint(2, 8))
-    same_tournament(parse_tournament(format_tournament(t)), _reference_parse_tournament(format_tournament(t)))
+    text = format_tournament(t)
+    same_tournament(parse_tournament(text), _reference_parse_tournament(text))
     p = random_profile(rng, rng.randint(3, 6), rng.randint(1, 5), rng.choice([2, 3, "linear"]))
     text = format_profile(p)
     same_profile(parse_profile(text), _reference_parse_profile(text))
