@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
 import pytest
 
 from maxkop import (
     CutInstance,
+    GadgetMap,
     OrderedPartition,
     WeightedTournament,
     add_club_vertex,
@@ -28,6 +30,7 @@ from maxkop import (
     solve_bruteforce,
     solve_cut_bruteforce,
 )
+from maxkop.formats import format_tournament
 from maxkop.selftest import random_graph
 
 
@@ -452,3 +455,213 @@ def test_check_transitive_gadget_guard_is_the_walk_guard():
     report = check_transitive_gadget(EDGE, guard=3**10 - 1)
     assert report.brute_rounded is None
     assert report.lift_identity_ok and report.ok
+
+
+# ---- the former gadget builders, kept as references ----------------------------------
+#
+# ``_reference_build_hg`` and ``_reference_build_fg`` keep the bodies that built
+# the gadgets arc by arc: one ``Fraction`` per arc through ``_reference_arc_adder``,
+# then the ``WeightedTournament`` mapping constructor.  The builders must return
+# gadgets equal to theirs in every field and raise the same errors.
+
+
+def _reference_arc_adder(vertices: tuple[str, ...]):
+    index = {v: i for i, v in enumerate(vertices)}
+    weights: dict[tuple[str, str], Fraction] = {}
+    covered: set[tuple[str, str]] = set()
+
+    def add(u: str, v: str, w: Fraction) -> None:
+        key = (u, v) if index[u] < index[v] else (v, u)
+        if key in covered:
+            raise ValueError(f"pair {{{u!r}, {v!r}}} assigned twice")
+        covered.add(key)
+        weights[key] = w if key == (u, v) else -w
+
+    return weights, covered, add
+
+
+def _reference_build_hg(g: CutInstance) -> GadgetMap:
+    dir_names: dict[tuple[str, str], str] = {}
+    order: list[str] = list(g.vertices)
+    for a, b, _ in g.positive_edges():
+        for x, y in ((a, b), (b, a)):
+            name = f"d_{x}_{y}"
+            dir_names[(x, y)] = name
+            order.append(name)
+    if len(set(order)) != len(order):
+        raise ValueError("direction-vertex names collide with existing vertex names")
+    vertices = tuple(order)
+    weights, _, add = _reference_arc_adder(vertices)
+    for a, b, w in g.positive_edges():
+        fw = Fraction(w)
+        add(a, dir_names[(a, b)], fw)
+        add(dir_names[(a, b)], b, fw)
+        add(b, dir_names[(b, a)], fw)
+        add(dir_names[(b, a)], a, fw)
+    tournament = WeightedTournament(vertices, weights)
+    return GadgetMap(
+        kind="hg",
+        tournament=tournament,
+        source=g,
+        ordinary={v: (v,) for v in g.vertices},
+        direction=dir_names,
+    )
+
+
+def _reference_build_fg(g: CutInstance) -> GadgetMap:
+    n = g.n
+    big = Fraction(1 + g.total_weight())
+    eps = Fraction(1, 72 * n**4)
+    quads = {a: tuple(f"{a}_{i}" for i in range(1, 5)) for a in g.vertices}
+    dir_names: dict[tuple[str, str], str] = {}
+    order: list[str] = []
+    for a in g.vertices:
+        order.extend(quads[a])
+    for a, b, _ in g.positive_edges():
+        for x, y in ((a, b), (b, a)):
+            name = f"d_{x}_{y}"
+            dir_names[(x, y)] = name
+            order.append(name)
+    if len(set(order)) != len(order):
+        raise ValueError("gadget vertex names collide")
+    vertices = tuple(order)
+    index = {v: i for i, v in enumerate(vertices)}
+
+    arcs: list[tuple[str, str, Fraction]] = []
+    for a in g.vertices:
+        a1, a2, a3, a4 = quads[a]
+        arcs.append((a1, a2, big))
+        arcs.append((a2, a3, 2 * big))
+        arcs.append((a3, a4, big))
+    for a, b, w in g.positive_edges():
+        fw = Fraction(w)
+        a2, a3 = quads[a][1], quads[a][2]
+        b2, b3 = quads[b][1], quads[b][2]
+        d_ab, d_ba = dir_names[(a, b)], dir_names[(b, a)]
+        arcs.append((a2, d_ab, fw))
+        arcs.append((d_ab, b2, fw))
+        arcs.append((b3, d_ba, fw))
+        arcs.append((d_ba, a3, fw))
+
+    succ: dict[str, list[str]] = {v: [] for v in vertices}
+    indeg = {v: 0 for v in vertices}
+    for u, v, _ in arcs:
+        succ[u].append(v)
+        indeg[v] += 1
+    heap = [index[v] for v in vertices if indeg[v] == 0]
+    heapify(heap)
+    topo: list[str] = []
+    while heap:
+        v = vertices[heappop(heap)]
+        topo.append(v)
+        for w_ in succ[v]:
+            indeg[w_] -= 1
+            if indeg[w_] == 0:
+                heappush(heap, index[w_])
+    assert len(topo) == len(vertices)
+    topo_pos = {v: i for i, v in enumerate(topo)}
+
+    weights, covered, add = _reference_arc_adder(vertices)
+    for u, v, w in arcs:
+        add(u, v, w)
+    tiny_count = 0
+    for x, y in combinations(vertices, 2):
+        if (x, y) in covered:
+            continue
+        tiny_count += 1
+        if topo_pos[x] < topo_pos[y]:
+            add(x, y, eps)
+        else:
+            add(y, x, eps)
+    if tiny_count * eps >= Fraction(1, 2):
+        raise ValueError(
+            f"tiny-arc total {tiny_count} * {eps} reaches 1/2; construction is unsound"
+        )
+    tournament = WeightedTournament(vertices, weights)
+    return GadgetMap(
+        kind="fg",
+        tournament=tournament,
+        source=g,
+        ordinary=quads,
+        direction=dir_names,
+        placement_weight=big,
+        tiny_weight=eps,
+        reference_order=g.vertices,
+    )
+
+
+def _gadget_graph(seed: int) -> CutInstance:
+    """Seeded graph of 1-6 vertices: zero, unit, small or heavy weights, some isolated."""
+    rng = random.Random(seed)
+    n = 1 + seed % 6
+    kind = seed // 6 % 5
+    draw = {
+        0: lambda: 0,
+        1: lambda: 1,
+        2: lambda: rng.randint(0, 3),
+        3: lambda: rng.randint(0, 50),
+        4: lambda: rng.choice([0, 1, 50]),
+    }[kind]
+    names = rng.choice([tuple("abcdef"), ("v0", "x_y", "q", "d", "a_b", "z9")])[:n]
+    isolated = {v for v in names if kind == 4 and rng.random() < 0.4}
+    edges = {}
+    for x, y in combinations(names, 2):
+        w = 0 if {x, y} & isolated else draw()
+        edges[(x, y) if rng.random() < 0.5 else (y, x)] = w
+    return CutInstance(names, edges)
+
+
+def _gadget_fields(gm: GadgetMap):
+    t = gm.tournament
+    form = t.integer_form
+    return (
+        format_tournament(t),
+        t.vertices,
+        dict(t.weights),
+        form.scale,
+        form.w.dtype,
+        form.w.tolist(),
+        form.beta.tolist(),
+        gm.kind,
+        gm.source,
+        list(gm.ordinary.items()),
+        list(gm.direction.items()),
+        (type(gm.placement_weight), gm.placement_weight),
+        (type(gm.tiny_weight), gm.tiny_weight),
+        gm.reference_order,
+    )
+
+
+@pytest.mark.parametrize(
+    "build, reference",
+    [(build_hg, _reference_build_hg), (build_fg, _reference_build_fg)],
+    ids=["hg", "fg"],
+)
+def test_gadget_builders_match_the_arc_by_arc_reference(build, reference):
+    for seed in range(300):
+        g = _gadget_graph(seed)
+        assert _gadget_fields(build(g)) == _gadget_fields(reference(g)), seed
+
+
+# the edges {a_b, c} and {a, b_c} both name a direction vertex d_a_b_c
+_TWO_EDGES_ONE_DIRECTION_NAME = CutInstance(
+    ("a_b", "c", "a", "b_c"), {("a_b", "c"): 1, ("a", "b_c"): 1}
+)
+
+
+@pytest.mark.parametrize(
+    "build, reference, g",
+    [
+        (build_hg, _reference_build_hg, CutInstance(("a", "b", "d_a_b"), {("a", "b"): 1})),
+        (build_hg, _reference_build_hg, CutInstance(("a", "b", "d_b_a"), {("b", "a"): 2})),
+        (build_fg, _reference_build_fg, CutInstance(("a", "1", "d_a"), {("a", "1"): 1})),
+        (build_fg, _reference_build_fg, _TWO_EDGES_ONE_DIRECTION_NAME),
+        (build_hg, _reference_build_hg, _TWO_EDGES_ONE_DIRECTION_NAME),
+    ],
+)
+def test_gadget_builders_raise_the_reference_collision_error(build, reference, g):
+    with pytest.raises(ValueError) as expected:
+        reference(g)
+    with pytest.raises(ValueError) as err:
+        build(g)
+    assert str(err.value) == str(expected.value)
