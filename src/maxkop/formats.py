@@ -18,10 +18,11 @@ import numpy as np
 from .profiles import RANK_DTYPE, Profile, WeakOrder, _coverage_error
 from .reductions import CutInstance
 from .tournament import (
-    _INT64_SAFE,
     OrderedPartition,
     WeightedTournament,
     _arc_error,
+    _form_dtype,
+    _validate_name,
     _vertex_index,
 )
 
@@ -145,10 +146,9 @@ def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
     scale = 1 if dens is None else math.lcm(*dens)
     if scale != 1:
         nums = [num * (scale // den) for num, den in zip(nums, dens)]
-    # the integer form's own dtype test (sum(abs(w)) == 2 * sum(abs(nums))): an int64
-    # matrix that fails it could wrap already in the sum IntegerForm.of takes
-    safe = 4 * m * sum(map(abs, nums)) < _INT64_SAFE
-    w = np.zeros((m, m), np.int64 if safe else object)
+    # the integer form's own dtype (sum(abs(w)) == 2 * sum(abs(nums))), chosen before
+    # the fill because the weights need not fit int64
+    w = np.zeros((m, m), _form_dtype(4 * m * sum(map(abs, nums))))
     w[xi, yi] = nums
     return WeightedTournament.from_int_matrix(names, w - w.T, scale)
 
@@ -184,9 +184,9 @@ def _format_levels(
     """One line per level vector over ``names``: its partition or weak order as text.
 
     Names are listed by level, level 0 first and in the order of ``names``
-    within a level, levels separated by ``sep``: the text ``format_partition``
-    (``sep`` " > ") or ``format_weak_order`` (``sep`` " | ") gives the object
-    a level vector stands for, with ``names`` as the vertex or alternative list.
+    within a level, levels separated by ``sep``: " > " prints the partition a
+    level vector stands for over its vertices, " | " the weak order over its
+    alternatives (a ballot line of ``format_profile``).
     """
     tokens, gaps = np.array(names, object), np.array([" ", sep], object)
     for lo in range(0, len(levels), 2048):  # rows per pass, bounding the text table
@@ -251,9 +251,10 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
 
     Errors come in the constructors' order: every line's own error first, in
     line order (its multiplicity, then ``WeakOrder``'s checks of its
-    classes); then, at line 1, repeated alternatives and the first ballot that
-    does not cover the alternatives exactly.  Regular lines are read on
-    arrays (``_regular_rows``), the others one by one through ``WeakOrder``.
+    classes); then, at line 1, each alternative's name, repeated alternatives
+    and the first ballot that does not cover the alternatives exactly.
+    Regular lines are read on arrays (``_regular_rows``), the others one by
+    one through ``WeakOrder``.
     """
     _, names, rest = _parse_header(_lines(text), "profile", path)
     names = tuple(names)
@@ -286,6 +287,8 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
     if error is not None:
         raise error
     try:
+        for a in names:
+            _validate_name(a)
         if len(set(names)) != len(names):
             raise ValueError("alternatives must be distinct")
         if not covers.all():
@@ -296,13 +299,6 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
     return Profile._of_ranks(names, ranks, tuple(counts))
-
-
-def format_weak_order(order: WeakOrder, alternatives: Iterable[str]) -> str:
-    rank = {a: i for i, a in enumerate(alternatives)}
-    return " | ".join(
-        " ".join(sorted(c, key=lambda a: rank.get(a, len(rank)))) for c in order.classes
-    )
 
 
 def format_profile(p: Profile) -> str:

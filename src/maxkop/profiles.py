@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, solve
-from .tournament import _INT64_SAFE, WeightedTournament, _level_blocks
+from .tournament import WeightedTournament, _form_dtype, _level_blocks, _validate_name
 
 #: Level spec meaning "as many classes as alternatives" (linear orders).
 LINEAR = "linear"
@@ -97,7 +97,7 @@ class Profile:
         alternatives: Iterable[str],
         ballots: Iterable[WeakOrder | tuple[WeakOrder, int]],
     ) -> None:
-        alternatives = tuple(alternatives)
+        alternatives = tuple(map(_validate_name, alternatives))
         members = frozenset(alternatives)
         if len(members) != len(alternatives):
             raise ValueError("alternatives must be distinct")
@@ -200,7 +200,7 @@ def induce_tournament(p: Profile) -> WeightedTournament:
     if m < 2:
         raise ValueError("inducing a tournament needs at least two alternatives")
     # sum(abs(w)) <= m**2 * voters, so this keeps int64 within the integer form's bound
-    dtype = np.int64 if 2 * m**3 * p.voter_count < _INT64_SAFE else object
+    dtype = _form_dtype(2 * m**3 * p.voter_count)
     # the narrowest dtype holding every rank difference keeps the sign table small
     ranks = p.ranks.astype(np.min_scalar_type(-m))
     counts = np.array(p.counts, dtype)
@@ -409,9 +409,7 @@ def realize_weights(w: WeightedTournament) -> Profile:
             raise ValueError(f"weights must be integers, got {value} on {pair}")
     ballots: list[tuple[WeakOrder, int]] = []
     verts = frozenset(w.vertices)
-    for (x, y), value in sorted(
-        w.weights.items(), key=lambda kv: (w.index(kv[0][0]), w.index(kv[0][1]))
-    ):
+    for (x, y), value in w.weights.items():
         c = int(value)
         if c == 0:
             continue

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -186,19 +185,21 @@ def solve_cut_bruteforce(
     return best, [_partition_from_levels(g.vertices, lv).blocks for lv in kept]
 
 
-def _arc_adder(vertices: tuple[str, ...]):
-    index = {v: i for i, v in enumerate(vertices)}
-    weights: dict[tuple[str, str], Fraction] = {}
-    covered: set[tuple[str, str]] = set()
+def _direction_names(g: CutInstance, order: list[str]) -> dict[tuple[str, str], str]:
+    """Name d_x_y for both orientations of every positive edge, appending each to ``order``."""
+    names = {
+        (x, y): f"d_{x}_{y}" for a, b, _ in g.positive_edges() for x, y in ((a, b), (b, a))
+    }
+    order.extend(names.values())
+    return names
 
-    def add(u: str, v: str, w: Fraction) -> None:
-        key = (u, v) if index[u] < index[v] else (v, u)
-        if key in covered:
-            raise ValueError(f"pair {{{u!r}, {v!r}}} assigned twice")
-        covered.add(key)
-        weights[key] = w if key == (u, v) else -w
 
-    return weights, covered, add
+def _arc_matrix(index: Mapping[str, int], arcs: Iterable[tuple[str, str, int]]) -> np.ndarray:
+    """Antisymmetric integer matrix over ``index`` weighing each arc (u, v, c) at c."""
+    w = np.zeros((len(index), len(index)), object)
+    for u, v, c in arcs:
+        w[index[u], index[v]] = c
+    return w - w.T
 
 
 def build_hg(g: CutInstance) -> GadgetMap:
@@ -208,27 +209,18 @@ def build_hg(g: CutInstance) -> GadgetMap:
     -> a with every arc at the edge's weight; all other pairs carry weight 0.
     The resulting weights are purely cyclic.
     """
-    dir_names: dict[tuple[str, str], str] = {}
-    order: list[str] = list(g.vertices)
-    for a, b, _ in g.positive_edges():
-        for x, y in ((a, b), (b, a)):
-            name = f"d_{x}_{y}"
-            dir_names[(x, y)] = name
-            order.append(name)
+    order = list(g.vertices)
+    dir_names = _direction_names(g, order)
     if len(set(order)) != len(order):
         raise ValueError("direction-vertex names collide with existing vertex names")
-    vertices = tuple(order)
-    weights, _, add = _arc_adder(vertices)
+    index = {v: i for i, v in enumerate(order)}
+    arcs = []
     for a, b, w in g.positive_edges():
-        fw = Fraction(w)
-        add(a, dir_names[(a, b)], fw)
-        add(dir_names[(a, b)], b, fw)
-        add(b, dir_names[(b, a)], fw)
-        add(dir_names[(b, a)], a, fw)
-    tournament = WeightedTournament(vertices, weights)
+        d_ab, d_ba = dir_names[(a, b)], dir_names[(b, a)]
+        arcs += [(a, d_ab, w), (d_ab, b, w), (b, d_ba, w), (d_ba, a, w)]
     return GadgetMap(
         kind="hg",
-        tournament=tournament,
+        tournament=WeightedTournament.from_int_matrix(order, _arc_matrix(index, arcs), 1),
         source=g,
         ordinary={v: (v,) for v in g.vertices},
         direction=dir_names,
@@ -264,20 +256,16 @@ def lift_partition_hg(
             blocks[0].add(gm.direction[(a, b)])
             blocks[0].add(gm.direction[(b, a)])
             continue
-        placed = False
-        for x in range(levels):
-            u = _sgn(x - la) + _sgn(lb - x)
-            for y in range(levels):
-                v = _sgn(y - lb) + _sgn(la - y)
-                if u + v == 1:
-                    blocks[x].add(gm.direction[(a, b)])
-                    blocks[y].add(gm.direction[(b, a)])
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:  # pragma: no cover - a unit-contribution slot always exists
-            raise RuntimeError("no unit-contribution placement found")
+        # the first slot pair, in (x, y) order, where the cycle contributes exactly w;
+        # one always exists on three or more levels
+        x, y = next(
+            (x, y)
+            for x in range(levels)
+            for y in range(levels)
+            if _sgn(x - la) + _sgn(lb - x) + _sgn(y - lb) + _sgn(la - y) == 1
+        )
+        blocks[x].add(gm.direction[(a, b)])
+        blocks[y].add(gm.direction[(b, a)])
     return OrderedPartition.from_blocks([b for b in blocks if b])
 
 
@@ -332,86 +320,70 @@ def build_fg(g: CutInstance) -> GadgetMap:
     weight.  Remaining pairs are oriented along a topological order of the
     chain/adjustment digraph and weighted eps = 1 / (72 n^4), which keeps
     the total tiny contribution of any ordered partition below one half.
+
+    The weights are built as one integer matrix at scale 1/eps, where the
+    chain and adjustment arcs weigh their weight times the scale and every
+    tiny arc weighs +1 or -1.
     """
     n = g.n
-    big = Fraction(1 + g.total_weight())
-    eps = Fraction(1, 72 * n**4)
+    scale = 72 * n**4
+    big = 1 + g.total_weight()
     quads = {a: tuple(f"{a}_{i}" for i in range(1, 5)) for a in g.vertices}
-    dir_names: dict[tuple[str, str], str] = {}
-    order: list[str] = []
-    for a in g.vertices:
-        order.extend(quads[a])
-    for a, b, _ in g.positive_edges():
-        for x, y in ((a, b), (b, a)):
-            name = f"d_{x}_{y}"
-            dir_names[(x, y)] = name
-            order.append(name)
+    order = [name for a in g.vertices for name in quads[a]]
+    dir_names = _direction_names(g, order)
     if len(set(order)) != len(order):
         raise ValueError("gadget vertex names collide")
-    vertices = tuple(order)
-    index = {v: i for i, v in enumerate(vertices)}
+    m = len(order)
+    index = {v: i for i, v in enumerate(order)}
 
-    arcs: list[tuple[str, str, Fraction]] = []
+    arcs = []
     for a in g.vertices:
         a1, a2, a3, a4 = quads[a]
-        arcs.append((a1, a2, big))
-        arcs.append((a2, a3, 2 * big))
-        arcs.append((a3, a4, big))
+        arcs += [(a1, a2, big), (a2, a3, 2 * big), (a3, a4, big)]
     for a, b, w in g.positive_edges():
-        fw = Fraction(w)
-        a2, a3 = quads[a][1], quads[a][2]
-        b2, b3 = quads[b][1], quads[b][2]
+        _, a2, a3, _ = quads[a]
+        _, b2, b3, _ = quads[b]
         d_ab, d_ba = dir_names[(a, b)], dir_names[(b, a)]
-        arcs.append((a2, d_ab, fw))
-        arcs.append((d_ab, b2, fw))
-        arcs.append((b3, d_ba, fw))
-        arcs.append((d_ba, a3, fw))
+        arcs += [(a2, d_ab, w), (d_ab, b2, w), (b3, d_ba, w), (d_ba, a3, w)]
 
     # topological order of the chain/adjustment digraph, smallest index first
-    succ: dict[str, list[str]] = {v: [] for v in vertices}
-    indeg = {v: 0 for v in vertices}
+    succ: list[list[int]] = [[] for _ in range(m)]
+    indeg = [0] * m
     for u, v, _ in arcs:
-        succ[u].append(v)
-        indeg[v] += 1
-    heap = [index[v] for v in vertices if indeg[v] == 0]
+        succ[index[u]].append(index[v])
+        indeg[index[v]] += 1
+    heap = [v for v in range(m) if indeg[v] == 0]
     heapify(heap)
-    topo: list[str] = []
-    while heap:
-        v = vertices[heappop(heap)]
-        topo.append(v)
-        for w_ in succ[v]:
-            indeg[w_] -= 1
-            if indeg[w_] == 0:
-                heappush(heap, index[w_])
-    if len(topo) != len(vertices):  # pragma: no cover - the digraph is acyclic
-        raise RuntimeError("chain/adjustment digraph unexpectedly has a cycle")
-    topo_pos = {v: i for i, v in enumerate(topo)}
+    topo_pos = np.empty(m, np.int64)
+    for pos in range(m):
+        if not heap:  # pragma: no cover - the digraph is acyclic
+            raise RuntimeError("chain/adjustment digraph unexpectedly has a cycle")
+        v = heappop(heap)
+        topo_pos[v] = pos
+        for u in succ[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                heappush(heap, u)
 
-    weights, covered, add = _arc_adder(vertices)
-    for u, v, w in arcs:
-        add(u, v, w)
-    tiny_count = 0
-    for x, y in combinations(vertices, 2):
-        if (x, y) in covered:
-            continue
-        tiny_count += 1
-        if topo_pos[x] < topo_pos[y]:
-            add(x, y, eps)
-        else:
-            add(y, x, eps)
-    if tiny_count * eps >= Fraction(1, 2):
+    w = _arc_matrix(index, ((u, v, c * scale) for u, v, c in arcs))
+    # every heavy arc is positive, so the pairs still at zero are the tiny arcs
+    tiny = w == 0
+    np.fill_diagonal(tiny, False)
+    tiny_count = int(tiny.sum()) // 2
+    if 2 * tiny_count >= scale:
         raise ValueError(
-            f"tiny-arc total {tiny_count} * {eps} reaches 1/2; construction is unsound"
+            f"tiny-arc total {tiny_count} * {Fraction(1, scale)} reaches 1/2; "
+            "construction is unsound"
         )
-    tournament = WeightedTournament(vertices, weights)
+    w[tiny] = np.sign(topo_pos[None, :] - topo_pos[:, None])[tiny]
     return GadgetMap(
         kind="fg",
-        tournament=tournament,
+        tournament=WeightedTournament.from_int_matrix(order, w, scale),
         source=g,
         ordinary=quads,
         direction=dir_names,
-        placement_weight=big,
-        tiny_weight=eps,
+        placement_weight=Fraction(big),
+        tiny_weight=Fraction(1, scale),
         reference_order=g.vertices,
     )
 

@@ -7,17 +7,19 @@ function is antisymmetric by construction.
 
 A tournament stores its ``integer_form``: the weights times one common scale
 as an antisymmetric integer matrix, plus its row sums (the scaled Borda
-scores).  Parsing and ``from_int_matrix`` fill it directly; the mapping
-constructor converts its ``Fraction``s once.  Every fast path reads it, and
-so do the transitivity tests and inner products.  The ``Fraction`` view
-``weights`` is derived on first read.  Results stay exact ``Fraction``s;
-``weight`` and ``partition_score`` keep plain ``Fraction`` loops as the
-independent reference.
+scores).  ``parse_tournament``, ``induce_tournament`` and the gadget
+builders ``build_hg`` and ``build_fg`` fill it directly through
+``from_int_matrix``; the mapping constructor converts its ``Fraction``s
+once.  Every fast path reads it, and so do the transitivity tests and inner
+products.  The ``Fraction`` view ``weights`` is derived on first read.
+Results stay exact ``Fraction``s; ``weight`` and ``partition_score`` keep
+plain ``Fraction`` loops as the independent reference.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -25,14 +27,14 @@ from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-_RESERVED_CHARS = set(">|")
-_INT64_SAFE = 2**62
+# whitespace (``\s`` matches exactly the characters ``str.isspace`` accepts), '>' or '|'
+_RESERVED_CHAR = re.compile(r"[\s>|]")
 
 
 def _validate_name(name: object) -> str:
     if not isinstance(name, str) or not name:
         raise ValueError(f"vertex name must be a nonempty string, got {name!r}")
-    if any(c.isspace() for c in name) or _RESERVED_CHARS & set(name):
+    if _RESERVED_CHAR.search(name):
         raise ValueError(f"vertex name {name!r} may not contain whitespace, '>' or '|'")
     return name
 
@@ -43,9 +45,24 @@ def _as_fraction(value: object) -> Fraction:
     return Fraction(value)
 
 
+def _form_dtype(bound: int) -> type:
+    """Integer form dtype for m-by-m w with 2 * m * sum(abs(w)) <= bound: int64 below 2**62."""
+    return np.int64 if bound < 2**62 else object
+
+
+def _abs_sum(w: np.ndarray) -> int:
+    """sum(abs(w)) as a Python int, taken exactly for fixed-width input too."""
+    if w.dtype == object:
+        return int(abs(w).sum())
+    # |w| as uint64 (abs(-2**63) reads 2**63), summed in 32-bit halves: neither sum
+    # wraps below 2**32 entries
+    u = np.abs(w.astype(np.int64, copy=False)).view(np.uint64)
+    return (int((u >> np.uint64(32)).sum()) << 32) + int((u & np.uint64(2**32 - 1)).sum())
+
+
 def exact_int_matrix(w: np.ndarray) -> np.ndarray:
     """An integer m-by-m matrix as int64 if 2 * m * sum(abs(w)) < 2**62, else as Python ints."""
-    return w.astype(np.int64 if 2 * len(w) * int(abs(w).sum()) < _INT64_SAFE else object)
+    return w.astype(_form_dtype(2 * len(w) * _abs_sum(w)))
 
 
 @dataclass(frozen=True, eq=False)

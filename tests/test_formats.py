@@ -202,6 +202,21 @@ PARSE_ERRORS = [
         "in.txt:1: ballot 'c | z | a' does not cover the alternatives exactly",
     ),
     (parse_profile, "profile 2\na\na\na | b\n", "in.txt:1: alternatives must be distinct"),
+    (
+        parse_profile,
+        "profile 2\na\na>b\na | a>b\n",
+        "in.txt:1: vertex name 'a>b' may not contain whitespace, '>' or '|'",
+    ),
+    (
+        parse_profile,
+        "profile 2\nx|y\nx|y\nx|y\n",
+        "in.txt:1: vertex name 'x|y' may not contain whitespace, '>' or '|'",
+    ),
+    (
+        parse_profile,
+        "profile 2\n|\nb\nb\n",
+        "in.txt:1: vertex name '|' may not contain whitespace, '>' or '|'",
+    ),
     (parse_profile, "profile 2\na\na\n| a\n", "in.txt:4: classes must be nonempty"),
     (parse_profile, "profile 2\na\nb\n", "in.txt:1: a profile needs at least one ballot"),
 ]
@@ -250,6 +265,11 @@ def test_validate_ballots_messages_exact(spec, message):
             ["aggregate", "--rule", "borda_winner"],
             _P3 + "a | b\na b c\n| a b c\n",
             ":7: classes must be nonempty",
+        ),
+        (
+            ["aggregate", "--rule", "borda_winner"],
+            "profile 2\na\na>b\na | a>b\n",
+            ":1: vertex name 'a>b' may not contain whitespace, '>' or '|'",
         ),
     ],
 )

@@ -42,6 +42,7 @@ from maxkop import (
     weight,
 )
 from maxkop.profiles import _borda_ranking
+from maxkop.tournament import exact_int_matrix
 from maxkop.selftest import random_weak_order, vertex_names
 
 BIG = 2**63 + 12345
@@ -223,6 +224,34 @@ def test_cycle_hidden_by_int64_wraparound_is_seen():
     same_result(t, solve(t, 3, all_ties=True), solve_bruteforce(t, 3, all_ties=True))
     assert cycle_component(t).weights == ref_cycle(t)
     assert t.integer_form.w.dtype == object
+
+
+def ref_form_dtype(w: np.ndarray):
+    """The integer form's dtype rule with the absolute sum taken over Python ints."""
+    return np.int64 if 2 * len(w) * sum(abs(v) for v in w.ravel().tolist()) < 2**62 else object
+
+
+def test_int64_matrix_whose_absolute_sum_reaches_2_63_leaves_int64():
+    # sum(abs(w)) == 2**63, which int64 arithmetic reads as -2**63
+    w = np.zeros((4, 4), np.int64)
+    w[0, 1], w[1, 0] = 2**62, -(2**62)
+    t = WeightedTournament.from_int_matrix(vertex_names(4), w, 1)
+    assert t.integer_form.w.dtype == object
+    assert t.integer_form.beta_differences()[0, 1] == 2**63
+    assert weight(t, "b", "a") == -(2**62)
+
+
+@pytest.mark.parametrize("bits", [8, 58, 61, 63])
+def test_exact_int_matrix_dtype_follows_the_exact_absolute_sum(bits):
+    rng = np.random.default_rng(bits)
+    cases = [np.array([[0, k], [-k, 0]], np.int64) for k in (2**59 - 1, 2**59)]
+    cases += [np.array([[-(2**63)]], np.int64)]
+    for m in range(1, 9):
+        cases.append(rng.integers(-(2**bits) + 1, 2**bits, (m, m), np.int64))
+    for w in cases:
+        got = exact_int_matrix(w)
+        assert got.dtype == ref_form_dtype(w)
+        assert got.tolist() == w.tolist()
 
 
 # ---- the divider DP against the exhaustive walk -------------------------------------

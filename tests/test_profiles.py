@@ -59,6 +59,13 @@ def test_profile_validation():
         Profile(("a", "b"), ((wo(["a"], ["b"]), 0),))
 
 
+@pytest.mark.parametrize("name", ["a>b", "x|y", "|", "a b", ""])
+def test_profile_rejects_bad_alternative_names_before_repeats(name):
+    with pytest.raises(ValueError) as err:
+        Profile(("c", name, name), [wo(["c", name])])
+    assert str(err.value).startswith("vertex name ")
+
+
 def test_induce_single_strict_ballot():
     p = profile("ab", wo(["a"], ["b"]))
     assert induce_tournament(p).weights[("a", "b")] == 1

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,3 +218,11 @@ def test_transitivity_generator_cycle_equivalence_random():
         gen = difference_generator(t)
         cyc_zero = all(w == 0 for w in cycle_component(t).weights.values())
         assert qt == (gen is not None) == cyc_zero
+
+
+def test_reserved_name_characters_are_whitespace_and_the_separators():
+    # the name check's pattern must reject exactly what str.isspace, '>' and '|' reject
+    from maxkop.tournament import _RESERVED_CHAR
+
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if bool(_RESERVED_CHAR.search(c)) != (c.isspace() or c in ">|")] == []
