@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                       help="enumeration cap (default %(default)s)")
+                       help="work cap of the chosen route (default %(default)s)")
 
     p_solve = sub.add_parser("solve", help="maximize the ordered k-partition score")
     p_solve.add_argument("--k", type=int, required=True)
@@ -185,6 +185,8 @@ def _run_aggregate(ns: argparse.Namespace, out) -> int:
     if ns.rule is not None:
         if j is not None or k is not None:
             raise ValueError("give either --rule or --j/--k, not both")
+        if ns.exact_k:
+            raise ValueError("--exact-k applies to --j/--k, not to --rule")
         res = aggregate_rule(p, ns.rule, coerce=ns.coerce, guard=ns.guard)
     elif j is None or k is None:
         raise ValueError("aggregate needs --rule or both --j and --k")

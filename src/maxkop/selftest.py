@@ -32,6 +32,7 @@ from .solvers import (
     solve_2op,
     solve_acyclic_dp,
     solve_bruteforce,
+    solve_subset_dp,
 )
 from .tournament import (
     OrderedPartition,
@@ -166,6 +167,20 @@ def _prop_two_level_solver(rng: random.Random, guard: int) -> int:
     return 25
 
 
+def _prop_subset_dp_oracle(rng: random.Random, guard: int) -> int:
+    for _ in range(25):
+        t = random_tournament(rng, rng.randint(1, 6), -2, 2)
+        k = rng.randint(1, t.m + 1)
+        exact_k = k <= t.m and rng.random() < 0.5
+        cap = rng.randint(1, 8)
+        args = dict(all_ties=True, exact_k=exact_k, guard=guard, witness_cap=cap)
+        dp, bf = solve_subset_dp(t, k, **args), solve_bruteforce(t, k, **args)
+        assert (dp.optimum, dp.levels, dp.truncated) == (bf.optimum, bf.levels, bf.truncated), (
+            f"subset DP and walk differ on m={t.m}, k={k}, exact_k={exact_k}, cap={cap}"
+        )
+    return 25
+
+
 def _prop_tricut_identity(rng: random.Random, guard: int) -> int:
     for _ in range(6):
         g = random_graph(rng, rng.randint(2, 3))
@@ -242,6 +257,7 @@ PROPERTIES: tuple[tuple[str, Callable[[random.Random, int], int]], ...] = (
     ("two-level-cycle-blindness", _prop_two_level_blindness),
     ("acyclic-dp-oracle-equivalence", _prop_acyclic_dp_oracle),
     ("two-level-solver-oracle", _prop_two_level_solver),
+    ("subset-dp-oracle-equivalence", _prop_subset_dp_oracle),
     ("tricut-gadget-identity", _prop_tricut_identity),
     ("club-vertex-identity", _prop_club_identity),
     ("transitive-gadget-checks", _prop_transitive_gadget),

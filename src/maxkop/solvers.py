@@ -1,6 +1,6 @@
 """Exact solvers for maximal ordered-partition scores.
 
-Three routes are provided:
+Four routes are provided:
 
 * ``solve_bruteforce`` enumerates every ordered partition into at most (or
   exactly) k nonempty blocks, by walking level assignments in lexicographic
@@ -9,12 +9,19 @@ Three routes are provided:
   labeling of the trailing ones as one array.  The kernel takes the pair
   term as a callable, and in unordered mode visits each unordered partition
   once, so ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.
+* ``solve_subset_dp`` is a dynamic program over the set of vertices placed
+  in the top blocks, adding one block per level: O(m 2^m) for linear orders
+  (exactly m blocks) and O(k 3^m) for k blocks, exact on any weights.
 * ``solve_acyclic_dp`` handles weights with no cyclic part.  Some optimal
   partition is then monotone in the Borda scores, so a dynamic program over
   divider positions in the sorted score sequence finds the optimum with
   O(k m^2) integer arithmetic.
 * ``solve_2op`` replaces the weights by their acyclic component, which leaves
   every 2-partition score unchanged, and runs the dynamic program with k=2.
+
+``solve`` plans the route (``_route``): k = 2 and acyclic weights take the
+polynomial routes; otherwise the walk's k^m level vectors are weighed against
+the subset program's cells, and the guard bounds the chosen route's estimate.
 
 Every route reads the tournament's ``integer_form`` (see
 ``maxkop.tournament``), whose dtype is int64 or Python ints (object arrays).
@@ -32,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, combinations
+from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +53,7 @@ _BLOCK = 3**7  # suffix labelings scored per numpy pass in the exhaustive walk
 
 
 class GuardExceededError(RuntimeError):
-    """Raised when an enumeration would exceed the configured guard."""
+    """Raised when a route's estimated work exceeds the configured guard."""
 
 
 @dataclass(frozen=True)
@@ -215,6 +224,333 @@ def solve_bruteforce(
     )
     truncated = all_ties and nopt > len(kept)
     return SolveResult(Fraction(best, form.scale), t.vertices, tuple(kept), truncated)
+
+
+def _subset_bands(m: int, kk: int, exact_k: bool) -> list[tuple[int, int]]:
+    """``bands[j]``: the least and greatest size of a vertex set that j top blocks may cover.
+
+    j nonempty blocks cover at least j vertices; with ``exact_k`` the kk - j
+    blocks still to come need one vertex each, and the last level covers all
+    m vertices.
+    """
+    return [(0, 0)] + [(j, m - kk + j if exact_k else m) for j in range(1, kk)] + [(m, m)]
+
+
+def _subset_sizes(bands: list[tuple[int, int]], j: int, u: int) -> tuple[int, int]:
+    """Least and greatest size of the top part A that level j splits off a set of size u."""
+    lo, hi = bands[j - 1]
+    return lo, min(hi, u - 1)
+
+
+@lru_cache(maxsize=256)
+def _subset_cells(m: int, kk: int, exact_k: bool) -> int:
+    """Work estimate of ``solve_subset_dp``: twice its number of (A, T) splits.
+
+    The forward pass reads every split once and the backward pass at most
+    once more.  Exactly m blocks (k = m with ``exact_k``) give m * 2**(m-1)
+    splits; at most k blocks up to about (k - 1) * 3**m.
+    """
+    bands = _subset_bands(m, kk, exact_k)
+    splits = 0
+    for j in range(1, kk + 1):
+        for u in range(bands[j][0], bands[j][1] + 1):
+            lo, hi = _subset_sizes(bands, j, u)
+            splits += comb(m, u) * sum(comb(u, a) for a in range(lo, hi + 1))
+    return 2 * splits
+
+
+@lru_cache(maxsize=512)
+def _combination_steps(u: int, r: int):
+    """The r-subsets of range(u) in lexicographic order, each grown from an (r-1)-subset.
+
+    The i-th r-subset is the ``parent[i]``-th (r-1)-subset plus ``last[i]``.
+    """
+    prev = {c: i for i, c in enumerate(combinations(range(u), r - 1))}
+    steps = [(prev[c[:-1]], c[-1]) for c in combinations(range(u), r)]
+    parent, last = np.array(steps, np.intp).reshape(-1, 2).T
+    return parent, last
+
+
+class _SizeTables(NamedTuple):
+    """Tables of a ``_SubsetPlan`` for the vertex sets of one size u; row n is the n-th such set U.
+
+    ``elems[n]`` lists U's vertices in increasing order and ``parents[n]`` is
+    the row of U minus its lowest vertex among the sets of size u - 1.  Each
+    column of ``apos`` is one split of U into a top part A and a block T
+    below it and holds the number of A; the splits with |A| = a fill columns
+    ``col[a - a_lo]:col[a - a_lo + 1]``.  Those subsets are grown one vertex
+    at a time from whichever side, T (``grow_t``) or A, has fewer of them to
+    grow.  ``apos`` and ``col`` are None when no level splits sets of size u.
+    """
+
+    elems: np.ndarray
+    parents: np.ndarray
+    grow_t: bool
+    a_lo: int
+    col: np.ndarray | None
+    apos: np.ndarray | None
+
+
+class _SubsetPlan(NamedTuple):
+    """The weight-independent tables of ``solve_subset_dp`` for m vertices and kk levels.
+
+    Vertex sets are bit masks, numbered by size, then value: ``masks[x]`` is
+    the set numbered x, ``pos`` the inverse, ``off[u]`` the number of the
+    first set of size u; ``sizes[u]`` holds the tables of size u.
+    """
+
+    bands: list
+    masks: np.ndarray
+    pos: np.ndarray
+    off: np.ndarray
+    sizes: list
+
+    def columns(self, j: int, u: int) -> slice:
+        """The columns of ``sizes[u]`` whose top part fits level j - 1."""
+        tables = self.sizes[u]
+        lo, hi = _subset_sizes(self.bands, j, u)
+        return slice(tables.col[lo - tables.a_lo], tables.col[hi + 1 - tables.a_lo])
+
+
+def _grown_subsets(u: int, grow_t: bool, a_lo: int, a_hi: int, bit: np.ndarray):
+    """Yield (a, sums) for a = a_lo..a_hi: per split with |A| = a, the sum of ``bit`` over its grown side.
+
+    ``bit[n, b]`` is a value attached to the b-th vertex of the n-th set of
+    size u; the splits come in ``_combination_steps`` order of the grown side.
+    """
+    sums = bit  # over the 1-subsets
+    for r in range(1, (u - a_lo if grow_t else a_hi) + 1):
+        if r > 1:
+            parent, last = _combination_steps(u, r)
+            sums = sums[:, parent] + bit[:, last]
+        a = u - r if grow_t else r
+        if a_lo <= a <= a_hi:
+            yield a, sums
+
+
+def _build_subset_plan(m: int, kk: int, exact_k: bool) -> _SubsetPlan:
+    bands = _subset_bands(m, kk, exact_k)
+    size = sum((np.arange(1 << m) >> v) & 1 for v in range(m))
+    masks = np.argsort(size, kind="stable")
+    pos = np.empty_like(masks)
+    pos[masks] = np.arange(1 << m)
+    off = np.concatenate(([0], np.cumsum(np.bincount(size, minlength=m + 1))))
+    shifts = np.arange(m)
+    sizes: list = [None] * (m + 1)
+    for u in range(1, m + 1):
+        sets = masks[off[u] : off[u + 1]]
+        elems = np.nonzero((sets[:, None] >> shifts) & 1)[1].reshape(-1, u)
+        parents = pos[sets & (sets - 1)] - off[u - 1]
+        split = [_subset_sizes(bands, j, u) for j in range(2, kk + 1) if bands[j][0] <= u <= bands[j][1]]
+        if not split:
+            sizes[u] = _SizeTables(elems, parents, False, 0, None, None)
+            continue
+        a_lo, a_hi = min(lo for lo, _ in split), max(hi for _, hi in split)
+        grow_t = sum(comb(u, r) for r in range(1, u - a_lo + 1)) <= sum(
+            comb(u, r) for r in range(1, a_hi + 1)
+        )
+        blocks = dict(_grown_subsets(u, grow_t, a_lo, a_hi, 1 << elems))
+        if grow_t:
+            blocks = {a: sets[:, None] ^ grown for a, grown in blocks.items()}
+        apos = pos[np.concatenate([blocks[a] for a in range(a_lo, a_hi + 1)], axis=1)]
+        col = np.cumsum([0] + [blocks[a].shape[1] for a in range(a_lo, a_hi + 1)])
+        sizes[u] = _SizeTables(elems, parents, grow_t, a_lo, col, apos)
+    for table in (masks, pos, off, *(t for s in sizes[1:] for t in s if isinstance(t, np.ndarray))):
+        table.flags.writeable = False
+    return _SubsetPlan(bands, masks, pos, off, sizes)
+
+
+_PLAN_CACHE_CELLS = 2**22  # plans up to this many cells (about 16 MiB of tables) stay cached
+_cached_subset_plan = lru_cache(maxsize=8)(_build_subset_plan)
+
+
+def _subset_plan(m: int, kk: int, exact_k: bool) -> _SubsetPlan:
+    """The plan for (m, kk, ``exact_k``); small plans are kept for the next call."""
+    if _subset_cells(m, kk, exact_k) <= _PLAN_CACHE_CELLS:
+        return _cached_subset_plan(m, kk, exact_k)
+    return _build_subset_plan(m, kk, exact_k)
+
+
+def _subset_cross(w: np.ndarray, plan: _SubsetPlan) -> list:
+    """``cross[u][n, c]``: the weight from A down to T over split c of the n-th set U of size u.
+
+    Since w is antisymmetric, that is the sum over T of the column sums of w
+    over U, or minus the sum over A of them.
+    """
+    m = len(w)
+    cross: list = [None] * (m + 1)
+    colsum = np.zeros((1, m), w.dtype)  # colsum[n, t]: sum of w[x, t] over x in the n-th set
+    for u in range(1, m + 1):
+        elems, parents, grow_t, a_lo, col, apos = plan.sizes[u]
+        colsum = colsum[parents] + w[elems[:, 0]]
+        if apos is None:
+            continue
+        g = colsum[np.arange(len(elems))[:, None], elems]
+        a_hi = a_lo + len(col) - 2
+        out = cross[u] = np.empty(apos.shape, w.dtype)
+        for a, sums in _grown_subsets(u, grow_t, a_lo, a_hi, g):
+            out[:, col[a - a_lo] : col[a - a_lo + 1]] = sums if grow_t else -sums
+    return cross
+
+
+def solve_subset_dp(
+    t: WeightedTournament,
+    k: int,
+    *,
+    all_ties: bool = False,
+    exact_k: bool = False,
+    guard: int = DEFAULT_GUARD,
+    witness_cap: int = DEFAULT_WITNESS_CAP,
+) -> SolveResult:
+    """Dynamic program over the set of vertices placed in the top blocks.
+
+    Same contract as ``solve_bruteforce``.  ``F[j][U]``, the best score of j
+    nonempty top blocks covering the vertex set U, is the best over the splits
+    U = A + T (T the j-th block) of ``F[j-1][A]`` plus the weight from A down
+    to T.  Only sets and splits that can still end in a partition of the
+    requested size are visited (``_subset_bands``), so linear orders cost
+    O(m 2^m) and k blocks O(k 3^m).  A backward pass from the optimal full
+    sets keeps the tight splits (the optimal-edge set E*); every optimal
+    partition is a chain of them.  Witnesses come in canonical order: the
+    optimal chains are counted over E*, and if they fit under the cap they
+    are listed and sorted; otherwise the vertices are assigned levels in
+    index order, levels ascending, each prefix counted over the E* nodes it
+    fits, until a prefix's chains fit what the cap has left.
+    Raises GuardExceededError when ``_subset_cells`` exceeds ``guard``.
+    """
+    m = t.m
+    kk = _levels(m, k, exact_k, witness_cap)
+    cells = _subset_cells(m, kk, exact_k)
+    if cells > guard:
+        raise GuardExceededError(_guard_message("subset", cells, guard))
+    w = t.integer_form.w
+    plan = _subset_plan(m, kk, exact_k)
+    bands, off = plan.bands, plan.off
+    cross = _subset_cross(w, plan)
+    base = [off[lo] for lo, _ in bands]  # F[j][x] is the set numbered base[j] + x
+
+    F = [np.zeros(1, w.dtype), np.zeros(off[bands[1][1] + 1] - base[1], w.dtype)]
+    for j in range(2, kk + 1):
+        lo, hi = bands[j]
+        f = np.empty(off[hi + 1] - base[j], w.dtype)
+        for u in range(lo, hi + 1):
+            cols = plan.columns(j, u)
+            vals = F[j - 1][plan.sizes[u].apos[:, cols] - base[j - 1]] + cross[u][:, cols]
+            f[off[u] - base[j] : off[u + 1] - base[j]] = vals.max(1)
+        F.append(f)
+    finals = [j for j in range(1, kk + 1) if bands[j][1] == m]  # the last entry is the full set
+    best = max(F[j][-1] for j in finals)
+    tops = [j for j in finals if F[j][-1] == best]
+
+    # backward: live[j] marks the sets on some optimal chain, edges[j] the tight splits into them
+    live = [np.ones(1, bool)] + [np.zeros(len(f), bool) for f in F[1:]]
+    for j in tops:
+        live[j][-1] = True
+    edges: list = [None] * (kk + 1)
+    for j in range(kk, 1, -1):
+        src, dst = [], []
+        for u in range(bands[j][0], bands[j][1] + 1):
+            first = off[u] - base[j]
+            rows = np.flatnonzero(live[j][first : off[u + 1] - base[j]])
+            if rows.size == 0:
+                continue
+            cols = plan.columns(j, u)
+            top = plan.sizes[u].apos[rows, cols] - base[j - 1]
+            r, c = np.nonzero(F[j - 1][top] + cross[u][rows, cols] == F[j][first + rows][:, None])
+            src.append(top[r, c])
+            dst.append(first + rows[r])
+        src = np.concatenate(src) if src else np.zeros(0, np.intp)
+        live[j - 1][src] = True
+        edges[j] = (src, np.concatenate(dst) if dst else np.zeros(0, np.intp))
+    edges[1] = (np.zeros(live[1].sum(), np.intp), np.flatnonzero(live[1]))
+
+    need = witness_cap if all_ties else 1
+    chains = _OptimalChains(m, plan.masks, base, live, edges, tops, need)
+    found: list[tuple[int, ...]] = []
+
+    def visit(prefix: list[int], counts, total: int) -> None:
+        if total <= need - len(found):
+            found.extend(chains.listed(counts))
+            return
+        for b in range(kk):
+            sub, n = chains.counted(prefix + [b])
+            if n:
+                visit(prefix + [b], sub, n)
+            if len(found) == need:
+                return
+
+    counts, total = chains.counted([])
+    visit([], counts, total)
+    truncated = all_ties and total > witness_cap
+    return SolveResult(Fraction(int(best), t.integer_form.scale), t.vertices, tuple(found), truncated)
+
+
+class _OptimalChains:
+    """The optimal-edge set E* of ``solve_subset_dp``, for counting and listing optimal chains.
+
+    Level j keeps its live sets (``sets[j]``, bit masks in numbering order)
+    and the tight splits into them sorted by target: ``src[j]`` indexes the
+    split's top part among the live sets of level j - 1, and the splits into
+    live set x are ``start[j][x]:start[j][x + 1]`` (every live set has one).
+    A chain fits a prefix (levels of vertices 0..i-1) when each of its sets
+    holds exactly the prefix vertices placed above its level.  Counts
+    saturate at ``need + 1``, which keeps every comparison with the part of
+    the cap still open exact.
+    """
+
+    def __init__(self, m, masks, base, live, edges, tops, need):
+        self.m, self.tops, self.ceiling = m, tops, need + 1
+        self.count_dtype = np.int64 if self.ceiling << m < 2**62 else object
+        ids = [np.zeros(1, np.intp)] + [np.flatnonzero(x) for x in live[1:]]
+        self.sets = [np.zeros(1, np.intp)]
+        self.src, self.start = [None], [None]
+        for j in range(1, len(live)):
+            src, dst = edges[j]
+            order = np.argsort(dst, kind="stable")
+            self.sets.append(masks[base[j] + ids[j]])
+            self.src.append(np.searchsorted(ids[j - 1], src[order]))
+            self.start.append(np.append(np.searchsorted(dst[order], ids[j]), src.size))
+
+    def counted(self, prefix: list[int]):
+        """Per level and live set, the tight chains from the empty set to it through sets fitting ``prefix``.
+
+        Also returns how many optimal chains fit ``prefix`` (both saturated).
+        """
+        low = (1 << len(prefix)) - 1
+        counts = [np.ones(1, self.count_dtype)]
+        for j in range(1, len(self.sets)):
+            if self.sets[j].size == 0:
+                counts.append(np.zeros(0, self.count_dtype))
+                continue
+            c = np.add.reduceat(counts[j - 1][self.src[j]], self.start[j][:-1])
+            placed = sum(1 << v for v, b in enumerate(prefix) if b < j)
+            c[self.sets[j] & low != placed] = 0
+            counts.append(np.minimum(c, self.ceiling))
+        return counts, sum(int(counts[j][-1]) for j in self.tops)
+
+    def listed(self, counts) -> list[tuple[int, ...]]:
+        """Every optimal chain with nonzero ``counts``, as level vectors in lexicographic order."""
+        shifts = np.arange(self.m)
+        found = []
+        for top in self.tops:
+            if counts[top][-1] == 0:
+                continue
+            cur = np.array([len(counts[top]) - 1])
+            levels = np.zeros((1, self.m), np.intp)
+            for j in range(top, 0, -1):  # extend the chains upward, one block at a time
+                first = self.start[j][cur]
+                deg = self.start[j][cur + 1] - first
+                owner = np.repeat(np.arange(cur.size), deg)
+                prev = self.src[j][np.arange(deg.sum()) + np.repeat(first - deg.cumsum() + deg, deg)]
+                keep = counts[j - 1][prev] > 0
+                owner, prev = owner[keep], prev[keep]
+                block = self.sets[j][cur[owner]] ^ self.sets[j - 1][prev]
+                levels = levels[owner]
+                levels[((block[:, None] >> shifts) & 1).astype(bool)] = j - 1
+                cur = prev
+            found.append(levels)
+        levels = np.concatenate(found)
+        return list(map(tuple, levels[np.lexsort(levels.T[::-1])].tolist()))
 
 
 def _canonical_ties(
@@ -402,6 +738,34 @@ def solve_2op(
     )
 
 
+_ROUTE_WORK = {
+    "walk": ("exhaustive walk", "level vectors"),
+    "subset": ("subset dynamic program", "cells"),
+}
+
+
+def _guard_message(route: str, estimate: int, guard: int) -> str:
+    name, units = _ROUTE_WORK[route]
+    return f"{name}: {estimate} {units} exceed the guard of {guard}"
+
+
+def _route(t: WeightedTournament, k: int, exact_k: bool) -> tuple[str, int | None]:
+    """The route ``solve`` takes, with its work estimate (None on the polynomial routes).
+
+    2-partitions go to ``"2op"`` and purely acyclic weights to ``"divider"``.
+    Otherwise the exponential route with the smaller estimate wins:
+    ``"walk"`` visits kk**m level vectors, ``"subset"`` evaluates
+    ``_subset_cells`` cells; a tie goes to the walk.
+    """
+    if k == 2 and t.m >= 2:
+        return "2op", None
+    if t.integer_form.is_acyclic():
+        return "divider", None
+    kk = _levels(t.m, k, exact_k, 1)
+    walk, cells = kk**t.m, _subset_cells(t.m, kk, exact_k)
+    return ("subset", cells) if cells < walk else ("walk", walk)
+
+
 def solve(
     t: WeightedTournament,
     k: int,
@@ -411,19 +775,26 @@ def solve(
     guard: int = DEFAULT_GUARD,
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> SolveResult:
-    """Dispatch to the cheapest exact route for the given instance.
+    """Dispatch to the cheapest exact route for the given instance (see ``_route``).
 
-    2-partitions go through the acyclic projection, purely acyclic weights
-    through the divider dynamic program, everything else through exhaustive
-    search.
+    2-partitions go through the acyclic projection and purely acyclic weights
+    through the divider dynamic program, both polynomial.  Everything else
+    goes to the exhaustive walk or the subset dynamic program, whichever
+    estimates less work; GuardExceededError names that route when its
+    estimate exceeds ``guard``.
     """
-    if k == 2 and t.m >= 2:
+    _levels(t.m, k, exact_k, witness_cap)
+    route, estimate = _route(t, k, exact_k)
+    if route == "2op":
         return solve_2op(t, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
-    if t.integer_form.is_acyclic():
+    if route == "divider":
         return solve_acyclic_dp(
             t, k, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap
         )
-    return solve_bruteforce(
+    if estimate > guard:
+        raise GuardExceededError(_guard_message(route, estimate, guard))
+    exhaustive = solve_subset_dp if route == "subset" else solve_bruteforce
+    return exhaustive(
         t, k, all_ties=all_ties, exact_k=exact_k, guard=guard, witness_cap=witness_cap
     )
 

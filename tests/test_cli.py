@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from maxkop.formats import (
     parse_profile,
     read_tournament,
 )
-from maxkop.profiles import Profile, WeakOrder, realize_weights
+from maxkop.profiles import LINEAR, Profile, WeakOrder, realize_weights
 from maxkop.reductions import CutInstance
+from maxkop.selftest import random_profile, random_tournament
 
 
 @pytest.fixture
@@ -183,6 +185,44 @@ def test_aggregate_validation_exit_1(capsys, tmp_path):
     path.write_text(format_profile(p))
     assert cli.main(["aggregate", "--j", "2", "--k", "2", str(path)]) == 1
     assert cli.main(["aggregate", "--j", "2", "--k", "2", "--coerce", str(path)]) == 0
+
+
+@pytest.fixture
+def kemeny9_file(tmp_path):
+    # random linear ballots on nine alternatives induce cyclic weights
+    p = random_profile(random.Random(9), 9, 7, LINEAR)
+    assert not induce_tournament(p).integer_form.is_acyclic()
+    path = tmp_path / "kemeny9.txt"
+    path.write_text(format_profile(p))
+    return path
+
+
+def test_aggregate_rule_rejects_exact_k(capsys, kemeny9_file):
+    code = cli.main(["aggregate", "--rule", "kemeny_ranking", "--exact-k", str(kemeny9_file)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--exact-k applies to --j/--k, not to --rule" in captured.err
+
+
+def test_kemeny_ranking_nine_alternatives(capsys, kemeny9_file):
+    # 9**9 level vectors exceed the default guard; the subset program needs 2 * 9 * 2**8 cells
+    code, out = run_cli(capsys, "aggregate", "--rule", "kemeny_ranking", str(kemeny9_file))
+    assert code == 0
+    orders = [ln.split(" ", 1)[1].split(" | ") for ln in out.splitlines()]
+    assert orders and all(len(order) == 9 for order in orders)
+
+
+def test_guard_below_both_estimates_names_the_route(capsys, tmp_path, kemeny9_file):
+    t = random_tournament(random.Random(10), 8, -3, 3)
+    path = tmp_path / "t8.txt"
+    path.write_text(format_tournament(t))
+    # 3**8 level vectors against about 2 * 3**8 cells
+    assert cli.main(["solve", "--k", "3", "--guard", "100", str(path)]) == 2
+    assert "exhaustive walk: 6561 level vectors exceed the guard of 100" in capsys.readouterr().err
+    # 2 * 9 * 2**8 cells against 9**9 level vectors
+    assert cli.main(["aggregate", "--rule", "kemeny_ranking", "--guard", "100", str(kemeny9_file)]) == 2
+    assert "subset dynamic program: 4608 cells exceed the guard of 100" in capsys.readouterr().err
 
 
 def test_realize_roundtrip(capsys, tmp_path):

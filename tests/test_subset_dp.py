@@ -1,0 +1,168 @@
+"""The subset dynamic program against the exhaustive walk, and the planner that picks between them."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import scale_weights
+from maxkop import (
+    GuardExceededError,
+    WeightedTournament,
+    aggregate,
+    induce_tournament,
+    solve,
+    solve_bruteforce,
+    solve_subset_dp,
+)
+from maxkop.profiles import LINEAR, UNIVALENT, Profile, WeakOrder
+from maxkop.selftest import random_profile, random_tournament
+from maxkop.solvers import _route, _subset_cells
+
+
+def assert_same(got, want):
+    assert got.optimum == want.optimum
+    assert got.levels == want.levels
+    assert got.truncated == want.truncated
+
+
+def assert_matches_walk(t, k, exact_k, cap):
+    """The subset DP agrees with the walk under ``cap`` and on the single canonical witness."""
+    walk = solve_bruteforce(t, k, all_ties=True, exact_k=exact_k, witness_cap=cap)
+    assert_same(solve_subset_dp(t, k, all_ties=True, exact_k=exact_k, witness_cap=cap), walk)
+    one = solve_subset_dp(t, k, exact_k=exact_k)
+    assert (one.optimum, one.levels, one.truncated) == (walk.optimum, walk.levels[:1], False)
+    return walk
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_matches_walk_for_every_k(m):
+    rng = random.Random(800 + m)
+    t = random_tournament(rng, m, -2, 2)
+    for k in range(1, m + 2):
+        for exact_k in (False, True) if k <= m else (False,):
+            assert_matches_walk(t, k, exact_k, rng.randint(1, 12))
+
+
+def test_caps_cross_truncation():
+    rng = random.Random(81)
+    seen = set()
+    for _ in range(6):
+        t = random_tournament(rng, 6, -1, 1)
+        for k, exact_k in ((3, False), (4, True), (6, True)):
+            for cap in range(1, 13):
+                seen.add(assert_matches_walk(t, k, exact_k, cap).truncated)
+    assert seen == {False, True}
+
+
+def test_zero_weights():
+    t = WeightedTournament.zeros(tuple("abcdef"))
+    for k, exact_k in ((3, False), (4, True), (6, True), (7, False)):
+        for cap in (1, 5, 100, 5000):
+            assert_matches_walk(t, k, exact_k, cap)
+
+
+@pytest.mark.parametrize(
+    "scale, dtype",
+    [(Fraction(2**63), object), (Fraction(2**64 + 1, 3), object), (Fraction(1, 2**70), "int64")],
+)
+def test_huge_weights_and_denominators(scale, dtype):
+    # scaled weights past 2**62 put the integer form on Python ints; a 2**70
+    # denominator lands in the scale
+    rng = random.Random(82)
+    for m, k, exact_k in ((5, 5, True), (6, 4, True), (6, 4, False), (7, 7, True)):
+        t = scale_weights(random_tournament(rng, m, -1, 1), scale)
+        assert t.integer_form.w.dtype == dtype
+        assert_matches_walk(t, k, exact_k, 7)
+
+
+def mirrored_linear_profile(m):
+    """One linear ballot and its reversal: every linear order ties at 0."""
+    alts = tuple("abcdefghijklmn"[:m])
+    order = WeakOrder.from_classes([[a] for a in alts])
+    reverse = WeakOrder.from_classes([[a] for a in reversed(alts)])
+    return Profile(alts, ((order, 1), (reverse, 1)))
+
+
+def test_mirrored_linear_profile_counts_past_the_cap():
+    # all 7! = 5040 linear orders tie, so caps below that walk the vertices
+    t = induce_tournament(mirrored_linear_profile(7))
+    for cap in (1, 37, 5039, 5040, 5041):
+        walk = solve_bruteforce(t, 7, all_ties=True, exact_k=True, witness_cap=cap)
+        assert walk.truncated == (cap < 5040)
+        assert_same(solve_subset_dp(t, 7, all_ties=True, exact_k=True, witness_cap=cap), walk)
+
+
+def test_guard_counts_cells():
+    t = random_tournament(random.Random(83), 8, -3, 3)
+    cells = _subset_cells(8, 8, True)
+    assert cells == 2 * 8 * 2**7  # each of the m * 2**(m-1) splits, forward and back
+    assert solve_subset_dp(t, 8, exact_k=True, guard=cells).optimum is not None
+    with pytest.raises(GuardExceededError, match=f"subset dynamic program: {cells} cells.* {cells - 1}"):
+        solve_subset_dp(t, 8, exact_k=True, guard=cells - 1)
+
+
+def test_route_by_estimated_work(three_cycle):
+    cyclic = random_tournament(random.Random(84), 9, -3, 3)
+    assert _route(cyclic, 2, False) == ("2op", None)
+    acyclic = WeightedTournament(("a", "b", "c"), {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 1})
+    assert _route(acyclic, 3, False) == ("divider", None)
+    # at most 3 levels: 3**m level vectors against about 2 * 3**m cells
+    assert _route(cyclic, 3, False) == ("walk", 3**9)
+    assert _route(three_cycle, 3, False) == ("walk", 27)  # against 44 cells
+    assert _route(three_cycle, 3, True) == ("subset", 24)  # linear orders: 2 * 3 * 2**2 cells
+    assert _route(cyclic, 4, True) == ("subset", _subset_cells(9, 4, True))
+    assert _route(cyclic, 9, True) == ("subset", 2 * 9 * 2**8)
+    assert _route(cyclic, 1, False) == ("walk", 1)  # one level vector; 2 cells
+
+
+def test_solve_guard_names_the_chosen_route():
+    t = random_tournament(random.Random(85), 8, -3, 3)
+    with pytest.raises(GuardExceededError, match="exhaustive walk: 6561 level vectors"):
+        solve(t, 3, guard=100)
+    with pytest.raises(GuardExceededError, match="subset dynamic program: 2048 cells"):
+        solve(t, 8, exact_k=True, guard=100)
+    assert_same(solve(t, 8, exact_k=True, all_ties=True), solve_subset_dp(t, 8, exact_k=True, all_ties=True))
+
+
+def test_solve_matches_walk_on_both_routes():
+    rng = random.Random(86)
+    for _ in range(10):
+        t = random_tournament(rng, rng.randint(3, 7), -1, 1)
+        for k, exact_k in ((3, False), (4, False), (t.m, True)):
+            if _route(t, k, exact_k)[0] in ("walk", "subset"):
+                assert_same(
+                    solve(t, k, all_ties=True, exact_k=exact_k, witness_cap=9),
+                    solve_bruteforce(t, k, all_ties=True, exact_k=exact_k, witness_cap=9),
+                )
+
+
+def test_kemeny_at_14_alternatives():
+    p = random_profile(random.Random(87), 14, 9, LINEAR)
+    t = induce_tournament(p)
+    assert _route(t, 14, True)[0] == "subset"
+    res = aggregate(p, LINEAR, LINEAR)
+    assert all(sorted(lv) == list(range(14)) for lv in res.levels)
+
+
+SPECS = (2, UNIVALENT, 3, 4, LINEAR)
+
+
+def aggregate_route(p, k):
+    """The route ``aggregate(p, j, k)`` takes."""
+    if k == UNIVALENT:
+        return "univalent"
+    t = induce_tournament(p)
+    return _route(t, t.m, True)[0] if k == LINEAR else _route(t, k, False)[0]
+
+
+@pytest.mark.parametrize("j", SPECS)
+@pytest.mark.parametrize("k", SPECS)
+def test_paper_threshold_of_the_routes(j, k):
+    # (j, k)-Kemeny is polynomial when ballots or outputs have two levels or
+    # a single top, and NP-hard from j = k = 3 on; 20 random profiles per cell
+    rng = random.Random(f"{j}:{k}")
+    easy = j in (2, UNIVALENT) or k in (2, UNIVALENT)
+    for _ in range(20):
+        route = aggregate_route(random_profile(rng, 6, rng.randint(4, 9), j), k)
+        assert route in (("2op", "divider", "univalent") if easy else ("walk", "subset"))
