@@ -267,7 +267,8 @@ def _combination_steps(u: int, r: int):
     """
     prev = {c: i for i, c in enumerate(combinations(range(u), r - 1))}
     steps = [(prev[c[:-1]], c[-1]) for c in combinations(range(u), r)]
-    parent, last = np.array(steps, np.intp).reshape(-1, 2).T
+    parent, last = np.array(steps, np.intp).reshape(-1, 2).T.copy()
+    parent.flags.writeable = last.flags.writeable = False
     return parent, last
 
 
