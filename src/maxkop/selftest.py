@@ -152,11 +152,13 @@ def _prop_two_level_blindness(rng: random.Random, guard: int) -> int:
 
 def _prop_acyclic_dp_oracle(rng: random.Random, guard: int) -> int:
     for _ in range(25):
-        t = random_acyclic_tournament(rng, rng.randint(2, 6))
+        t = random_acyclic_tournament(rng, rng.randint(2, 6), -2, 2)  # close potentials tie
         for k in (2, 3):
-            dp = solve_acyclic_dp(t, k)
-            bf = solve_bruteforce(t, k, guard=guard)
-            assert dp.optimum == bf.optimum
+            args = dict(all_ties=True, witness_cap=rng.randint(1, 8))
+            dp, bf = solve_acyclic_dp(t, k, **args), solve_bruteforce(t, k, guard=guard, **args)
+            assert (dp.optimum, dp.levels, dp.truncated) == (bf.optimum, bf.levels, bf.truncated), (
+                f"divider DP and walk differ on m={t.m}, k={k}, cap={args['witness_cap']}"
+            )
     return 25
 
 

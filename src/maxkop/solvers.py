@@ -31,15 +31,17 @@ or just the canonically least one.  Witnesses are stored as level vectors
 (the block index of each vertex, 0 the top block) in lexicographic order, the
 order the walk visits them in, so every route keeps the same witnesses under
 a cap; ``SolveResult.witnesses`` builds the ``OrderedPartition`` objects only
-when read.
+when read.  Both dynamic programs list ties with ``_canonical_walk``, which
+counts the optimal paths over their tight steps (``_TightPaths``) fitting a
+prefix of levels, in polynomial time per witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import chain, combinations
+from functools import cache, cached_property, lru_cache
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -279,14 +281,16 @@ class _SizeTables(NamedTuple):
     the row of U minus its lowest vertex among the sets of size u - 1.  Each
     column of ``apos`` is one split of U into a top part A and a block T
     below it and holds the number of A; the splits with |A| = a fill columns
-    ``col[a - a_lo]:col[a - a_lo + 1]``.  Those subsets are grown one vertex
-    at a time from whichever side, T (``grow_t``) or A, has fewer of them to
-    grow.  ``apos`` and ``col`` are None when no level splits sets of size u.
+    ``col[a - a_lo]:col[a - a_lo + 1]``.  The blocks T are grown one vertex at
+    a time, which never enumerates more subsets than growing A would: a split
+    at level j >= 2 has |A| >= j - 1, so a_lo >= 1; a_hi is at least u - 1
+    or, with ``exact_k``, m - kk + a_lo, and u - a_lo is at most either (a set
+    first split at level a_lo + 1 holds at most m - kk + a_lo + 1 vertices).
+    ``apos`` and ``col`` are None when no level splits sets of size u.
     """
 
     elems: np.ndarray
     parents: np.ndarray
-    grow_t: bool
     a_lo: int
     col: np.ndarray | None
     apos: np.ndarray | None
@@ -313,20 +317,19 @@ class _SubsetPlan(NamedTuple):
         return slice(tables.col[lo - tables.a_lo], tables.col[hi + 1 - tables.a_lo])
 
 
-def _grown_subsets(u: int, grow_t: bool, a_lo: int, a_hi: int, bit: np.ndarray):
-    """Yield (a, sums) for a = a_lo..a_hi: per split with |A| = a, the sum of ``bit`` over its grown side.
+def _grown_blocks(u: int, a_lo: int, a_hi: int, bit: np.ndarray):
+    """Yield (a, sums) for a = a_hi..a_lo: per split with |A| = a, the sum of ``bit`` over T.
 
     ``bit[n, b]`` is a value attached to the b-th vertex of the n-th set of
-    size u; the splits come in ``_combination_steps`` order of the grown side.
+    size u; the splits come in ``_combination_steps`` order of T.
     """
     sums = bit  # over the 1-subsets
-    for r in range(1, (u - a_lo if grow_t else a_hi) + 1):
+    for r in range(1, u - a_lo + 1):
         if r > 1:
             parent, last = _combination_steps(u, r)
             sums = sums[:, parent] + bit[:, last]
-        a = u - r if grow_t else r
-        if a_lo <= a <= a_hi:
-            yield a, sums
+        if u - r <= a_hi:
+            yield u - r, sums
 
 
 def _build_subset_plan(m: int, kk: int, exact_k: bool) -> _SubsetPlan:
@@ -344,18 +347,13 @@ def _build_subset_plan(m: int, kk: int, exact_k: bool) -> _SubsetPlan:
         parents = pos[sets & (sets - 1)] - off[u - 1]
         split = [_subset_sizes(bands, j, u) for j in range(2, kk + 1) if bands[j][0] <= u <= bands[j][1]]
         if not split:
-            sizes[u] = _SizeTables(elems, parents, False, 0, None, None)
+            sizes[u] = _SizeTables(elems, parents, 0, None, None)
             continue
         a_lo, a_hi = min(lo for lo, _ in split), max(hi for _, hi in split)
-        grow_t = sum(comb(u, r) for r in range(1, u - a_lo + 1)) <= sum(
-            comb(u, r) for r in range(1, a_hi + 1)
-        )
-        blocks = dict(_grown_subsets(u, grow_t, a_lo, a_hi, 1 << elems))
-        if grow_t:
-            blocks = {a: sets[:, None] ^ grown for a, grown in blocks.items()}
-        apos = pos[np.concatenate([blocks[a] for a in range(a_lo, a_hi + 1)], axis=1)]
-        col = np.cumsum([0] + [blocks[a].shape[1] for a in range(a_lo, a_hi + 1)])
-        sizes[u] = _SizeTables(elems, parents, grow_t, a_lo, col, apos)
+        parts = {a: sets[:, None] ^ block for a, block in _grown_blocks(u, a_lo, a_hi, 1 << elems)}
+        apos = pos[np.concatenate([parts[a] for a in range(a_lo, a_hi + 1)], axis=1)]
+        col = np.cumsum([0] + [parts[a].shape[1] for a in range(a_lo, a_hi + 1)])
+        sizes[u] = _SizeTables(elems, parents, a_lo, col, apos)
     for table in (masks, pos, off, *(t for s in sizes[1:] for t in s if isinstance(t, np.ndarray))):
         table.flags.writeable = False
     return _SubsetPlan(bands, masks, pos, off, sizes)
@@ -376,21 +374,21 @@ def _subset_cross(w: np.ndarray, plan: _SubsetPlan) -> list:
     """``cross[u][n, c]``: the weight from A down to T over split c of the n-th set U of size u.
 
     Since w is antisymmetric, that is the sum over T of the column sums of w
-    over U, or minus the sum over A of them.
+    over U.
     """
     m = len(w)
     cross: list = [None] * (m + 1)
     colsum = np.zeros((1, m), w.dtype)  # colsum[n, t]: sum of w[x, t] over x in the n-th set
     for u in range(1, m + 1):
-        elems, parents, grow_t, a_lo, col, apos = plan.sizes[u]
+        elems, parents, a_lo, col, apos = plan.sizes[u]
         colsum = colsum[parents] + w[elems[:, 0]]
         if apos is None:
             continue
         g = colsum[np.arange(len(elems))[:, None], elems]
         a_hi = a_lo + len(col) - 2
         out = cross[u] = np.empty(apos.shape, w.dtype)
-        for a, sums in _grown_subsets(u, grow_t, a_lo, a_hi, g):
-            out[:, col[a - a_lo] : col[a - a_lo + 1]] = sums if grow_t else -sums
+        for a, sums in _grown_blocks(u, a_lo, a_hi, g):
+            out[:, col[a - a_lo] : col[a - a_lo + 1]] = sums
     return cross
 
 
@@ -412,11 +410,8 @@ def solve_subset_dp(
     requested size are visited (``_subset_bands``), so linear orders cost
     O(m 2^m) and k blocks O(k 3^m).  A backward pass from the optimal full
     sets keeps the tight splits (the optimal-edge set E*); every optimal
-    partition is a chain of them.  Witnesses come in canonical order: the
-    optimal chains are counted over E*, and if they fit under the cap they
-    are listed and sorted; otherwise the vertices are assigned levels in
-    index order, levels ascending, each prefix counted over the E* nodes it
-    fits, until a prefix's chains fit what the cap has left.
+    partition is a chain of them.  Witnesses come in canonical order from
+    ``_canonical_walk``, which counts the chains of E* that fit each prefix.
     Raises GuardExceededError when ``_subset_cells`` exceeds ``guard``.
     """
     m = t.m
@@ -443,7 +438,7 @@ def solve_subset_dp(
     best = max(F[j][-1] for j in finals)
     tops = [j for j in finals if F[j][-1] == best]
 
-    # backward: live[j] marks the sets on some optimal chain, edges[j] the tight splits into them
+    # backward: live[j]: the sets on optimal chains; edges[j]: the tight splits into them, by target
     live = [np.ones(1, bool)] + [np.zeros(len(f), bool) for f in F[1:]]
     for j in tops:
         live[j][-1] = True
@@ -466,163 +461,109 @@ def solve_subset_dp(
     edges[1] = (np.zeros(live[1].sum(), np.intp), np.flatnonzero(live[1]))
 
     need = witness_cap if all_ties else 1
-    chains = _OptimalChains(m, plan.masks, base, live, edges, tops, need)
+    paths = _TightPaths(live, edges, tops, need + 1, (need + 1) << m)
+    sets = [plan.masks[base[j] + ids] for j, ids in enumerate(paths.nodes)]
+
+    def counted(prefix: list[int]):
+        # a chain fits when each of its sets holds just the prefix vertices above its level
+        low = (1 << len(prefix)) - 1
+        placed = [sum(1 << v for v, b in enumerate(prefix) if b < j) for j in range(kk + 1)]
+        fit = [x & low == y for x, y in zip(sets, placed)]
+        return paths.counted([None] + [fit[j][paths.dst[j]] for j in range(1, kk + 1)])
+
+    def listed(state) -> list[np.ndarray]:
+        found = []
+        for blocks, steps in paths.listed(state):
+            levels = np.zeros((len(steps), m), np.intp)
+            for j in range(1, blocks + 1):  # block j - 1 is the difference of the chain's sets
+                e = steps[:, j - 1]
+                block = sets[j][paths.dst[j][e]] ^ sets[j - 1][paths.src[j][e]]
+                levels[((block[:, None] >> np.arange(m)) & 1).astype(bool)] = j - 1
+            found.append(levels)
+        return found
+
+    found, total = _canonical_walk(kk, need, counted, listed)
+    truncated = all_ties and total > witness_cap
+    return SolveResult(Fraction(int(best), t.integer_form.scale), t.vertices, tuple(found), truncated)
+
+
+def _canonical_walk(kk: int, need: int, counted, listed) -> tuple[list[tuple[int, ...]], int]:
+    """The ``need`` lexicographically least optimal level vectors, with their saturated count.
+
+    ``counted(prefix)`` returns a dynamic program's state under a prefix
+    (levels of vertices 0..i-1) and how many optimal level vectors fit it;
+    ``listed(state)`` lists those as arrays of rows.  Vertices are assigned
+    levels in index order, levels ascending, until a prefix's vectors fit
+    what the cap has left.
+    """
     found: list[tuple[int, ...]] = []
 
-    def visit(prefix: list[int], counts, total: int) -> None:
+    def visit(prefix: list[int], state, total: int) -> None:
         if total <= need - len(found):
-            found.extend(chains.listed(counts))
+            levels = np.concatenate(listed(state))
+            found.extend(map(tuple, levels[np.lexsort(levels.T[::-1])].tolist()))
             return
         for b in range(kk):
-            sub, n = chains.counted(prefix + [b])
+            sub, n = counted(prefix + [b])
             if n:
                 visit(prefix + [b], sub, n)
             if len(found) == need:
                 return
 
-    counts, total = chains.counted([])
-    visit([], counts, total)
-    truncated = all_ties and total > witness_cap
-    return SolveResult(Fraction(int(best), t.integer_form.scale), t.vertices, tuple(found), truncated)
+    state, total = counted([])
+    visit([], state, total)
+    return found, total
 
 
-class _OptimalChains:
-    """The optimal-edge set E* of ``solve_subset_dp``, for counting and listing optimal chains.
+class _TightPaths:
+    """The tight steps of a layered dynamic program, for counting and listing its optimal paths.
 
-    Level j keeps its live sets (``sets[j]``, bit masks in numbering order)
-    and the tight splits into them sorted by target: ``src[j]`` indexes the
-    split's top part among the live sets of level j - 1, and the splits into
-    live set x are ``start[j][x]:start[j][x + 1]`` (every live set has one).
-    A chain fits a prefix (levels of vertices 0..i-1) when each of its sets
-    holds exactly the prefix vertices placed above its level.  Counts
-    saturate at ``need + 1``, which keeps every comparison with the part of
-    the cap still open exact.
+    ``live[j]`` marks the nodes of layer j on an optimal path, ``edges[j]`` the
+    (source, target) ids of the tight steps into them, sorted by target.  The
+    root is layer 0's one node; optimal paths end at the last node of a layer
+    in ``tops``.  Step e into layer j runs from live node ``src[j][e]`` to live
+    node ``dst[j][e]`` (node x of layer j is ``nodes[j][x]``), and the steps
+    into node x are ``start[j][x]:start[j][x + 1]`` (every live node has one).
+    Counts saturate at ``ceiling``, which keeps every comparison with what the
+    cap has left exact; ``bound`` bounds the values reached before saturating.
     """
 
-    def __init__(self, m, masks, base, live, edges, tops, need):
-        self.m, self.tops, self.ceiling = m, tops, need + 1
-        self.count_dtype = np.int64 if self.ceiling << m < 2**62 else object
-        ids = [np.zeros(1, np.intp)] + [np.flatnonzero(x) for x in live[1:]]
-        self.sets = [np.zeros(1, np.intp)]
-        self.src, self.start = [None], [None]
+    def __init__(self, live, edges, tops, ceiling: int, bound: int):
+        self.tops, self.ceiling = tops, ceiling
+        self.dtype = np.int64 if bound < 2**62 else object
+        self.nodes = [np.flatnonzero(x) for x in live]
+        self.src, self.dst, self.start = [None], [None], [None]
         for j in range(1, len(live)):
             src, dst = edges[j]
-            order = np.argsort(dst, kind="stable")
-            self.sets.append(masks[base[j] + ids[j]])
-            self.src.append(np.searchsorted(ids[j - 1], src[order]))
-            self.start.append(np.append(np.searchsorted(dst[order], ids[j]), src.size))
+            self.src.append(np.searchsorted(self.nodes[j - 1], src))
+            self.dst.append(np.searchsorted(self.nodes[j], dst))
+            self.start.append(np.append(np.searchsorted(dst, self.nodes[j]), dst.size))
 
-    def counted(self, prefix: list[int]):
-        """Per level and live set, the tight chains from the empty set to it through sets fitting ``prefix``.
-
-        Also returns how many optimal chains fit ``prefix`` (both saturated).
-        """
-        low = (1 << len(prefix)) - 1
-        counts = [np.ones(1, self.count_dtype)]
-        for j in range(1, len(self.sets)):
-            if self.sets[j].size == 0:
-                counts.append(np.zeros(0, self.count_dtype))
-                continue
-            c = np.add.reduceat(counts[j - 1][self.src[j]], self.start[j][:-1])
-            placed = sum(1 << v for v, b in enumerate(prefix) if b < j)
-            c[self.sets[j] & low != placed] = 0
+    def counted(self, weight: list):
+        """Saturated weighted path counts per node (``listed`` reads them) and the optimal total."""
+        counts = [np.ones(1, self.dtype)]
+        for j in range(1, len(self.nodes)):
+            c = np.add.reduceat(counts[j - 1][self.src[j]] * weight[j], self.start[j][:-1])
             counts.append(np.minimum(c, self.ceiling))
-        return counts, sum(int(counts[j][-1]) for j in self.tops)
+        return (counts, weight), sum(int(counts[j][-1]) for j in self.tops)
 
-    def listed(self, counts) -> list[tuple[int, ...]]:
-        """Every optimal chain with nonzero ``counts``, as level vectors in lexicographic order."""
-        shifts = np.arange(self.m)
+    def listed(self, state) -> list[tuple[int, np.ndarray]]:
+        """Per top layer, (top, steps) with the steps of one optimal path of weight > 0 per row."""
+        counts, weight = state
         found = []
         for top in self.tops:
-            if counts[top][-1] == 0:
-                continue
             cur = np.array([len(counts[top]) - 1])
-            levels = np.zeros((1, self.m), np.intp)
-            for j in range(top, 0, -1):  # extend the chains upward, one block at a time
+            steps = np.zeros((1, 0), np.intp)
+            for j in range(top, 0, -1):  # extend the paths upward, one step at a time
                 first = self.start[j][cur]
                 deg = self.start[j][cur + 1] - first
                 owner = np.repeat(np.arange(cur.size), deg)
-                prev = self.src[j][np.arange(deg.sum()) + np.repeat(first - deg.cumsum() + deg, deg)]
-                keep = counts[j - 1][prev] > 0
-                owner, prev = owner[keep], prev[keep]
-                block = self.sets[j][cur[owner]] ^ self.sets[j - 1][prev]
-                levels = levels[owner]
-                levels[((block[:, None] >> shifts) & 1).astype(bool)] = j - 1
-                cur = prev
-            found.append(levels)
-        levels = np.concatenate(found)
-        return list(map(tuple, levels[np.lexsort(levels.T[::-1])].tolist()))
-
-
-def _canonical_ties(
-    order: list[int], values: list[int], patterns: list[list[int]], kk: int, limit: int
-) -> list[tuple[int, ...]]:
-    """The first ``limit`` level vectors, in lexicographic order, matching some cut pattern.
-
-    ``order`` lists the vertices by position and ``values`` their sorted
-    potentials; a pattern's cuts split the positions into consecutive blocks.
-    Vertices of equal value (a group) may trade places, so a level vector
-    matches a pattern when each group holds as many vertices at each level as
-    the pattern puts in that level's positions of the group (the group's
-    quota for that level).  Vertices are assigned in index order, levels
-    tried in ascending order, keeping the set of patterns (a bit mask) whose
-    quotas the assignment so far still fits; a nonempty set can always be
-    completed, so the walk never backtracks from a dead end.
-    """
-    m = len(order)
-    lo = list(range(m))  # lo[i]: first position of the group holding position i
-    hi = list(range(1, m + 1))  # hi[i]: one past its last position
-    for i in range(1, m):
-        if values[i] == values[i - 1]:
-            lo[i] = lo[i - 1]
-    for i in range(m - 2, -1, -1):
-        if values[i] == values[i + 1]:
-            hi[i] = hi[i + 1]
-    # bounds[b, p]: first position of block b under pattern p (m past its last block)
-    rows = ([0, *cuts] + [m] * (kk - len(cuts)) for cuts in patterns)
-    bounds = np.fromiter(chain.from_iterable(rows), np.int32).reshape(-1, kk + 1).T
-    # masks[(lo[i] + t) * kk + b]: the patterns whose quota at level b in i's group exceeds t
-    masks: list[int] = []
-    step = max(1, 2**20 // bounds.size)  # positions per pass, bounding the quota table
-    for start in range(0, m, step):
-        pos = np.arange(start, min(start + step, m))
-        first, last = (np.array(ends, np.int32)[pos, None, None] for ends in (lo, hi))
-        # quota[i, b, p]: positions of i's group at level b under pattern p
-        quota = np.minimum(last, bounds[None, 1:]) - np.maximum(first, bounds[None, :-1])
-        packed = np.packbits(quota > pos[:, None, None] - first, axis=-1, bitorder="little")
-        raw, width = packed.tobytes(), packed.shape[-1]
-        masks += [int.from_bytes(raw[j : j + width], "little") for j in range(0, len(raw), width)]
-
-    row = [0] * m  # row[v]: lo of v's group times kk
-    for i, v in enumerate(order):
-        row[v] = lo[i] * kk
-    taken = [0] * (m * kk)  # taken[row + b]: vertices of the group assigned level b so far
-    live = [(1 << len(patterns)) - 1] + [0] * m  # live[v]: patterns that vertices < v fit
-    lv = [-1] * m
-    found: list[tuple[int, ...]] = []
-    v = 0
-    while v >= 0:
-        if v == m:
-            found.append(tuple(lv))
-            if len(found) == limit:
-                break
-            v -= 1
-            continue
-        r, b = row[v], lv[v]
-        if b >= 0:
-            taken[r + b] -= 1
-        for b in range(b + 1, kk):
-            fit = live[v] & masks[r + taken[r + b] * kk + b]
-            if fit:
-                lv[v] = b
-                taken[r + b] += 1
-                live[v + 1] = fit
-                v += 1
-                break
-        else:
-            lv[v] = -1
-            v -= 1
-    return found
+                step = np.arange(deg.sum()) + np.repeat(first - deg.cumsum() + deg, deg)
+                keep = (counts[j - 1][self.src[j][step]] > 0) & (weight[j][step] > 0)
+                steps = np.column_stack([step[keep], steps[owner[keep]]])
+                cur = self.src[j][step[keep]]
+            found.append((top, steps))
+        return found
 
 
 def _divider_dp(
@@ -640,14 +581,19 @@ def _divider_dp(
     ``d`` is an antisymmetric integer matrix whose vertex potentials sort like
     the tournament's Borda vector.  Some optimal partition then cuts the
     Borda-sorted vertex sequence into consecutive runs, so a dynamic program
-    over divider positions on 2-D prefix sums of ``d`` finds the optimum;
-    vertices with equal Borda scores may trade places across a divider, and
-    the witnesses are those trades of the optimal cut patterns, in canonical
-    order.
+    over divider positions on 2-D prefix sums of ``d`` finds the optimum; its
+    optimal paths are the optimal divider patterns.  Vertices with equal Borda
+    scores (a group) may trade places across a divider, and the witnesses are
+    those trades, in canonical order (``_canonical_walk``).  Under a prefix of
+    fixed levels a step weighs, per group, the binomial of the group's free
+    vertices at its level or below over those it places, so a path weighs as
+    many level vectors as fit the prefix.  A listed path is expanded only in
+    the groups whose free vertices span several levels.
     """
     m = t.m
-    beta = t.integer_form.beta.tolist()
-    order = sorted(range(m), key=lambda v: (-beta[v], v))
+    # group g holds the sorted positions [lo[g], hi[g]); group[v] is vertex v's group
+    _, group, size = np.unique(-t.integer_form.beta, return_inverse=True, return_counts=True)
+    order = np.argsort(group, kind="stable")
     prefix = np.zeros((m + 1, m + 1), d.dtype)
     prefix[1:, 1:] = d[np.ix_(order, order)].cumsum(0).cumsum(1)
     # cross[c, i]: weight from sorted positions [0, c) into positions [c, i)
@@ -656,34 +602,88 @@ def _divider_dp(
     pos = np.arange(m + 1)
     reach = pos == 0  # divider positions c that j - 1 nonempty blocks can end at
     best = np.zeros((kk + 1, m + 1), d.dtype)
+    steps: list = [None]  # steps[j][c, i]: the step c -> i to j blocks is tight
     for j in range(1, kk + 1):
         # best[j, i]: best score of j nonempty blocks covering positions [0, i)
-        ok = reach[:, None] & (pos[:, None] < pos)
-        best[j] = np.where(ok, best[j - 1][:, None] + cross, floor).max(0)
+        vals = np.where(reach[:, None] & (pos[:, None] < pos), best[j - 1][:, None] + cross, floor)
+        best[j] = vals.max(0)
+        steps.append(vals == best[j])
         reach = pos >= j
-    best_rows, cross_rows = best.tolist(), cross.tolist()
-
     finals = [kk] if exact_k else range(1, kk + 1)
-    top = max(best_rows[j][m] for j in finals)
-    patterns: list[list[int]] = []
+    top = max(best[j, m] for j in finals)
+    tops = [j for j in finals if best[j, m] == top]
+    live = [pos == 0] + [(pos == m) & (j in tops) for j in range(1, kk + 1)]
+    edges: list = [None] * (kk + 1)
+    for j in range(kk, 0, -1):
+        into = np.flatnonzero(live[j])
+        i, c = np.nonzero(steps[j][:, into].T)  # sorted by target
+        live[j - 1][c] = True
+        edges[j] = (c, into[i])
 
-    def backtrack(j: int, i: int, tail: list[int]) -> None:
-        # every optimal divider placement, dividers collected bottom up
-        if j == 1:
-            patterns.append(tail[::-1])
-            return
-        for c in range(j - 1, i):
-            if best_rows[j - 1][c] + cross_rows[c][i] == best_rows[j][i]:
-                backtrack(j - 1, c, tail + [c])
+    need = witness_cap if all_ties else 1
+    ceiling = need + 1
+    paths = _TightPaths(live, edges, tops, ceiling, (m + 1) * ceiling**2)
+    hi = size.cumsum()
+    lo = hi - size
+    tied = np.flatnonzero(size > 1)
+    # the tight steps c -> i of all layers in turn, those into layer j ending at ends[j]; step e
+    # fills level level[e] with share[e, g] positions of group g, and after[e, g] lie at or after c
+    c, i = (np.concatenate(x) for x in zip(*edges[1:]))
+    ends = np.cumsum([0] + [len(x) for x, _ in edges[1:]])
+    level = np.repeat(np.arange(kk), np.diff(ends))
+    tail = (hi - np.maximum(lo, pos[:, None])).clip(0)  # tail[c, g]: positions of g at or after c
+    share, after = tail[c] - tail[i], tail[c]
+    span = range(size.max() + 1)  # binomials within a group, saturated at the ceiling
+    pascal = np.array([[min(comb(n, r), ceiling) for r in span] for n in span], paths.dtype)
 
-    for j in finals:
-        if best_rows[j][m] == top:
-            backtrack(j, m, [])
+    def counted(prefix: list[int]):
+        # taken[g, b]: prefix vertices of group g at level b; above[g, b]: those at levels >= b
+        key = group[: len(prefix)] * kk + np.array(prefix, np.intp)
+        taken = np.bincount(key, minlength=len(size) * kk).reshape(-1, kk)
+        above = taken[:, ::-1].cumsum(1)[:, ::-1]
+        want, free = share - taken[:, level].T, after - above[:, level].T
+        w = ((want >= 0) & (want <= free)).all(1).astype(paths.dtype)
+        for g in tied:
+            w = np.minimum(w * pascal[free[:, g].clip(0), want[:, g].clip(0)], ceiling)
+        state, total = paths.counted([None] + np.split(w, ends[1:-1]))
+        return (prefix, taken, state), total
 
-    limit = witness_cap + 1 if all_ties else 1  # one past the cap shows truncation
-    found = _canonical_ties(order, [beta[v] for v in order], patterns, kk, limit)
-    truncated = len(found) > witness_cap
-    return SolveResult(Fraction(top, denom), t.vertices, tuple(found[:witness_cap]), truncated)
+    @cache  # per call: a module-level cache would keep the arrays alive between calls
+    def arrangements(counts: tuple[int, ...]) -> np.ndarray:
+        """Every sequence holding counts[b] copies of each level b, one per row."""
+        if not any(counts):
+            return np.zeros((1, 0), np.intp)
+        parts = []
+        for b in np.flatnonzero(counts):  # the first vertex at level b, then the rest
+            rest = arrangements(counts[:b] + (counts[b] - 1,) + counts[b + 1 :])
+            parts.append(np.column_stack([np.full(len(rest), b), rest]))
+        return np.concatenate(parts)
+
+    def listed(state) -> list[np.ndarray]:
+        prefix, taken, state = state
+        p = len(prefix)
+        found = []
+        for blocks, steps in paths.listed(state):
+            # want[n, g, b]: free vertices of group g that path n puts at level b
+            want = share[steps + ends[:blocks]].transpose(0, 2, 1) - taken[:, :blocks]
+            spread = (want > 0).sum(-1) > 1
+            levels = np.empty((len(steps), m), np.intp)
+            levels[:, :p] = prefix
+            levels[:, p:] = (want > 0).argmax(-1)[:, group[p:]]
+            found.append(levels[~spread.any(1)])
+            for n in np.flatnonzero(spread.any(1)):  # expand the groups spanning several levels
+                rows = levels[n : n + 1]
+                for g in np.flatnonzero(spread[n]):
+                    arr = arrangements(tuple(want[n, g].tolist()))
+                    rows = np.repeat(rows, len(arr), 0)
+                    members = p + np.flatnonzero(group[p:] == g)
+                    rows[:, members] = np.tile(arr, (len(rows) // len(arr), 1))
+                found.append(rows)
+        return found
+
+    found, total = _canonical_walk(kk, need, counted, listed)
+    truncated = all_ties and total > witness_cap
+    return SolveResult(Fraction(int(top), denom), t.vertices, tuple(found), truncated)
 
 
 def solve_acyclic_dp(

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from maxkop import (
+    DEFAULT_WITNESS_CAP,
     CutInstance,
     Profile,
     WeakOrder,
@@ -362,6 +363,16 @@ def truncation_cases():
         (with_cycles(potential_tournament(ties, small), rng, 6), 2, True, True),
         (with_cycles(potential_tournament(ties, big), rng, 4), 2, False, True),
         (random_general(rng, 7, small, -1, 1), 2, False, False),
+        # three or more tied groups, each weighed on its own by the divider DP's path counts
+        (potential_tournament([2, 2, 2, 1, 1, 1, 0, 0], small), 4, True, True),
+        (potential_tournament([2, 2, 2, 1, 1, 1, 0, 0], small), 5, False, True),
+        (potential_tournament([1, 1, 0, 0, 0, 0, 0, -1, -1], small), 4, False, True),
+        (potential_tournament([1, 1, 0, 0, 0, 0, 0, -1, -1], small), 5, True, True),
+        (potential_tournament([3, 3, 3, 2, 2, 2, 2, 1, 1, 1], small), 4, True, True),
+        (potential_tournament([3, 3, 3, 2, 2, 2, 1, 1, 1, 0, 0, 0], small), 3, False, True),
+        (potential_tournament([2, 2, 2, 1, 1, 1, 0, 0], big), 4, False, True),
+        # optimal 2- and 3-block partitions: a prefix vertex at level 2 rules out the 2-block ones
+        (potential_tournament([-1, 0, 0], small), 3, False, True),
     ]
 
 
@@ -380,6 +391,33 @@ def test_routes_keep_the_walks_witnesses_under_truncation(t, k, exact_k, tied):
             got = route(t, **kw)
             same_result(t, got, want)
             assert got.levels == want.levels and got.vertices == t.vertices
+
+
+def gap_free_levels(m: int, limit: int) -> list[tuple[int, ...]]:
+    """The first ``limit`` gap-free level vectors of length m, in lexicographic order."""
+    found: list[tuple[int, ...]] = []
+
+    def extend(prefix: list[int]) -> None:
+        if len(prefix) == m:
+            found.append(tuple(prefix))
+            return
+        for b in range(m):
+            used = set(prefix) | {b}
+            if max(used) + 1 - len(used) <= m - len(prefix) - 1:  # the vertices left fill the gaps
+                extend(prefix + [b])
+                if len(found) == limit:
+                    return
+
+    extend([])
+    return found
+
+
+@pytest.mark.parametrize("m", [20, 30])
+def test_divider_lists_the_least_ties_at_large_m(m):
+    # all-zero weights: every gap-free level vector is optimal, 2**(m-1) divider patterns
+    res = solve(WeightedTournament.zeros(vertex_names(m)), m, all_ties=True)
+    assert res.truncated
+    assert list(res.levels) == gap_free_levels(m, DEFAULT_WITNESS_CAP)
 
 
 # ---- results store level vectors ----------------------------------------------------
