@@ -318,6 +318,8 @@ def parse_graph(text: str, path: str = "<string>") -> CutInstance:
             raise ParseError(path, lineno, f"expected 'a b w' edge line, got {ln!r}")
         x, y, wtok = toks
         w = _parse_int(wtok, path, lineno, "an integer weight")
+        if w < 0:
+            raise ParseError(path, lineno, f"edge weight must be a nonnegative integer, got {w}")
         if (x, y) in edges or (y, x) in edges:
             raise ParseError(path, lineno, f"duplicate edge {{{x!r}, {y!r}}}")
         edges[(x, y)] = w

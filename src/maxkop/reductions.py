@@ -39,6 +39,7 @@ from .solvers import (
 from .tournament import (
     OrderedPartition,
     WeightedTournament,
+    _validate_name,
     exact_int_matrix,
     is_qualitatively_transitive,
     partition_score,
@@ -50,6 +51,8 @@ class CutInstance:
     """Complete undirected graph with nonnegative integer edge weights.
 
     Weights may be keyed by either endpoint order; missing pairs read as 0.
+    Vertex names follow the tournaments' rule (nonempty, no whitespace, '>'
+    or '|').
     """
 
     vertices: tuple[str, ...]
@@ -59,6 +62,8 @@ class CutInstance:
         vertices = tuple(self.vertices)
         if not vertices:
             raise ValueError("a cut instance needs at least one vertex")
+        for v in vertices:
+            _validate_name(v)
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise ValueError("vertex names must be distinct")

@@ -19,6 +19,11 @@ Four routes are provided:
 * ``solve_2op`` replaces the weights by their acyclic component, which leaves
   every 2-partition score unchanged, and runs the dynamic program with k=2.
 
+Both polynomial routes run one kernel, ``_divider_dp``, on the Borda vector
+beta alone: the acyclic component is the outer difference of beta over
+scale * m, and the optimum depends on nothing else when the cyclic component
+is zero (acyclic weights) or invisible (2-partitions).
+
 ``solve`` plans the route (``_route``): k = 2 and acyclic weights take the
 polynomial routes; otherwise the walk's k^m level vectors are weighed against
 the subset program's cells, and the guard bounds the chosen route's estimate.
@@ -47,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tournament import OrderedPartition, WeightedTournament, _level_blocks
+from .tournament import OrderedPartition, WeightedTournament, _form_dtype, _level_blocks
 
 DEFAULT_GUARD = 10**8
 DEFAULT_WITNESS_CAP = 10_000
@@ -209,17 +214,13 @@ def solve_bruteforce(
     With ``exact_k`` only partitions using exactly k blocks count.  With
     ``all_ties`` every maximizer is returned (up to ``witness_cap``, then
     ``truncated`` is set); otherwise only the canonically least one.
-    Raises GuardExceededError when the level-assignment count k^m exceeds
+    Raises GuardExceededError when the level-vector count k^m exceeds
     ``guard``.
     """
     m = t.m
     kk = _levels(m, k, exact_k, witness_cap)
-    count = kk**m
-    if count > guard:
-        raise GuardExceededError(
-            f"enumerating {count} level assignments exceeds the guard of {guard}"
-        )
-
+    if kk**m > guard:
+        raise GuardExceededError(_guard_message("walk", kk**m, guard))
     form = t.integer_form
     best, nopt, kept = _walk_levels(
         form.w, kk, exact_k, witness_cap if all_ties else 1, _ordered_term, unordered=False
@@ -530,7 +531,7 @@ class _TightPaths:
 
     def __init__(self, live, edges, tops, ceiling: int, bound: int):
         self.tops, self.ceiling = tops, ceiling
-        self.dtype = np.int64 if bound < 2**62 else object
+        self.dtype = _form_dtype(bound)
         self.nodes = [np.flatnonzero(x) for x in live]
         self.src, self.dst, self.start = [None], [None], [None]
         for j in range(1, len(live)):
@@ -567,41 +568,37 @@ class _TightPaths:
 
 
 def _divider_dp(
-    t: WeightedTournament,
-    d: np.ndarray,
-    denom: int,
-    kk: int,
-    *,
-    all_ties: bool,
-    exact_k: bool,
-    witness_cap: int,
+    t: WeightedTournament, kk: int, *, all_ties: bool, exact_k: bool, witness_cap: int
 ) -> SolveResult:
-    """Best ordered partitions of acyclic weights d / denom into at most (or exactly) kk blocks.
+    """Best ordered partitions of the weights' acyclic part into at most (or exactly) kk blocks.
 
-    ``d`` is an antisymmetric integer matrix whose vertex potentials sort like
-    the tournament's Borda vector.  Some optimal partition then cuts the
-    Borda-sorted vertex sequence into consecutive runs, so a dynamic program
-    over divider positions on 2-D prefix sums of ``d`` finds the optimum; its
-    optimal paths are the optimal divider patterns.  Vertices with equal Borda
-    scores (a group) may trade places across a divider, and the witnesses are
-    those trades, in canonical order (``_canonical_walk``).  Under a prefix of
-    fixed levels a step weighs, per group, the binomial of the group's free
-    vertices at its level or below over those it places, so a path weighs as
-    many level vectors as fit the prefix.  A listed path is expanded only in
-    the groups whose free vertices span several levels.
+    The acyclic part is the outer difference of the Borda vector beta over
+    scale * m, so beta is all this reads, and the optimum is in units of
+    1 / (scale * m).  Some optimal partition cuts the beta-sorted vertex
+    sequence into consecutive runs, so a dynamic program over divider
+    positions finds the optimum.  The weight from the positions above a run
+    down into it has a closed form in the prefix sums of the sorted beta,
+    and the program's optimal paths are the optimal divider patterns.
+    Vertices with equal Borda scores (a group) may trade places across a
+    divider, and the witnesses are those trades, in canonical order
+    (``_canonical_walk``).  Under a prefix of fixed levels a step weighs, per
+    group, the binomial of the group's free vertices at its level or below
+    over those it places, so a path weighs as many level vectors as fit the
+    prefix.  A listed path is expanded only in the groups whose free vertices
+    span several levels.
     """
     m = t.m
+    beta = t.integer_form.beta
     # group g holds the sorted positions [lo[g], hi[g]); group[v] is vertex v's group
-    _, group, size = np.unique(-t.integer_form.beta, return_inverse=True, return_counts=True)
-    order = np.argsort(group, kind="stable")
-    prefix = np.zeros((m + 1, m + 1), d.dtype)
-    prefix[1:, 1:] = d[np.ix_(order, order)].cumsum(0).cumsum(1)
-    # cross[c, i]: weight from sorted positions [0, c) into positions [c, i)
-    cross = prefix - prefix.diagonal()[:, None]
-    floor = -int(abs(d).sum()) - 1  # below every partition score
+    _, group, size = np.unique(-beta, return_inverse=True, return_counts=True)
+    head = np.zeros(m + 1, beta.dtype)  # head[c]: sum of beta over sorted positions [0, c)
+    head[1:] = beta[np.argsort(group, kind="stable")].cumsum()
     pos = np.arange(m + 1)
+    # cross[c, i]: weight from sorted positions [0, c) into [c, i), times scale * m
+    cross = (pos - pos[:, None]) * head[:, None] - pos[:, None] * (head - head[:, None])
+    floor = -m * int(abs(beta).sum()) - 1  # below every partition score
     reach = pos == 0  # divider positions c that j - 1 nonempty blocks can end at
-    best = np.zeros((kk + 1, m + 1), d.dtype)
+    best = np.zeros((kk + 1, m + 1), beta.dtype)
     steps: list = [None]  # steps[j][c, i]: the step c -> i to j blocks is tight
     for j in range(1, kk + 1):
         # best[j, i]: best score of j nonempty blocks covering positions [0, i)
@@ -683,7 +680,8 @@ def _divider_dp(
 
     found, total = _canonical_walk(kk, need, counted, listed)
     truncated = all_ties and total > witness_cap
-    return SolveResult(Fraction(int(top), denom), t.vertices, tuple(found), truncated)
+    optimum = Fraction(int(top), t.integer_form.scale * m)
+    return SolveResult(optimum, t.vertices, tuple(found), truncated)
 
 
 def solve_acyclic_dp(
@@ -703,15 +701,12 @@ def solve_acyclic_dp(
     tied trades are expanded afterwards.
     """
     kk = _levels(t.m, k, exact_k, witness_cap)
-    form = t.integer_form
-    if not form.is_acyclic():
+    if not t.integer_form.is_acyclic():
         raise ValueError(
             "weights have a nonzero cyclic component; this solver needs purely "
             "acyclic input (decompose first)"
         )
-    return _divider_dp(
-        t, form.w, form.scale, kk, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap
-    )
+    return _divider_dp(t, kk, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
 
 
 def solve_2op(
@@ -725,18 +720,13 @@ def solve_2op(
 
     Cyclic weights are invisible to 2-partitions (every cycle crosses a
     2-partition as often downward as upward), so optimizing the acyclic
-    component alone is exact for the original weights.  That component is
-    the outer difference of the Borda vector over scale * m, so the divider
-    program runs on it directly.
+    component alone is exact for the original weights, and the divider
+    program reads only that component.
     """
     if t.m < 2:
         raise ValueError("max-2OP needs at least two vertices")
     kk = _levels(t.m, 2, exact_k, witness_cap)
-    form = t.integer_form
-    return _divider_dp(
-        t, form.beta_differences(), form.scale * t.m, kk,
-        all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap,
-    )
+    return _divider_dp(t, kk, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
 
 
 _ROUTE_WORK = {
@@ -750,19 +740,22 @@ def _guard_message(route: str, estimate: int, guard: int) -> str:
     return f"{name}: {estimate} {units} exceed the guard of {guard}"
 
 
-def _route(t: WeightedTournament, k: int, exact_k: bool) -> tuple[str, int | None]:
+def _route(
+    t: WeightedTournament, k: int, exact_k: bool, witness_cap: int = 1
+) -> tuple[str, int | None]:
     """The route ``solve`` takes, with its work estimate (None on the polynomial routes).
 
     2-partitions go to ``"2op"`` and purely acyclic weights to ``"divider"``.
     Otherwise the exponential route with the smaller estimate wins:
     ``"walk"`` visits kk**m level vectors, ``"subset"`` evaluates
-    ``_subset_cells`` cells; a tie goes to the walk.
+    ``_subset_cells`` cells; a tie goes to the walk.  The request is validated
+    before the estimates are taken.
     """
     if k == 2 and t.m >= 2:
         return "2op", None
     if t.integer_form.is_acyclic():
         return "divider", None
-    kk = _levels(t.m, k, exact_k, 1)
+    kk = _levels(t.m, k, exact_k, witness_cap)
     walk, cells = kk**t.m, _subset_cells(t.m, kk, exact_k)
     return ("subset", cells) if cells < walk else ("walk", walk)
 
@@ -781,19 +774,14 @@ def solve(
     2-partitions go through the acyclic projection and purely acyclic weights
     through the divider dynamic program, both polynomial.  Everything else
     goes to the exhaustive walk or the subset dynamic program, whichever
-    estimates less work; GuardExceededError names that route when its
-    estimate exceeds ``guard``.
+    estimates less work; that route validates the request and raises
+    GuardExceededError, naming itself, when its estimate exceeds ``guard``.
     """
-    _levels(t.m, k, exact_k, witness_cap)
-    route, estimate = _route(t, k, exact_k)
+    route, _ = _route(t, k, exact_k, witness_cap)
     if route == "2op":
         return solve_2op(t, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
     if route == "divider":
-        return solve_acyclic_dp(
-            t, k, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap
-        )
-    if estimate > guard:
-        raise GuardExceededError(_guard_message(route, estimate, guard))
+        return solve_acyclic_dp(t, k, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
     exhaustive = solve_subset_dp if route == "subset" else solve_bruteforce
     return exhaustive(
         t, k, all_ties=all_ties, exact_k=exact_k, guard=guard, witness_cap=witness_cap

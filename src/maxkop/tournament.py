@@ -46,7 +46,10 @@ def _as_fraction(value: object) -> Fraction:
 
 
 def _form_dtype(bound: int) -> type:
-    """Integer form dtype for m-by-m w with 2 * m * sum(abs(w)) <= bound: int64 below 2**62."""
+    """Dtype for integers of magnitude at most ``bound``: int64 below 2**62, else object.
+
+    The integer form of an m-by-m w passes ``bound = 2 * m * sum(abs(w))``.
+    """
     return np.int64 if bound < 2**62 else object
 
 
@@ -72,9 +75,9 @@ class IntegerForm:
     ``w`` is the antisymmetric m-by-m matrix with ``w == scale * weights`` and
     ``beta = w.sum(1)`` the scaled Borda vector.  The dtype is int64 when every
     quantity derived from ``w`` stays below 2**62 (``m * w``, ``beta`` and its
-    differences, 2-D prefix sums of ``w`` or of those differences, each at most
-    ``2 * m * sum(abs(w))``) and object (Python ints) otherwise: int64 wraps
-    silently, so bounding ``w`` alone is not enough.
+    differences, ``m`` times the prefix sums of ``beta`` in any order, each at
+    most ``2 * m * sum(abs(w))``) and object (Python ints) otherwise: int64
+    wraps silently, so bounding ``w`` alone is not enough.
     """
 
     w: np.ndarray

@@ -12,7 +12,7 @@ from maxkop.formats import (
     parse_profile,
     read_tournament,
 )
-from maxkop.profiles import LINEAR, Profile, WeakOrder, realize_weights
+from maxkop.profiles import LINEAR, UNIVALENT, Profile, WeakOrder, realize_weights
 from maxkop.reductions import CutInstance
 from maxkop.selftest import random_profile, random_tournament
 
@@ -197,6 +197,49 @@ def kemeny9_file(tmp_path):
     return path
 
 
+@pytest.mark.parametrize(
+    "token, spec",
+    [
+        ("linear", LINEAR),
+        ("V", LINEAR),
+        ("|v|", LINEAR),
+        ("Univalent", UNIVALENT),
+        ("2*", UNIVALENT),
+        ("2STAR", UNIVALENT),
+        ("3", 3),
+    ],
+)
+def test_level_spec_aliases(token, spec):
+    assert cli._parse_level_spec(token) == spec
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["aggregate", "--j", "three", "--k", "2"],
+            "invalid level spec 'three': use an integer, 'linear', or 'univalent'",
+        ),
+        (["aggregate", "--j", "2", "--k", "0"], "level spec must be positive, got 0"),
+        (
+            ["aggregate", "--rule", "borda_winner", "--k", "2"],
+            "give either --rule or --j/--k, not both",
+        ),
+        (["aggregate", "--j", "2"], "aggregate needs --rule or both --j and --k"),
+        (["solve", "--k", "2", "--threshold", "half"], "expected a rational p/q, got 'half'"),
+        (["decide", "--k", "2", "--threshold", "1/0"], "expected a rational p/q, got '1/0'"),
+    ],
+)
+def test_option_value_errors_exit_1(capsys, tmp_path, argv, message):
+    path = tmp_path / "in.txt"
+    text = "profile 2\na\nb\na | b\n" if argv[0] == "aggregate" else "tournament 1\na\n"
+    path.write_text(text)
+    assert cli.main(argv + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_aggregate_rule_rejects_exact_k(capsys, kemeny9_file):
     code = cli.main(["aggregate", "--rule", "kemeny_ranking", "--exact-k", str(kemeny9_file)])
     assert code == 1
@@ -237,6 +280,16 @@ def test_realize_roundtrip(capsys, tmp_path):
     induced = induce_tournament(p)
     for pair in t.stored_pairs():
         assert induced.weights[pair] == 2 * t.weights[pair]
+
+
+def test_realize_prints_the_profile_without_output(capsys, tmp_path):
+    t = WeightedTournament(("a", "b", "c"), {("a", "b"): 2, ("b", "c"): -1})
+    src = tmp_path / "t.txt"
+    src.write_text(format_tournament(t))
+    code, out = run_cli(capsys, "realize", str(src))
+    assert code == 0
+    assert out == format_profile(realize_weights(t))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
 
 def test_reduce_hg(capsys, k3_file, tmp_path):

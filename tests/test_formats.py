@@ -135,6 +135,7 @@ def test_graph_parse_errors():
 
 _T3 = "tournament 3\na\nb\nc\n"
 _P3 = "profile 3\na\nb\nc\n"
+_G3 = "graph 3\na\nb\nc\n"
 
 # Malformed texts and their exact error: per-line errors first, in line
 # order; then the constructor's errors at line 1 (names, then arcs or
@@ -219,6 +220,22 @@ PARSE_ERRORS = [
     ),
     (parse_profile, "profile 2\na\na\n| a\n", "in.txt:4: classes must be nonempty"),
     (parse_profile, "profile 2\na\nb\n", "in.txt:1: a profile needs at least one ballot"),
+    (parse_graph, _G3 + "a b\n", "in.txt:5: expected 'a b w' edge line, got 'a b'"),
+    (parse_graph, _G3 + "a b 1/2\n", "in.txt:5: expected an integer weight, got '1/2'"),
+    (
+        parse_graph,
+        _G3 + "a b 1\n\nb c -1\n",
+        "in.txt:7: edge weight must be a nonnegative integer, got -1",
+    ),
+    (parse_graph, _G3 + "a b 1\nb a 2\n", "in.txt:6: duplicate edge {'b', 'a'}"),
+    (parse_graph, _G3 + "a b 1\na z 2\n", "in.txt:1: unknown vertex in edge ('a', 'z')"),
+    (parse_graph, _G3 + "a a 1\n", "in.txt:1: self-loops are not allowed"),
+    (parse_graph, "graph 2\na\na\n", "in.txt:1: vertex names must be distinct"),
+    (
+        parse_graph,
+        "graph 2\na|b\nc\na|b c 1\n",
+        "in.txt:1: vertex name 'a|b' may not contain whitespace, '>' or '|'",
+    ),
 ]
 
 
@@ -270,6 +287,16 @@ def test_validate_ballots_messages_exact(spec, message):
             ["aggregate", "--rule", "borda_winner"],
             "profile 2\na\na>b\na | a>b\n",
             ":1: vertex name 'a>b' may not contain whitespace, '>' or '|'",
+        ),
+        (
+            ["verify", "--theorem", "1"],
+            "graph 2\na|b\nc\na|b c 1\n",
+            ":1: vertex name 'a|b' may not contain whitespace, '>' or '|'",
+        ),
+        (
+            ["verify", "--theorem", "1"],
+            _G3 + "a b 1\nb c -1\n",
+            ":6: edge weight must be a nonnegative integer, got -1",
         ),
     ],
 )

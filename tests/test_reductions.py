@@ -42,6 +42,27 @@ K3 = unit_graph("abc", "ab", "ac", "bc")
 EDGE = CutInstance(("a", "b"), {("a", "b"): 1})
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ((), {}, "a cut instance needs at least one vertex"),
+        (("a", ""), {}, "vertex name must be a nonempty string, got ''"),
+        (("a|b", "c"), {}, "vertex name 'a|b' may not contain whitespace, '>' or '|'"),
+        (("a", "b", "a"), {}, "vertex names must be distinct"),
+        (("a", "b"), {("a", "z"): 1}, "unknown vertex in edge ('a', 'z')"),
+        (("a", "b"), {("b", "b"): 1}, "self-loops are not allowed"),
+        (("a", "b"), {("a", "b"): -1}, "edge weight must be a nonnegative integer, got -1"),
+        (("a", "b"), {("a", "b"): True}, "edge weight must be a nonnegative integer, got True"),
+        (("a", "b"), {("a", "b"): 1.0}, "edge weight must be a nonnegative integer, got 1.0"),
+        (("a", "b"), {("a", "b"): 1, ("b", "a"): 2}, "duplicate edge {'b', 'a'}"),
+    ],
+)
+def test_cut_instance_errors(vertices, edges, message):
+    with pytest.raises(ValueError) as err:
+        CutInstance(vertices, edges)
+    assert str(err.value) == message
+
+
 def test_cut_score_examples():
     assert cut_score(K3, [{"a"}, {"b", "c"}]) == 2
     assert cut_score(K3, [{"a"}, {"b"}, {"c"}]) == 3

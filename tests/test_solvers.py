@@ -59,7 +59,8 @@ def test_bruteforce_single_arc():
 
 def test_bruteforce_guard():
     t = WeightedTournament.zeros(tuple("abcdefgh"))
-    with pytest.raises(GuardExceededError, match="6561.*100"):
+    message = "^exhaustive walk: 6561 level vectors exceed the guard of 100$"
+    with pytest.raises(GuardExceededError, match=message):
         solve_bruteforce(t, 3, guard=100)
 
 

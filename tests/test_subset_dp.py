@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import scale_weights
@@ -17,6 +18,7 @@ from maxkop import (
 )
 from maxkop.profiles import LINEAR, UNIVALENT, Profile, WeakOrder
 from maxkop.selftest import random_profile, random_tournament
+from maxkop import solvers
 from maxkop.solvers import _route, _subset_cells
 
 
@@ -123,6 +125,40 @@ def test_solve_guard_names_the_chosen_route():
     with pytest.raises(GuardExceededError, match="subset dynamic program: 2048 cells"):
         solve(t, 8, exact_k=True, guard=100)
     assert_same(solve(t, 8, exact_k=True, all_ties=True), solve_subset_dp(t, 8, exact_k=True, all_ties=True))
+
+
+ROUTE_CASES = {  # route: (tournament seed, k, exact_k)
+    "2op": (90, 2, False),
+    "divider": (None, 3, False),
+    "walk": (91, 3, False),
+    "subset": (92, 6, True),
+}
+
+
+@pytest.mark.parametrize("route", ROUTE_CASES)
+def test_solve_validates_the_request_on_every_route(route):
+    # solve leaves validation to the route it picks, ahead of that route's guard
+    seed, k, exact_k = ROUTE_CASES[route]
+    if seed is None:  # acyclic: differences of vertex potentials
+        pot = np.array([3, 1, 4, 1, 5, 9])
+        t = WeightedTournament.from_int_matrix(tuple("abcdef"), pot[:, None] - pot, 1)
+    else:
+        t = random_tournament(random.Random(seed), 6, -3, 3)
+    assert _route(t, k, exact_k)[0] == route
+    with pytest.raises(ValueError, match="^witness_cap must be at least 1$"):
+        solve(t, k, exact_k=exact_k, guard=1, witness_cap=0)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="^k must be at least 1$"):
+            solve(t, bad, exact_k=exact_k, guard=1)
+
+
+def test_uncached_plan_matches_the_cached_one(monkeypatch):
+    t = random_tournament(random.Random(88), 7, -2, 2)
+    cached = solve_subset_dp(t, 4, all_ties=True, exact_k=True, witness_cap=50)
+    monkeypatch.setattr(solvers, "_PLAN_CACHE_CELLS", 0)
+    info = solvers._cached_subset_plan.cache_info()
+    assert_same(solve_subset_dp(t, 4, all_ties=True, exact_k=True, witness_cap=50), cached)
+    assert solvers._cached_subset_plan.cache_info() == info  # built afresh, the cache untouched
 
 
 def test_solve_matches_walk_on_both_routes():
