@@ -146,8 +146,8 @@ def _run_solve(ns: argparse.Namespace, out) -> int:
     t = read_tournament(ns.file)
     res = solve(t, ns.k, all_ties=ns.all_ties, exact_k=ns.exact_k, guard=ns.guard)
     out(f"optimum {format_rational(res.optimum)}")
-    for line in _format_levels(res.vertices, res.levels, " > "):
-        out(f"witness {line}")
+    for text in _format_levels(res.vertices, res.table, " > ", "witness "):
+        out(text)
     if res.truncated:
         out("witnesses truncated")
     if threshold is not None:
@@ -193,8 +193,8 @@ def _run_aggregate(ns: argparse.Namespace, out) -> int:
     else:
         res = aggregate(p, j, k, exact_k=ns.exact_k, coerce=ns.coerce, guard=ns.guard)
         out(f"optimum {format_rational(res.optimum)}")
-    for line in _format_levels(res.alternatives, res.levels, " | "):
-        out(f"order {line}")
+    for text in _format_levels(res.alternatives, res.table, " | ", "order "):
+        out(text)
     if res.truncated:
         out("orders truncated")
     return 0

@@ -178,25 +178,32 @@ def parse_partition(text: str, path: str = "<string>") -> OrderedPartition:
         raise ParseError(path, lineno, str(exc)) from None
 
 
-def _format_levels(
-    names: Sequence[str], levels: Sequence[Sequence[int]], sep: str
-) -> Iterator[str]:
-    """One line per level vector over ``names``: its partition or weak order as text.
+_CHUNK_ROWS = 2048  # rows per text chunk, bounding the transient cell table and text
 
-    Names are listed by level, level 0 first and in the order of ``names``
-    within a level, levels separated by ``sep``: " > " prints the partition a
-    level vector stands for over its vertices, " | " the weak order over its
-    alternatives (a ballot line of ``format_profile``).
+
+def _format_levels(
+    names: Sequence[str], table: np.ndarray, sep: str, head: str = ""
+) -> Iterator[str]:
+    """The lines of a level-vector table over ``names``, in text chunks of up to 2048 lines.
+
+    A row's line is ``head``, then the names by level, level 0 first and in
+    the order of ``names`` within a level, levels separated by ``sep`` (" > "
+    for partitions, " | " for weak orders and ballot lines).  A chunk joins
+    its lines with newlines, without a trailing one.  Per chunk: one stable
+    argsort, one gather from a vocabulary of each name followed by " ",
+    ``sep`` or a line end, and one join.
     """
-    tokens, gaps = np.array(names, object), np.array([" ", sep], object)
-    for lo in range(0, len(levels), 2048):  # rows per pass, bounding the text table
-        lv = np.array(levels[lo : lo + 2048])
+    vocab = np.array(names, object)[:, None] + np.array([" ", sep, "\n" + head], object)
+    for lo in range(0, len(table), _CHUNK_ROWS):
+        lv = table[lo : lo + _CHUNK_ROWS]
         order = np.argsort(lv, axis=1, kind="stable")
         ranked = np.take_along_axis(lv, order, 1)
-        cells = np.empty((len(lv), 2 * len(names) - 1), object)
-        cells[:, ::2] = tokens[order]
-        cells[:, 1::2] = gaps[(ranked[:, 1:] != ranked[:, :-1]).astype(np.intp)]
-        yield from map("".join, cells.tolist())
+        gap = np.full(lv.shape, 2, np.intp)  # 0: same level next, 1: next level, 2: line end
+        gap[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
+        cells = vocab[order, gap]
+        cells[-1, -1] = names[order[-1, -1]]  # the chunk's last name ends no line
+        cells[0, 0] = head + cells[0, 0]
+        yield "".join(cells.ravel().tolist())
 
 
 def format_partition(p: OrderedPartition, vertices: Iterable[str]) -> str:
@@ -304,7 +311,8 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
 def format_profile(p: Profile) -> str:
     out = [f"profile {len(p.alternatives)}"]
     out.extend(p.alternatives)
-    for line, count in zip(_format_levels(p.alternatives, p.ranks, " | "), p.counts):
+    lines = "\n".join(_format_levels(p.alternatives, p.ranks, " | ")).split("\n")
+    for line, count in zip(lines, p.counts):
         out.append(line if count == 1 else f"{line} × {count}")
     return "\n".join(out) + "\n"
 

@@ -10,8 +10,9 @@ Both ends keep integer forms and build objects only when read.  A
 ``Profile`` stores a rank matrix over its alternatives plus the ballot
 multiplicities; ``induce_tournament`` and ``validate_ballots`` work on that
 matrix, and its ``ballots`` derive the ``WeakOrder`` objects.  An
-``AggregateResult`` stores its orders as level vectors over the alternatives
-and builds the ``WeakOrder`` objects only when ``orders`` is read.
+``AggregateResult`` stores its orders as one read-only table of level vectors
+over the alternatives and builds tuples (``levels``) and ``WeakOrder``
+objects (``orders``) only when read.
 """
 
 from __future__ import annotations
@@ -20,13 +21,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, permutations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, solve
-from .tournament import WeightedTournament, _form_dtype, _level_blocks, _validate_name
+from .tournament import (
+    WeightedTournament,
+    _form_dtype,
+    _level_blocks,
+    _level_table,
+    _LevelTableResult,
+    _validate_name,
+)
 
 #: Level spec meaning "as many classes as alternatives" (linear orders).
 LINEAR = "linear"
@@ -161,24 +168,35 @@ class Profile:
         return f"Profile(alternatives={self.alternatives!r}, ballots={self.ballots!r})"
 
 
-@dataclass(frozen=True)
-class AggregateResult:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class AggregateResult(_LevelTableResult):
     """Winning weak orders plus the score they achieve on the induced tournament.
 
-    ``levels`` holds the orders as level vectors over ``alternatives``
-    (``levels[i][a]`` is the class of ``alternatives[a]`` in the i-th order, 0
-    the best class); ``orders`` derives the ``WeakOrder`` objects from them on
-    first access.  ``truncated`` marks that further tied orders were dropped.
+    ``table`` holds the orders as a read-only integer table of level vectors
+    over ``alternatives`` (``table[i, a]`` is the class of ``alternatives[a]``
+    in the i-th order, 0 the best class); ``levels`` and ``orders``
+    (``WeakOrder`` objects) derive from it (see ``_LevelTableResult``).
+    ``truncated`` marks that further tied orders were dropped.
     """
 
     optimum: Fraction
     alternatives: tuple[str, ...]
-    levels: tuple[tuple[int, ...], ...]
-    truncated: bool = False
+    table: np.ndarray
+    truncated: bool
+
+    def __init__(
+        self, optimum: Fraction, alternatives: tuple[str, ...], levels, truncated: bool = False
+    ):
+        object.__setattr__(self, "optimum", optimum)
+        object.__setattr__(self, "alternatives", alternatives)
+        object.__setattr__(self, "table", _level_table(levels, len(alternatives)))
+        object.__setattr__(self, "truncated", truncated)
 
     @cached_property
     def orders(self) -> tuple[WeakOrder, ...]:
-        return tuple(WeakOrder(tuple(_level_blocks(self.alternatives, lv))) for lv in self.levels)
+        return tuple(
+            WeakOrder(tuple(_level_blocks(self.alternatives, lv))) for lv in self.table.tolist()
+        )
 
 
 def _render_order(order: WeakOrder) -> str:
@@ -271,11 +289,9 @@ def aggregate(
     if k == UNIVALENT:
         # the score of a singleton-top 2-partition is exactly the Borda score
         # of its winner, so only the m such partitions need scoring
-        beta = t.integer_form.beta.tolist()
-        top = max(beta)
-        levels = tuple(
-            tuple(int(y != x) for y in range(m)) for x, b in enumerate(beta) if b == top
-        )
+        beta = t.integer_form.beta
+        top = max(beta.tolist())
+        levels = np.arange(m) != np.flatnonzero(beta == top)[:, None]
         return AggregateResult(Fraction(top, t.integer_form.scale), t.vertices, levels)
 
     if k == LINEAR:
@@ -286,7 +302,7 @@ def aggregate(
         raise ValueError(f"invalid level spec {k!r}")
 
     res = solve(t, kk, all_ties=True, exact_k=exact, guard=guard, witness_cap=witness_cap)
-    return AggregateResult(res.optimum, res.vertices, res.levels, res.truncated)
+    return AggregateResult(res.optimum, res.vertices, res.table, res.truncated)
 
 
 def jk_kemeny(
@@ -316,6 +332,29 @@ def borda_mean_rule(p: Profile, **kwargs) -> list[WeakOrder]:
     return jk_kemeny(p, LINEAR, 2, **kwargs)
 
 
+def _first_permutations(size: int, n: int) -> np.ndarray:
+    """The first min(n, size!) permutations of range(size), one per row, in lexicographic order.
+
+    That is the order of ``itertools.permutations``.  Only the last r places
+    vary, r the least with r! >= n; row i places them by the Lehmer code of
+    i, whose digit j is ``i // (r - 1 - j)! % (r - j)``: the index of the
+    next value among those still unused, in ascending order.
+    """
+    r = 0
+    while r < size and math.factorial(r) < n:
+        r += 1
+    rows = min(n, math.factorial(r))
+    rank = np.arange(rows)
+    perms = np.empty((rows, size), np.intp)
+    perms[:, : size - r] = np.arange(size - r)
+    unused = np.tile(np.arange(size - r, size), (rows, 1))  # per row, ascending
+    for j in range(r):
+        digit = rank // math.factorial(r - 1 - j) % (r - j)
+        perms[:, size - r + j] = unused[rank, digit]
+        unused = unused[np.arange(r - j) != digit[:, None]].reshape(rows, r - j - 1)
+    return perms
+
+
 def _borda_ranking(p: Profile, witness_cap: int) -> AggregateResult:
     """All linear orders consistent with sorting by Borda score, best first.
 
@@ -343,16 +382,14 @@ def _borda_ranking(p: Profile, witness_cap: int) -> AggregateResult:
     for g in reversed(groups):
         start -= len(g)
         if len(g) > 1 and stride < n:
-            perms = np.array(list(islice(permutations(g), -(-n // stride))))
+            perms = np.array(g)[_first_permutations(len(g), -(-n // stride))]
             seq[:, start : start + len(g)] = perms[rows // stride % len(perms)]
         stride *= math.factorial(len(g))
     levels = np.empty_like(seq)
     levels[rows[:, None], seq] = np.arange(t.m)
     # the score every best linear order achieves: the weight above its diagonal
     optimum = Fraction(int(np.triu(form.w[np.ix_(top, top)], 1).sum()), form.scale)
-    return AggregateResult(
-        optimum, t.vertices, tuple(map(tuple, levels.tolist())), count > witness_cap
-    )
+    return AggregateResult(optimum, t.vertices, levels, count > witness_cap)
 
 
 def aggregate_rule(

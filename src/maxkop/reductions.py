@@ -32,6 +32,7 @@ import numpy as np
 from .solvers import (
     DEFAULT_GUARD,
     GuardExceededError,
+    _guard_message,
     _partition_from_levels,
     _walk_levels,
     solve_bruteforce,
@@ -177,9 +178,7 @@ def solve_cut_bruteforce(
     m = g.n
     count = _partition_count(m, pieces)
     if count > guard:
-        raise GuardExceededError(
-            f"enumerating {count} partitions exceeds the guard of {guard}"
-        )
+        raise GuardExceededError(_guard_message("cut", count, guard))
     w = np.zeros((m, m), object)
     for (x, y), weight in g.edge_weights.items():
         w[g.index(x), g.index(y)] = w[g.index(y), g.index(x)] = weight
@@ -187,7 +186,7 @@ def solve_cut_bruteforce(
     best, _, kept = _walk_levels(
         exact_int_matrix(w), min(pieces, m), False, count, np.not_equal, unordered=True
     )
-    return best, [_partition_from_levels(g.vertices, lv).blocks for lv in kept]
+    return best, [_partition_from_levels(g.vertices, lv).blocks for lv in kept.tolist()]
 
 
 def _direction_names(g: CutInstance, order: list[str]) -> dict[tuple[str, str], str]:

@@ -32,13 +32,13 @@ Every route reads the tournament's ``integer_form`` (see
 ``maxkop.tournament``), whose dtype is int64 or Python ints (object arrays).
 
 Results carry every optimal partition (up to a cap, flagged by ``truncated``)
-or just the canonically least one.  Witnesses are stored as level vectors
-(the block index of each vertex, 0 the top block) in lexicographic order, the
-order the walk visits them in, so every route keeps the same witnesses under
-a cap; ``SolveResult.witnesses`` builds the ``OrderedPartition`` objects only
-when read.  Both dynamic programs list ties with ``_canonical_walk``, which
-counts the optimal paths over their tight steps (``_TightPaths``) fitting a
-prefix of levels, in polynomial time per witness.
+or just the canonically least one.  Every route builds them as one integer
+table of level vectors (the block index of each vertex, 0 the top block), one
+row per witness in lexicographic order, the order the walk visits them in, so
+every route keeps the same witnesses under a cap.  Both dynamic programs list
+ties with ``_canonical_walk``, which counts the optimal paths over their tight
+steps (``_TightPaths``) fitting a prefix of levels, in polynomial time per
+witness.
 """
 
 from __future__ import annotations
@@ -52,7 +52,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tournament import OrderedPartition, WeightedTournament, _form_dtype, _level_blocks
+from .tournament import (
+    OrderedPartition,
+    WeightedTournament,
+    _form_dtype,
+    _level_blocks,
+    _level_table,
+    _LevelTableResult,
+)
 
 DEFAULT_GUARD = 10**8
 DEFAULT_WITNESS_CAP = 10_000
@@ -63,25 +70,34 @@ class GuardExceededError(RuntimeError):
     """Raised when a route's estimated work exceeds the configured guard."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class SolveResult(_LevelTableResult):
     """Optimal score plus the partitions achieving it.
 
-    ``levels`` holds the witnesses as level vectors over ``vertices``
-    (``levels[i][v]`` is the block of ``vertices[v]`` in the i-th witness, 0
-    the top block), in canonical (lexicographic) order; ``witnesses`` derives
-    the ``OrderedPartition`` objects from them on first access.
-    ``truncated`` marks that further tied witnesses were dropped at the cap.
+    ``table`` holds the witnesses as a read-only integer table of level
+    vectors over ``vertices`` (``table[i, v]`` is the block of ``vertices[v]``
+    in the i-th witness, 0 the top block), in canonical (lexicographic) order;
+    ``levels`` and ``witnesses`` (``OrderedPartition`` objects) derive from it
+    (see ``_LevelTableResult``).  ``truncated`` marks that further tied
+    witnesses were dropped at the cap.
     """
 
     optimum: Fraction
     vertices: tuple[str, ...]
-    levels: tuple[tuple[int, ...], ...]
-    truncated: bool = False
+    table: np.ndarray
+    truncated: bool
+
+    def __init__(
+        self, optimum: Fraction, vertices: tuple[str, ...], levels, truncated: bool = False
+    ):
+        object.__setattr__(self, "optimum", optimum)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "table", _level_table(levels, len(vertices)))
+        object.__setattr__(self, "truncated", truncated)
 
     @cached_property
     def witnesses(self) -> tuple[OrderedPartition, ...]:
-        return tuple(_partition_from_levels(self.vertices, lv) for lv in self.levels)
+        return tuple(_partition_from_levels(self.vertices, lv) for lv in self.table.tolist())
 
 
 def _levels(m: int, k: int, exact_k: bool, witness_cap: int) -> int:
@@ -133,7 +149,7 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
     with ``unordered`` only restricted-growth vectors (each level first used
     after every lower one) are visited, one per unordered partition.  Returns
     the best score, the number of level vectors reaching it, and the first
-    ``cap`` of those in visit order.
+    ``cap`` of those in visit order, one per row of an intp array.
     The last ``s`` vertices (the suffix) are scored all at once in numpy,
     ``k**s`` being about ``_BLOCK``.  The prefix is walked depth first in
     Python, keeping an s-by-k table of the prefix's pair terms with each
@@ -155,12 +171,12 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
     full = (1 << k) - 1
     labels = [0] * p
     best = None
-    nopt = 0
-    kept: list[tuple[int, ...]] = []
+    nopt = nkept = 0
+    kept: list[np.ndarray] = []
 
     def visit(d: int, score: int, table: np.ndarray, pmask: int) -> None:
         # table[j, c]: pair terms of the prefix with suffix vertex j at level c
-        nonlocal best, nopt, kept
+        nonlocal best, nopt, nkept, kept
         if d < p:
             for lam in range(min(k, pmask.bit_length() + 1) if unordered else k):
                 labels[d] = lam
@@ -190,14 +206,21 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
         if best is not None and score + top < best:
             return
         if best is None or score + top > best:
-            best, nopt, kept = score + top, 0, []
+            best, nopt, nkept, kept = score + top, 0, 0, []
         hits = idx[vals == top]
         nopt += hits.size
-        head = tuple(labels)
-        kept.extend(head + tuple(x) for x in digits[:, hits[: cap - len(kept)]].T.tolist())
+        take = hits[: cap - nkept]
+        if take.size:
+            leaf = np.empty((take.size, m), np.intp)
+            leaf[:, :p] = labels
+            leaf[:, p:] = digits[:, take].T
+            kept.append(leaf)
+            nkept += take.size
 
     visit(0, 0, np.zeros((s, k), w.dtype), 0)
-    return best, nopt, kept
+    table = np.concatenate(kept) if kept else np.zeros((0, m), np.intp)
+    kept.clear()  # ``visit`` refers to itself, so its closure outlives the call until a collection
+    return best, nopt, table
 
 
 def solve_bruteforce(
@@ -226,7 +249,7 @@ def solve_bruteforce(
         form.w, kk, exact_k, witness_cap if all_ties else 1, _ordered_term, unordered=False
     )
     truncated = all_ties and nopt > len(kept)
-    return SolveResult(Fraction(best, form.scale), t.vertices, tuple(kept), truncated)
+    return SolveResult(Fraction(best, form.scale), t.vertices, kept, truncated)
 
 
 def _subset_bands(m: int, kk: int, exact_k: bool) -> list[tuple[int, int]]:
@@ -483,37 +506,47 @@ def solve_subset_dp(
             found.append(levels)
         return found
 
-    found, total = _canonical_walk(kk, need, counted, listed)
+    found, total = _canonical_walk(m, kk, need, counted, listed)
     truncated = all_ties and total > witness_cap
-    return SolveResult(Fraction(int(best), t.integer_form.scale), t.vertices, tuple(found), truncated)
+    optimum = Fraction(int(best), t.integer_form.scale)
+    return SolveResult(optimum, t.vertices, found, truncated)
 
 
-def _canonical_walk(kk: int, need: int, counted, listed) -> tuple[list[tuple[int, ...]], int]:
+def _canonical_walk(m: int, kk: int, need: int, counted, listed) -> tuple[np.ndarray, int]:
     """The ``need`` lexicographically least optimal level vectors, with their saturated count.
 
     ``counted(prefix)`` returns a dynamic program's state under a prefix
     (levels of vertices 0..i-1) and how many optimal level vectors fit it;
-    ``listed(state)`` lists those as arrays of rows.  Vertices are assigned
-    levels in index order, levels ascending, until a prefix's vectors fit
-    what the cap has left.
+    ``listed(state)`` lists those as intp arrays of m-column rows.  Vertices
+    are assigned levels in index order, levels ascending, until a prefix's
+    vectors fit what the cap has left.  Each listed batch is sorted alone, by
+    one packed key per row when kk**m fits int64.
     """
-    found: list[tuple[int, ...]] = []
+    room = need
+    packed = kk**m < 2**62
+    place = kk ** np.arange(m - 1, -1, -1) if packed else None
 
-    def visit(prefix: list[int], state, total: int) -> None:
-        if total <= need - len(found):
+    # ``visit`` refers to itself, so what it closes over outlives the call until a
+    # collection: ``found`` is passed down instead
+    def visit(prefix: list[int], state, total: int, found: list) -> None:
+        nonlocal room
+        if total <= room:
             levels = np.concatenate(listed(state))
-            found.extend(map(tuple, levels[np.lexsort(levels.T[::-1])].tolist()))
+            order = np.argsort(levels @ place) if packed else np.lexsort(levels.T[::-1])
+            found.append(levels[order])
+            room -= len(levels)
             return
         for b in range(kk):
             sub, n = counted(prefix + [b])
             if n:
-                visit(prefix + [b], sub, n)
-            if len(found) == need:
+                visit(prefix + [b], sub, n, found)
+            if not room:
                 return
 
+    found: list[np.ndarray] = []
     state, total = counted([])
-    visit([], state, total)
-    return found, total
+    visit([], state, total, found)
+    return np.concatenate(found), total
 
 
 class _TightPaths:
@@ -565,6 +598,21 @@ class _TightPaths:
                 cur = self.src[j][step[keep]]
             found.append((top, steps))
         return found
+
+
+def _saturated_product(factors: np.ndarray, ceiling: int) -> np.ndarray:
+    """``min(product of each row, ceiling)`` for nonnegative factors of at most ``ceiling``.
+
+    Columns are multiplied pairwise in log-depth rounds, saturating after
+    each, so no product exceeds ``ceiling**2``: exact in int64 if that fits.
+    """
+    rows, cols = factors.shape
+    width = 1 << (cols - 1).bit_length()
+    if width > cols:
+        factors = np.concatenate([factors, np.ones((rows, width - cols), factors.dtype)], axis=1)
+    while factors.shape[1] > 1:
+        factors = np.minimum(factors[:, ::2] * factors[:, 1::2], ceiling)
+    return factors[:, 0]
 
 
 def _divider_dp(
@@ -622,14 +670,17 @@ def _divider_dp(
     paths = _TightPaths(live, edges, tops, ceiling, (m + 1) * ceiling**2)
     hi = size.cumsum()
     lo = hi - size
-    tied = np.flatnonzero(size > 1)
     # the tight steps c -> i of all layers in turn, those into layer j ending at ends[j]; step e
     # fills level level[e] with share[e, g] positions of group g, and after[e, g] lie at or after c
     c, i = (np.concatenate(x) for x in zip(*edges[1:]))
     ends = np.cumsum([0] + [len(x) for x, _ in edges[1:]])
     level = np.repeat(np.arange(kk), np.diff(ends))
+    layers = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
     tail = (hi - np.maximum(lo, pos[:, None])).clip(0)  # tail[c, g]: positions of g at or after c
     share, after = tail[c] - tail[i], tail[c]
+    # a fitting step weighs 1 in a group it takes none or all of, so only the groups that a
+    # tight divider cuts weigh a binomial
+    cut = np.flatnonzero(((share > 0) & (share < size)).any(0))
     span = range(size.max() + 1)  # binomials within a group, saturated at the ceiling
     pascal = np.array([[min(comb(n, r), ceiling) for r in span] for n in span], paths.dtype)
 
@@ -640,9 +691,12 @@ def _divider_dp(
         above = taken[:, ::-1].cumsum(1)[:, ::-1]
         want, free = share - taken[:, level].T, after - above[:, level].T
         w = ((want >= 0) & (want <= free)).all(1).astype(paths.dtype)
-        for g in tied:
-            w = np.minimum(w * pascal[free[:, g].clip(0), want[:, g].clip(0)], ceiling)
-        state, total = paths.counted([None] + np.split(w, ends[1:-1]))
+        if cut.size:
+            # a step that does not fit reads some in-bounds binomial (want, free >= -size.max())
+            # and weighs 0 through its first factor
+            binomials = pascal[free[:, cut], want[:, cut]]
+            w = _saturated_product(np.column_stack([w, binomials]), ceiling)
+        state, total = paths.counted([None] + [w[layer] for layer in layers])
         return (prefix, taken, state), total
 
     @cache  # per call: a module-level cache would keep the arrays alive between calls
@@ -678,10 +732,11 @@ def _divider_dp(
                 found.append(rows)
         return found
 
-    found, total = _canonical_walk(kk, need, counted, listed)
+    found, total = _canonical_walk(m, kk, need, counted, listed)
+    arrangements.cache_clear()  # the recursive closure would keep its arrays until a collection
     truncated = all_ties and total > witness_cap
     optimum = Fraction(int(top), t.integer_form.scale * m)
-    return SolveResult(optimum, t.vertices, tuple(found), truncated)
+    return SolveResult(optimum, t.vertices, found, truncated)
 
 
 def solve_acyclic_dp(
@@ -732,6 +787,7 @@ def solve_2op(
 _ROUTE_WORK = {
     "walk": ("exhaustive walk", "level vectors"),
     "subset": ("subset dynamic program", "cells"),
+    "cut": ("cut walk", "partitions"),
 }
 
 

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Container, Iterable, Iterator, Mapping, Sequence
 
@@ -278,6 +279,49 @@ def _level_blocks(names: Iterable[str], levels: Sequence[int]) -> list[list[str]
     for name, lv in zip(names, levels):
         blocks[lv].append(name)
     return blocks
+
+
+def _level_table(levels, m: int) -> np.ndarray:
+    """Level vectors (an array or a sequence of sequences) as a read-only rows-by-m intp table."""
+    table = np.asarray(levels, np.intp)
+    if table.size == 0:
+        table = table.reshape(0, m)
+    if table.ndim != 2 or table.shape[1] != m:
+        raise ValueError(f"level vectors must have one entry per name ({m})")
+    table.flags.writeable = False
+    return table
+
+
+class _LevelTableResult:
+    """``levels``, equality, hashing and repr of a result dataclass keeping its ``table``.
+
+    The constructors take the level vectors as an array or as tuples
+    (``_level_table``).  The other fields compare as they are; the table
+    compares by value and prints as ``levels``, the tuple of its rows (Python
+    ints), as if that were the field.
+    """
+
+    table: np.ndarray
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "table")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields() and np.array_equal(self.table, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self._fields(), self.table.tobytes()))
+
+    def __repr__(self) -> str:
+        shown = (("levels", self.levels) if f.name == "table" else (f.name, getattr(self, f.name))
+                 for f in fields(self))
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in shown)})"
 
 
 def weight(t: WeightedTournament, x: str, y: str) -> Fraction:

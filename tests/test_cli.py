@@ -337,6 +337,13 @@ def test_verify_theorem_1(capsys, k3_file):
     assert out.strip() == "PASS 3 = 3"
 
 
+def test_verify_guard_names_the_cut_walk(capsys, k3_file):
+    # three vertices have 5 partitions into at most 3 pieces
+    assert cli.main(["verify", "--theorem", "1", "--guard", "1", str(k3_file)]) == 2
+    err = capsys.readouterr().err
+    assert err == "guard exhausted: cut walk: 5 partitions exceed the guard of 1\n"
+
+
 def test_verify_prop1(capsys, k3_file):
     code, out = run_cli(capsys, "verify", "--theorem", "prop1", str(k3_file))
     assert code == 0
