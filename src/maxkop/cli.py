@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 validation or parse error, 2 guard exhaustion,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -74,6 +75,7 @@ def _parse_rational_arg(token: str) -> Fraction:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the command line, which a caller may extend."""
     parser = _Parser(prog="maxkop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -296,8 +298,17 @@ def run(ns: argparse.Namespace, out=print) -> int:
         return 1
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses, built on its first call, never at import.
+
+    ``parse_args`` only reads it, so calls share it; it is never handed out.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    return run(build_parser().parse_args(argv))
+    return run(_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import numpy as np
 from .profiles import RANK_DTYPE, Profile, WeakOrder, _coverage_error
 from .reductions import CutInstance
 from .tournament import (
+    IntegerForm,
     OrderedPartition,
     WeightedTournament,
     _arc_error,
@@ -146,11 +147,12 @@ def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
     scale = 1 if dens is None else math.lcm(*dens)
     if scale != 1:
         nums = [num * (scale // den) for num, den in zip(nums, dens)]
-    # the integer form's own dtype (sum(abs(w)) == 2 * sum(abs(nums))), chosen before
-    # the fill because the weights need not fit int64
+    # the integer form's own dtype (sum(abs(w)) == 2 * sum(abs(nums)) exactly, as no
+    # pair repeats), chosen before the fill because the weights need not fit int64
     w = np.zeros((m, m), _form_dtype(4 * m * sum(map(abs, nums))))
     w[xi, yi] = nums
-    return WeightedTournament.from_int_matrix(names, w - w.T, scale)
+    form = IntegerForm._trusted(w - w.T, scale)
+    return WeightedTournament(tuple(names), form)  # type: ignore[arg-type]
 
 
 def format_tournament(t: WeightedTournament) -> str:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, solve
 from .tournament import (
+    IntegerForm,
     WeightedTournament,
     _form_dtype,
     _level_blocks,
@@ -228,7 +229,9 @@ def induce_tournament(p: Profile) -> WeightedTournament:
         r = ranks[lo : lo + step]
         # sign[b, x, y] is +1 when ballot b ranks x above y, -1 when below
         w += np.tensordot(counts[lo : lo + step], np.sign(r[:, None, :] - r[:, :, None]), 1)
-    return WeightedTournament.from_int_matrix(p.alternatives, w, 1)
+    if dtype is object:  # the bound above is loose: the exact pass may narrow to int64
+        return WeightedTournament.from_int_matrix(p.alternatives, w, 1)
+    return WeightedTournament(p.alternatives, IntegerForm._trusted(w, 1))  # type: ignore[arg-type]
 
 
 def _spec_description(spec: LevelSpec) -> str:

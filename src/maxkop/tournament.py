@@ -9,11 +9,13 @@ A tournament stores its ``integer_form``: the weights times one common scale
 as an antisymmetric integer matrix, plus its row sums (the scaled Borda
 scores).  ``parse_tournament``, ``induce_tournament`` and the gadget
 builders ``build_hg`` and ``build_fg`` fill it directly through
-``from_int_matrix``; the mapping constructor converts its ``Fraction``s
-once.  Every fast path reads it, and so do the transitivity tests and inner
-products.  The ``Fraction`` view ``weights`` is derived on first read.
-Results stay exact ``Fraction``s; ``weight`` and ``partition_score`` keep
-plain ``Fraction`` loops as the independent reference.
+``from_int_matrix`` (or, where the caller already chose the final dtype,
+``IntegerForm._trusted``); the mapping constructor converts its
+``Fraction``s once.  Every fast path reads it, and so do the transitivity
+tests and inner products.  The ``Fraction`` view ``weights`` is derived on
+first read.  Results stay exact ``Fraction``s; ``weight`` and
+``partition_score`` keep plain ``Fraction`` loops as the independent
+reference.
 """
 
 from __future__ import annotations
@@ -88,7 +90,16 @@ class IntegerForm:
     @classmethod
     def of(cls, w: np.ndarray, scale: int) -> "IntegerForm":
         """Form of an exact integer matrix (int64 input must not have wrapped)."""
-        w = exact_int_matrix(w)
+        return cls._trusted(exact_int_matrix(w), scale)
+
+    @classmethod
+    def _trusted(cls, w: np.ndarray, scale: int) -> "IntegerForm":
+        """Form of a matrix already in the dtype ``exact_int_matrix`` would give it.
+
+        For callers that chose that dtype from their own bound before the
+        fill: int64 only from a bound at least ``2 * m * sum(abs(w))``, object
+        only from that exact bound.  Skips the second pass over ``w``.
+        """
         return cls(w, scale, w.sum(1))
 
     def beta_differences(self) -> np.ndarray:
@@ -172,8 +183,9 @@ class WeightedTournament:
 
     The constructor takes ``weights`` as a mapping keyed by either
     orientation of a pair; missing pairs weigh zero.  ``from_int_matrix``
-    passes an ``IntegerForm`` over the vertex list in its place, which is
-    taken as is: only the vertex names are checked.
+    (and the parser and ``induce_tournament``, through ``IntegerForm._trusted``)
+    pass an ``IntegerForm`` over the vertex list in its place, which is taken
+    as is: only the vertex names are checked.
     """
 
     vertices: tuple[str, ...]

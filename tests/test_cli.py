@@ -1,5 +1,11 @@
+import contextlib
+import io
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +396,80 @@ def test_deterministic_output(capsys, cyc_file):
     _, out1 = run_cli(capsys, "solve", "--k", "3", "--all-ties", str(cyc_file))
     _, out2 = run_cli(capsys, "solve", "--k", "3", "--all-ties", str(cyc_file))
     assert out1 == out2
+
+
+# ---- one parser per process ------------------------------------------------------
+
+
+def outcome(entry, argv) -> tuple[object, str, str]:
+    """(exit code, stdout, stderr) of one command line, a usage exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = entry(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_parser_run(argv) -> int:
+    return cli.run(cli.build_parser().parse_args(argv))
+
+
+def test_main_reuses_its_parser_without_carrying_state(tmp_path, cyc_file):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("tournament 2\na\nb\na b oops\n")
+    prof = tmp_path / "p.txt"
+    prof.write_text("profile 3\na\nb\nc\na | b | c × 2\nc | b | a\n")
+    cyc = str(cyc_file)
+    argvs = [
+        ["solve", cyc],  # --k missing
+        ["frobnicate", cyc],
+        ["--help"],
+        ["solve", "--help"],
+        ["solve", "--k", "3", "--threshold", "1/0", cyc],
+        ["solve", "--k", "2", str(bad)],
+        ["solve", "--k", "3", "--guard", "1", cyc],
+        ["solve", "--k", "3", "--all-ties", "--threshold", "1", cyc],
+        ["decide", "--k", "2", "--threshold", "1", cyc],
+        ["aggregate", "--rule", "borda_ranking", str(prof)],
+        ["aggregate", "--j", "2", "--k", "three", str(prof)],
+        ["aggregate", "--j", "2", "--k", "2", str(prof)],  # ballots not dichotomous
+        ["solve", "--k", "2", str(tmp_path / "absent.txt")],
+    ]
+    want = [outcome(fresh_parser_run, argv) for argv in argvs]
+    assert [code for code, _, _ in want] == [1, 1, 0, 0, 1, 1, 2, 0, 0, 0, 1, 1, 1]
+    assert "bad.txt:4" in want[5][2]
+    for order in (argvs, argvs[::-1]):
+        for argv in order:
+            assert outcome(cli.main, argv) == want[argvs.index(argv)], argv
+    assert cli.build_parser() is not cli.build_parser()
+
+
+PROBE = """
+import contextlib, io, sys
+from maxkop import cli
+assert cli._parser.cache_info().currsize == 0, "importing cli built a parser"
+outs = []
+for _ in range(2):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(sys.argv[1:]) == 0
+    outs.append(buf.getvalue())
+info = cli._parser.cache_info()
+assert (info.misses, info.hits) == (1, 1), info
+assert outs[0] == outs[1]
+sys.stdout.write(outs[0])
+"""
+
+
+def test_fresh_process_builds_the_parser_once_on_first_use(capsys, cyc_file):
+    argv = ["solve", "--k", "3", "--all-ties", str(cyc_file)]
+    _, in_process = run_cli(capsys, *argv)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for command in (["-c", PROBE], ["-m", "maxkop.cli"]):
+        proc = subprocess.run(
+            [sys.executable, *command, *argv], env=env, capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == in_process.encode()

@@ -159,6 +159,25 @@ def test_induce_multiplicities_summing_past_2_62():
     assert t.weights[("a", "c")] == 2**63 - 1
 
 
+@pytest.mark.parametrize("voters", [9, 2**62 // 54 - 1, 2**62 // 40, 2**62 // 30, 2**62])
+def test_induced_form_takes_the_exact_dtype(voters):
+    # at m = 3, induce_tournament bounds 2 * m * sum(abs(w)) by 2 * m**3 * voters, but
+    # one linear order cast by every voter gives exactly 36 * voters: from 2**62 // 54
+    # to 2**62 // 36 voters its dtype must come from the exact pass, not the bound
+    rng = random.Random(voters % 1000)
+    alts = vertex_names(3)
+    up = WeakOrder.from_classes([[a] for a in alts])
+    single = Profile(alts, ((up, voters),))
+    mixed = Profile(alts, ((up, voters - 1), (random_weak_order(rng, alts, 2), 1)))
+    for p in (single, mixed):
+        t = induce_tournament(p)
+        w = t.integer_form.w
+        want = exact_int_matrix(w)
+        assert w.dtype == want.dtype and w.tolist() == want.tolist()
+        assert t.weights == ref_induce(p)
+    assert (induce_tournament(single).integer_form.w.dtype == object) == (36 * voters >= 2**62)
+
+
 # ---- Borda and the decomposition ----------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from maxkop.formats import (
     parse_tournament,
 )
 from maxkop.selftest import random_profile, random_tournament
+from maxkop.tournament import exact_int_matrix
 
 # ---- the former parsers, kept as references ----------------------------------------
 
@@ -219,6 +220,17 @@ def test_parse_profile_matches_reference(text):
     assert got_err == want_err
     if want is not None:
         same_profile(got, want)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tournament_texts())
+def test_parsed_form_takes_the_exact_dtype(text):
+    # the parser picks the form's dtype before the fill and skips the exact pass
+    t, _ = outcome(parse_tournament, text)
+    if t is not None:
+        w = t.integer_form.w
+        want = exact_int_matrix(w)
+        assert w.dtype == want.dtype and w.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("seed", range(5))
