@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .decomposition import decompose, norm_squared
 from .formats import (
     ParseError,
     _format_levels,
+    _rational,
     format_graph,
     format_profile,
     format_rational,
@@ -65,13 +65,6 @@ def _parse_level_spec(token: str) -> object:
     if value < 1:
         raise ValueError(f"level spec must be positive, got {value}")
     return value
-
-
-def _parse_rational_arg(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a rational p/q, got {token!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,7 +137,7 @@ def _default_prefix(ns: argparse.Namespace) -> Path:
 
 
 def _run_solve(ns: argparse.Namespace, out) -> int:
-    threshold = None if ns.threshold is None else _parse_rational_arg(ns.threshold)
+    threshold = None if ns.threshold is None else _rational(ns.threshold)
     t = read_tournament(ns.file)
     res = solve(t, ns.k, all_ties=ns.all_ties, exact_k=ns.exact_k, guard=ns.guard)
     out(f"optimum {format_rational(res.optimum)}")
@@ -158,7 +151,7 @@ def _run_solve(ns: argparse.Namespace, out) -> int:
 
 
 def _run_decide(ns: argparse.Namespace, out) -> int:
-    threshold = _parse_rational_arg(ns.threshold)
+    threshold = _rational(ns.threshold)
     t = read_tournament(ns.file)
     out(f"decision {'true' if decide(t, ns.k, threshold, guard=ns.guard) else 'false'}")
     return 0

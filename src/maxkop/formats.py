@@ -23,7 +23,6 @@ from .tournament import (
     WeightedTournament,
     _arc_error,
     _form_dtype,
-    _validate_name,
     _vertex_index,
 )
 
@@ -42,11 +41,20 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
-def _parse_rational(token: str, path: str, line: int) -> Fraction:
+def _rational(token: str) -> Fraction:
+    """The rational a token stands for (``3/6``, ``1.5``, ``1e3``): the one rational reader."""
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(path, line, f"expected a rational p/q, got {token!r}") from None
+        raise ValueError(f"expected a rational p/q, got {token!r}") from None
+
+
+def _parse_rational(token: str, path: str, line: int) -> Fraction:
+    """``_rational`` of a token on a text's line, its error located there."""
+    try:
+        return _rational(token)
+    except ValueError as exc:
+        raise ParseError(path, line, str(exc)) from None
 
 
 def _parse_int(token: str, path: str, line: int, what: str) -> int:
@@ -296,10 +304,7 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
     if error is not None:
         raise error
     try:
-        for a in names:
-            _validate_name(a)
-        if len(set(names)) != len(names):
-            raise ValueError("alternatives must be distinct")
+        _vertex_index(names, None)
         if not covers.all():
             order = WeakOrder.from_classes(_ballot_classes(ballots[int(covers.argmin())]))
             raise ValueError(_coverage_error(order))

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, solve
+from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, _levels, solve
 from .tournament import (
     IntegerForm,
     WeightedTournament,
@@ -33,7 +33,8 @@ from .tournament import (
     _level_blocks,
     _level_table,
     _LevelTableResult,
-    _validate_name,
+    _ordered_blocks,
+    _vertex_index,
 )
 
 #: Level spec meaning "as many classes as alternatives" (linear orders).
@@ -59,18 +60,12 @@ NAMED_RULES = (
 
 @dataclass(frozen=True)
 class WeakOrder:
-    """Disjoint nonempty indifference classes, best first."""
+    """Disjoint nonempty indifference classes, best first; see ``_ordered_blocks``."""
 
     classes: tuple[frozenset[str], ...]
 
     def __post_init__(self) -> None:
-        classes = tuple(map(frozenset, self.classes))
-        if not classes:
-            raise ValueError("a weak order needs at least one class")
-        if not all(classes):
-            raise ValueError("classes must be nonempty")
-        if len(frozenset().union(*classes)) != sum(map(len, classes)):
-            raise ValueError("classes must be pairwise disjoint")
+        classes = _ordered_blocks(self.classes, "a weak order", "class", "classes")
         object.__setattr__(self, "classes", classes)
 
     @classmethod
@@ -105,10 +100,8 @@ class Profile:
         alternatives: Iterable[str],
         ballots: Iterable[WeakOrder | tuple[WeakOrder, int]],
     ) -> None:
-        alternatives = tuple(map(_validate_name, alternatives))
-        members = frozenset(alternatives)
-        if len(members) != len(alternatives):
-            raise ValueError("alternatives must be distinct")
+        alternatives = tuple(alternatives)
+        members = _vertex_index(alternatives, None).keys()
         rows, counts = [], []
         for entry in ballots:
             if isinstance(entry, WeakOrder):
@@ -195,9 +188,7 @@ class AggregateResult(_LevelTableResult):
 
     @cached_property
     def orders(self) -> tuple[WeakOrder, ...]:
-        return tuple(
-            WeakOrder(tuple(_level_blocks(self.alternatives, lv))) for lv in self.table.tolist()
-        )
+        return tuple(_order_of(self.alternatives, lv) for lv in self.table.tolist())
 
 
 def _render_order(order: WeakOrder) -> str:
@@ -210,7 +201,7 @@ def _coverage_error(order: WeakOrder) -> str:
 
 def _order_of(alternatives: tuple[str, ...], row: Sequence[int]) -> WeakOrder:
     """The weak order a gap-free rank row stands for."""
-    return WeakOrder(tuple(map(frozenset, _level_blocks(alternatives, row))))
+    return WeakOrder(tuple(_level_blocks(alternatives, row)))
 
 
 def induce_tournament(p: Profile) -> WeightedTournament:
@@ -292,10 +283,15 @@ def aggregate(
     if k == UNIVALENT:
         # the score of a singleton-top 2-partition is exactly the Borda score
         # of its winner, so only the m such partitions need scoring
+        _levels(m, 2, False, witness_cap)  # the solver routes' request check
         beta = t.integer_form.beta
         top = max(beta.tolist())
-        levels = np.arange(m) != np.flatnonzero(beta == top)[:, None]
-        return AggregateResult(Fraction(top, t.integer_form.scale), t.vertices, levels)
+        # winners in vertex order give their level vectors in lexicographic order
+        winners = np.flatnonzero(beta == top)
+        levels = np.arange(m) != winners[:witness_cap, None]
+        return AggregateResult(
+            Fraction(top, t.integer_form.scale), t.vertices, levels, len(winners) > witness_cap
+        )
 
     if k == LINEAR:
         kk, exact = m, True
@@ -366,6 +362,7 @@ def _borda_ranking(p: Profile, witness_cap: int) -> AggregateResult:
     ``itertools.permutations`` gives them on its alternatives sorted by name.
     """
     t = induce_tournament(p)
+    _levels(t.m, t.m, True, witness_cap)  # the solver routes' request check
     form = t.integer_form
     beta = form.beta.tolist()
     groups: list[list[int]] = []

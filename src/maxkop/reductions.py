@@ -33,14 +33,15 @@ from .solvers import (
     DEFAULT_GUARD,
     GuardExceededError,
     _guard_message,
-    _partition_from_levels,
     _walk_levels,
     solve_bruteforce,
 )
 from .tournament import (
     OrderedPartition,
     WeightedTournament,
-    _validate_name,
+    _level_blocks,
+    _vertex_index,
+    _VertexLookup,
     exact_int_matrix,
     is_qualitatively_transitive,
     partition_score,
@@ -48,12 +49,12 @@ from .tournament import (
 
 
 @dataclass(frozen=True)
-class CutInstance:
+class CutInstance(_VertexLookup):
     """Complete undirected graph with nonnegative integer edge weights.
 
     Weights may be keyed by either endpoint order; missing pairs read as 0.
-    Vertex names follow the tournaments' rule (nonempty, no whitespace, '>'
-    or '|').
+    The vertex list and ``index`` follow the tournaments' rule
+    (``_vertex_index``, ``_VertexLookup``).
     """
 
     vertices: tuple[str, ...]
@@ -61,13 +62,7 @@ class CutInstance:
 
     def __post_init__(self) -> None:
         vertices = tuple(self.vertices)
-        if not vertices:
-            raise ValueError("a cut instance needs at least one vertex")
-        for v in vertices:
-            _validate_name(v)
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise ValueError("vertex names must be distinct")
+        index = _vertex_index(vertices, "cut instance")
         normalized: dict[tuple[str, str], int] = {}
         for (x, y), w in dict(self.edge_weights).items():
             if x not in index or y not in index:
@@ -87,12 +82,6 @@ class CutInstance:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    def index(self, v: str) -> int:
-        try:
-            return self._index[v]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"unknown vertex {v!r}") from None
 
     def edge_weight(self, x: str, y: str) -> int:
         i, j = self.index(x), self.index(y)
@@ -186,7 +175,7 @@ def solve_cut_bruteforce(
     best, _, kept = _walk_levels(
         exact_int_matrix(w), min(pieces, m), False, count, np.not_equal, unordered=True
     )
-    return best, [_partition_from_levels(g.vertices, lv).blocks for lv in kept.tolist()]
+    return best, [tuple(map(frozenset, _level_blocks(g.vertices, lv))) for lv in kept.tolist()]
 
 
 def _direction_names(g: CutInstance, order: list[str]) -> dict[tuple[str, str], str]:

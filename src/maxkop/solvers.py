@@ -600,21 +600,6 @@ class _TightPaths:
         return found
 
 
-def _saturated_product(factors: np.ndarray, ceiling: int) -> np.ndarray:
-    """``min(product of each row, ceiling)`` for nonnegative factors of at most ``ceiling``.
-
-    Columns are multiplied pairwise in log-depth rounds, saturating after
-    each, so no product exceeds ``ceiling**2``: exact in int64 if that fits.
-    """
-    rows, cols = factors.shape
-    width = 1 << (cols - 1).bit_length()
-    if width > cols:
-        factors = np.concatenate([factors, np.ones((rows, width - cols), factors.dtype)], axis=1)
-    while factors.shape[1] > 1:
-        factors = np.minimum(factors[:, ::2] * factors[:, 1::2], ceiling)
-    return factors[:, 0]
-
-
 def _divider_dp(
     t: WeightedTournament, kk: int, *, all_ties: bool, exact_k: bool, witness_cap: int
 ) -> SolveResult:
@@ -691,11 +676,10 @@ def _divider_dp(
         above = taken[:, ::-1].cumsum(1)[:, ::-1]
         want, free = share - taken[:, level].T, after - above[:, level].T
         w = ((want >= 0) & (want <= free)).all(1).astype(paths.dtype)
-        if cut.size:
-            # a step that does not fit reads some in-bounds binomial (want, free >= -size.max())
-            # and weighs 0 through its first factor
-            binomials = pascal[free[:, cut], want[:, cut]]
-            w = _saturated_product(np.column_stack([w, binomials]), ceiling)
+        # a step that does not fit reads some in-bounds binomial (want, free >= -size.max())
+        # and keeps its weight 0; saturating per factor keeps each product within ceiling**2
+        for b in pascal[free[:, cut], want[:, cut]].T:
+            w = np.minimum(w * b, ceiling)
         state, total = paths.counted([None] + [w[layer] for layer in layers])
         return (prefix, taken, state), total
 

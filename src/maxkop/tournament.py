@@ -150,16 +150,32 @@ class ArcWeights(Mapping):
         return repr(self._dict())
 
 
-def _vertex_index(vertices: tuple[str, ...]) -> dict[str, int]:
-    """Position of each vertex, after checking every name and their distinctness."""
-    if not vertices:
-        raise ValueError("a tournament needs at least one vertex")
-    for v in vertices:
+def _vertex_index(names: tuple[str, ...], owner: str | None = "tournament") -> dict[str, int]:
+    """Position of each name, after checking the list: nonempty, each name, then distinctness.
+
+    The one name-list rule of tournaments, cut instances and profiles, and of
+    their parsers.  ``owner`` names the structure that needs at least one
+    vertex; a profile passes None: its names are alternatives, and an empty
+    list is left to its ballot checks.
+    """
+    if owner and not names:
+        raise ValueError(f"a {owner} needs at least one vertex")
+    for v in names:
         _validate_name(v)
-    index = {v: i for i, v in enumerate(vertices)}
-    if len(index) != len(vertices):
-        raise ValueError("vertex names must be distinct")
+    index = {v: i for i, v in enumerate(names)}
+    if len(index) != len(names):
+        raise ValueError(f"{'vertex names' if owner else 'alternatives'} must be distinct")
     return index
+
+
+class _VertexLookup:
+    """The one vertex lookup, for structures keeping their ``_vertex_index`` as ``_index``."""
+
+    def index(self, v: str) -> int:
+        try:
+            return self._index[v]  # type: ignore[attr-defined]
+        except KeyError:
+            raise ValueError(f"unknown vertex {v!r}") from None
 
 
 def _arc_error(vertices: Container[str], x: str, y: str) -> str | None:
@@ -172,7 +188,7 @@ def _arc_error(vertices: Container[str], x: str, y: str) -> str | None:
 
 
 @dataclass(frozen=True)
-class WeightedTournament:
+class WeightedTournament(_VertexLookup):
     """Complete directed graph with antisymmetric rational arc weights.
 
     The stored form is ``integer_form``: the weights times one common scale
@@ -206,12 +222,6 @@ class WeightedTournament:
     @property
     def m(self) -> int:
         return len(self.vertices)
-
-    def index(self, v: str) -> int:
-        try:
-            return self._index[v]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"unknown vertex {v!r}") from None
 
     def stored_pairs(self) -> Iterable[tuple[str, str]]:
         """All stored arcs (x, y) with x earlier in the vertex list."""
@@ -250,20 +260,32 @@ def _mapping_form(index: Mapping[str, int], weights: Mapping) -> IntegerForm:
     return IntegerForm.of(w - w.T, scale)
 
 
+def _ordered_blocks(
+    blocks: Iterable[Iterable[str]], owner: str, block: str, plural: str
+) -> tuple[frozenset[str], ...]:
+    """Blocks as frozensets, after checking there is one, none is empty and none overlap.
+
+    The one rule of ordered partitions and weak orders (whose blocks are
+    classes); ``owner``, ``block`` and ``plural`` name them in the messages.
+    """
+    blocks = tuple(map(frozenset, blocks))
+    if not blocks:
+        raise ValueError(f"{owner} needs at least one {block}")
+    if not all(blocks):
+        raise ValueError(f"{plural} must be nonempty")
+    if len(frozenset().union(*blocks)) != sum(map(len, blocks)):
+        raise ValueError(f"{plural} must be pairwise disjoint")
+    return blocks
+
+
 @dataclass(frozen=True)
 class OrderedPartition:
-    """Disjoint nonempty vertex blocks, ordered top (first) to bottom (last)."""
+    """Disjoint nonempty vertex blocks, top (first) to bottom (last); see ``_ordered_blocks``."""
 
     blocks: tuple[frozenset[str], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(map(frozenset, self.blocks))
-        if not blocks:
-            raise ValueError("an ordered partition needs at least one block")
-        if not all(blocks):
-            raise ValueError("blocks must be nonempty")
-        if len(frozenset().union(*blocks)) != sum(map(len, blocks)):
-            raise ValueError("blocks must be pairwise disjoint")
+        blocks = _ordered_blocks(self.blocks, "an ordered partition", "block", "blocks")
         object.__setattr__(self, "blocks", blocks)
 
     @classmethod

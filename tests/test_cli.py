@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from maxkop import WeightedTournament, cli, induce_tournament, solve_bruteforce
+from maxkop import WeightedTournament, cli, induce_tournament, selftest, solve_bruteforce
 from maxkop.formats import (
     format_graph,
     format_partition,
@@ -384,6 +384,26 @@ def test_selftest_ok(capsys):
 
 def test_selftest_guard_exit_2(capsys):
     assert cli.main(["selftest", "--guard", "1"]) == 2
+
+
+def test_selftest_reports_a_failing_property_and_exits_3(capsys, monkeypatch):
+    def failing(rng, guard):
+        raise AssertionError("boom")
+
+    monkeypatch.setattr(
+        selftest, "PROPERTIES", (("passing", lambda rng, guard: 4), ("failing", failing))
+    )
+    lines = []
+    assert selftest.run_selftest(seed=2, emit=lines.append) == 3
+    assert lines == [
+        "seed 2",
+        "PASS passing (4 cases)",
+        "FAIL failing: boom",
+        "1/2 properties passed",
+    ]
+    code, out = run_cli(capsys, "selftest", "--seed", "2")
+    assert code == 3
+    assert out.splitlines() == lines
 
 
 def test_selftest_seed_changes_instances(capsys):

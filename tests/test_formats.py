@@ -246,6 +246,49 @@ def test_parse_error_messages_exact(parse, text, message):
     assert str(err.value) == message
 
 
+def _name_text(header: str, names: tuple[str, ...], ballot: bool = False) -> str:
+    lines = [f"{header} {len(names)}", *names]
+    if ballot:  # one ballot covering the alternatives, so only the names are at fault
+        lines.append(" ".join(dict.fromkeys(names)))
+    return "\n".join(lines) + "\n"
+
+
+# Each entry point of a name list, taking the names as a tuple.
+NAME_ENTRIES = {
+    "WeightedTournament": lambda names: WeightedTournament(names, {}),
+    "CutInstance": lambda names: CutInstance(names, {}),
+    "Profile": lambda names: Profile(names, [WeakOrder.from_classes([names])]),
+    "parse_tournament": lambda names: parse_tournament(_name_text("tournament", names), "in.txt"),
+    "parse_graph": lambda names: parse_graph(_name_text("graph", names), "in.txt"),
+    "parse_profile": lambda names: parse_profile(_name_text("profile", names, True), "in.txt"),
+}
+BAD_NAME_LISTS = [
+    (("a", ""), "vertex name must be a nonempty string, got ''"),
+    (("a|b", "c"), "vertex name 'a|b' may not contain whitespace, '>' or '|'"),
+    (("a", "b", "a"), "vertex names must be distinct"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, names, message",
+    [
+        (entry, names, message)
+        for entry in NAME_ENTRIES
+        for names, message in BAD_NAME_LISTS
+        # a text cannot carry an empty name: lines are stripped and blank ones skipped
+        if not (entry.startswith("parse_") and "" in names)
+    ],
+)
+def test_one_name_rule_at_every_entry_point(entry, names, message):
+    if entry.lower().endswith("profile"):
+        message = message.replace("vertex names", "alternatives")
+    if entry.startswith("parse_"):
+        message = "in.txt:1: " + message
+    with pytest.raises(ValueError) as err:
+        NAME_ENTRIES[entry](names)
+    assert str(err.value) == message
+
+
 def test_profile_parse_accepts_a_name_repeated_in_one_class():
     p = parse_profile("profile 2\na\nb\na a | b\n")
     assert p == Profile(("a", "b"), ((WeakOrder.from_classes([["a"], ["b"]]), 1),))

@@ -412,24 +412,6 @@ def test_routes_keep_the_walks_witnesses_under_truncation(t, k, exact_k, tied):
             assert got.levels == want.levels and got.vertices == t.vertices
 
 
-@pytest.mark.parametrize("dtype", [np.int64, object])
-def test_saturated_product_matches_the_loop(dtype):
-    from maxkop.solvers import _saturated_product
-
-    rng = np.random.default_rng(5)
-    for ceiling in (1, 2, 7, 10_001):
-        for width in range(1, 10):
-            factors = rng.integers(0, ceiling + 1, (40, width)).astype(dtype)
-            factors[:, rng.integers(0, width)] = rng.integers(1, min(ceiling, 2) + 1, 40)
-            want = []
-            for row in factors.tolist():
-                w = 1
-                for f in row:
-                    w = min(w * f, ceiling)
-                want.append(w)
-            assert _saturated_product(factors, ceiling).tolist() == want
-
-
 @pytest.mark.parametrize("t,k,exact_k,tied", [c for c in truncation_cases() if c[0].m <= 8])
 def test_divider_counts_in_python_ints_under_a_huge_cap(t, k, exact_k, tied):
     # (m + 1) * (cap + 1)**2 passes 2**62, so the path counts take the object dtype

@@ -5,11 +5,13 @@ import pytest
 
 from maxkop import (
     LINEAR,
+    NAMED_RULES,
     UNIVALENT,
     Profile,
     WeakOrder,
     WeightedTournament,
     aggregate,
+    aggregate_rule,
     borda_mean_rule,
     borda_score,
     cycle_component,
@@ -57,6 +59,13 @@ def test_profile_validation():
         profile("ab", wo(["a"]))  # ballot misses b
     with pytest.raises(ValueError):
         Profile(("a", "b"), ((wo(["a"], ["b"]), 0),))
+
+
+def test_profile_counts_a_bare_weak_order_once():
+    a_b, b_a = wo(["a"], ["b"]), wo(["b"], ["a"])
+    p = Profile(("a", "b"), [a_b, (b_a, 2), a_b])
+    assert p.ballots == ((a_b, 1), (b_a, 2), (a_b, 1))
+    assert p.voter_count == 4
 
 
 @pytest.mark.parametrize("name", ["a>b", "x|y", "|", "a b", ""])
@@ -347,3 +356,35 @@ def test_validate_ballots_level_specs():
     with pytest.raises(ValueError):
         validate_ballots(r, 2)
     validate_ballots(r, LINEAR)
+
+
+def test_invalid_level_specs_are_named():
+    p = profile("abc", wo(["a"], ["b", "c"]))
+    with pytest.raises(ValueError) as err:
+        validate_ballots(p, "two")
+    assert str(err.value) == "invalid level spec 'two'"
+    for k in ("two", 0):
+        with pytest.raises(ValueError) as err:
+            aggregate(p, 2, k)
+        assert str(err.value) == f"invalid level spec {k!r}"
+
+
+# three dichotomous ballots, one per top alternative: all three are tied winners
+TIED_TOPS = profile("abc", wo(["a"], ["b", "c"]), wo(["b"], ["a", "c"]), wo(["c"], ["a", "b"]))
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_univalent_output_keeps_the_least_orders_at_the_witness_cap(cap):
+    res = aggregate(TIED_TOPS, 2, UNIVALENT, witness_cap=cap)
+    every = ((0, 1, 1), (1, 0, 1), (1, 1, 0))  # in lexicographic order
+    assert res.optimum == 0  # every Borda score is 0
+    assert res.levels == every[:cap]
+    assert res.truncated == (cap < 3)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+@pytest.mark.parametrize("rule", NAMED_RULES)
+def test_every_rule_rejects_a_witness_cap_below_one(rule, cap):
+    with pytest.raises(ValueError) as err:
+        aggregate_rule(TIED_TOPS, rule, coerce=True, witness_cap=cap)
+    assert str(err.value) == "witness_cap must be at least 1"

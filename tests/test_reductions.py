@@ -63,6 +63,19 @@ def test_cut_instance_errors(vertices, edges, message):
     assert str(err.value) == message
 
 
+def test_cut_instance_lookup_errors():
+    with pytest.raises(ValueError) as err:
+        K3.index("z")
+    assert str(err.value) == "unknown vertex 'z'"
+    with pytest.raises(ValueError) as err:
+        K3.edge_weight("a", "z")
+    assert str(err.value) == "unknown vertex 'z'"
+    with pytest.raises(ValueError) as err:
+        K3.edge_weight("b", "b")
+    assert str(err.value) == "no self-loops"
+    assert K3.edge_weight("c", "a") == K3.edge_weight("a", "c") == 1
+
+
 def test_cut_score_examples():
     assert cut_score(K3, [{"a"}, {"b", "c"}]) == 2
     assert cut_score(K3, [{"a"}, {"b"}, {"c"}]) == 3
@@ -85,6 +98,12 @@ def test_cut_bruteforce_examples():
     best, wits = solve_cut_bruteforce(single, 2)
     assert best == 5
     assert wits == [(frozenset({"a"}), frozenset({"b"}))]
+
+
+def test_cut_bruteforce_needs_a_piece():
+    with pytest.raises(ValueError) as err:
+        solve_cut_bruteforce(K3, 0)
+    assert str(err.value) == "pieces must be at least 1"
 
 
 def test_cut_bruteforce_guard():
@@ -467,6 +486,17 @@ def test_check_transitive_gadget_reports():
     assert report.expected == 3 * 3 * 4 + 2 == 38
     assert report.brute_rounded is None  # 3^18 sits beyond the default guard
     assert report.ok
+
+
+def test_check_transitive_gadget_skips_one_piece_cuts():
+    # with no edge every partition cuts 0, so the maximal cuts include the one-piece
+    # partition, which lifts to no bipartition and is left out of the lift check
+    g = CutInstance(("a", "b", "c"), {})
+    _, cuts = solve_cut_bruteforce(g, 2)
+    assert (frozenset("abc"),) in cuts
+    report = check_transitive_gadget(g)
+    assert report.ok and report.lift_identity_ok
+    assert report.brute_rounded == report.expected == 3 * 3 * int(build_fg(g).placement_weight)
 
 
 def test_check_transitive_gadget_guard_is_the_walk_guard():
