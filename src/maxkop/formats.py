@@ -18,7 +18,6 @@ import numpy as np
 from .profiles import RANK_DTYPE, Profile, WeakOrder, _coverage_error
 from .reductions import CutInstance
 from .tournament import (
-    IntegerForm,
     OrderedPartition,
     WeightedTournament,
     _arc_error,
@@ -159,8 +158,7 @@ def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
     # pair repeats), chosen before the fill because the weights need not fit int64
     w = np.zeros((m, m), _form_dtype(4 * m * sum(map(abs, nums))))
     w[xi, yi] = nums
-    form = IntegerForm._trusted(w - w.T, scale)
-    return WeightedTournament(tuple(names), form)  # type: ignore[arg-type]
+    return WeightedTournament.from_int_matrix(names, w - w.T, scale)
 
 
 def format_tournament(t: WeightedTournament) -> str:
@@ -308,11 +306,9 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
         if not covers.all():
             order = WeakOrder.from_classes(_ballot_classes(ballots[int(covers.argmin())]))
             raise ValueError(_coverage_error(order))
-        if not ballots:
-            raise ValueError("a profile needs at least one ballot")
+        return Profile._of_ranks(names, ranks, tuple(counts))
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
-    return Profile._of_ranks(names, ranks, tuple(counts))
 
 
 def format_profile(p: Profile) -> str:

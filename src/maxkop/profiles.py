@@ -27,11 +27,10 @@ import numpy as np
 
 from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, _levels, solve
 from .tournament import (
-    IntegerForm,
     WeightedTournament,
     _form_dtype,
     _level_blocks,
-    _level_table,
+    _IntegerTable,
     _LevelTableResult,
     _ordered_blocks,
     _vertex_index,
@@ -80,7 +79,7 @@ class WeakOrder:
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
-class Profile:
+class Profile(_IntegerTable):
     """Multiset of weak-order ballots over a common alternative set.
 
     The stored form is the alternatives, the rank matrix ``ranks`` (one row
@@ -88,8 +87,11 @@ class Profile:
     ballot b, 0 the best class) and the multiplicities ``counts``.
     ``ballots`` derives the ``(WeakOrder, count)`` pairs from them on first
     access.  The constructor takes those pairs (or bare ``WeakOrder``s, each
-    counted once); ``parse_profile`` fills the rank matrix directly.
+    counted once); ``parse_profile`` fills the rank matrix directly.  Equal
+    profiles have equal alternatives, rank matrices and counts.
     """
+
+    _table = "ranks"
 
     alternatives: tuple[str, ...]
     ranks: np.ndarray
@@ -104,10 +106,7 @@ class Profile:
         members = _vertex_index(alternatives, None).keys()
         rows, counts = [], []
         for entry in ballots:
-            if isinstance(entry, WeakOrder):
-                order, count = entry, 1
-            else:
-                order, count = entry
+            order, count = (entry, 1) if isinstance(entry, WeakOrder) else entry
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"ballot multiplicity must be a positive integer, got {count!r}")
             if order.members() != members:
@@ -115,20 +114,23 @@ class Profile:
             rank = order.rank_of()
             rows.append([rank[a] for a in alternatives])
             counts.append(count)
-        if not rows:
-            raise ValueError("a profile needs at least one ballot")
         self._store(alternatives, np.array(rows, RANK_DTYPE), tuple(counts))
 
     @classmethod
     def _of_ranks(
         cls, alternatives: tuple[str, ...], ranks: np.ndarray, counts: tuple[int, ...]
     ) -> "Profile":
-        """Profile of a checked rank matrix: every row gap-free, every count a positive int."""
+        """Profile of a checked rank matrix: every row gap-free, every count a positive int.
+
+        The one check left is the one ``_store`` makes: at least one ballot.
+        """
         p = cls.__new__(cls)
         p._store(alternatives, ranks, counts)
         return p
 
     def _store(self, alternatives: tuple[str, ...], ranks: np.ndarray, counts: tuple) -> None:
+        if not counts:
+            raise ValueError("a profile needs at least one ballot")
         ranks = ranks.astype(RANK_DTYPE, copy=False)
         ranks.flags.writeable = False
         object.__setattr__(self, "alternatives", alternatives)
@@ -145,18 +147,6 @@ class Profile:
     @property
     def voter_count(self) -> int:
         return sum(self.counts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Profile):
-            return NotImplemented
-        return (
-            self.alternatives == other.alternatives
-            and self.counts == other.counts
-            and np.array_equal(self.ranks, other.ranks)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alternatives, self.counts, self.ranks.tobytes()))
 
     def __repr__(self) -> str:
         return f"Profile(alternatives={self.alternatives!r}, ballots={self.ballots!r})"
@@ -177,14 +167,6 @@ class AggregateResult(_LevelTableResult):
     alternatives: tuple[str, ...]
     table: np.ndarray
     truncated: bool
-
-    def __init__(
-        self, optimum: Fraction, alternatives: tuple[str, ...], levels, truncated: bool = False
-    ):
-        object.__setattr__(self, "optimum", optimum)
-        object.__setattr__(self, "alternatives", alternatives)
-        object.__setattr__(self, "table", _level_table(levels, len(alternatives)))
-        object.__setattr__(self, "truncated", truncated)
 
     @cached_property
     def orders(self) -> tuple[WeakOrder, ...]:
@@ -209,7 +191,7 @@ def induce_tournament(p: Profile) -> WeightedTournament:
     m = len(p.alternatives)
     if m < 2:
         raise ValueError("inducing a tournament needs at least two alternatives")
-    # sum(abs(w)) <= m**2 * voters, so this keeps int64 within the integer form's bound
+    # sum(abs(w)) <= m**2 * voters, so the fill cannot wrap in this dtype
     dtype = _form_dtype(2 * m**3 * p.voter_count)
     # the narrowest dtype holding every rank difference keeps the sign table small
     ranks = p.ranks.astype(np.min_scalar_type(-m))
@@ -220,9 +202,7 @@ def induce_tournament(p: Profile) -> WeightedTournament:
         r = ranks[lo : lo + step]
         # sign[b, x, y] is +1 when ballot b ranks x above y, -1 when below
         w += np.tensordot(counts[lo : lo + step], np.sign(r[:, None, :] - r[:, :, None]), 1)
-    if dtype is object:  # the bound above is loose: the exact pass may narrow to int64
-        return WeightedTournament.from_int_matrix(p.alternatives, w, 1)
-    return WeightedTournament(p.alternatives, IntegerForm._trusted(w, 1))  # type: ignore[arg-type]
+    return WeightedTournament.from_int_matrix(p.alternatives, w, 1)
 
 
 def _spec_description(spec: LevelSpec) -> str:
@@ -242,7 +222,7 @@ def _conforms(ranks: np.ndarray, spec: LevelSpec) -> np.ndarray:
         return classes == ranks.shape[1]
     if spec == UNIVALENT:
         return (classes == 2) & ((ranks == 0).sum(1) == 1)
-    if isinstance(spec, int) and spec >= 1:
+    if isinstance(spec, int) and not isinstance(spec, bool) and spec >= 1:
         return classes <= spec
     raise ValueError(f"invalid level spec {spec!r}")
 
@@ -295,7 +275,7 @@ def aggregate(
 
     if k == LINEAR:
         kk, exact = m, True
-    elif isinstance(k, int) and k >= 1:
+    elif isinstance(k, int) and not isinstance(k, bool) and k >= 1:
         kk, exact = k, exact_k
     else:
         raise ValueError(f"invalid level spec {k!r}")

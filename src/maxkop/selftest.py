@@ -223,7 +223,9 @@ def _prop_rule_coherence(rng: random.Random, guard: int) -> int:
         best = max(approval.values())
         winners = {next(iter(o.classes[0])) for o in named_rule(p, "approval_winner")}
         assert winners == {a for a, s in approval.items() if s == best}
-        assert all(borda_score(t, a) is not None for a in p.alternatives)
+        # n ballots with top class T add n * (m * [a in T] - |T|) to a's Borda score
+        tops = sum(n * len(order.classes[0]) for order, n in p.ballots)
+        assert all(borda_score(t, a) == m * s - tops for a, s in approval.items())
     for _ in range(15):
         m = rng.randint(2, 5)
         p = random_profile(rng, m, rng.randint(1, 5), UNIVALENT)

@@ -43,6 +43,7 @@ witness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -57,7 +58,6 @@ from .tournament import (
     WeightedTournament,
     _form_dtype,
     _level_blocks,
-    _level_table,
     _LevelTableResult,
 )
 
@@ -87,21 +87,16 @@ class SolveResult(_LevelTableResult):
     table: np.ndarray
     truncated: bool
 
-    def __init__(
-        self, optimum: Fraction, vertices: tuple[str, ...], levels, truncated: bool = False
-    ):
-        object.__setattr__(self, "optimum", optimum)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "table", _level_table(levels, len(vertices)))
-        object.__setattr__(self, "truncated", truncated)
-
     @cached_property
     def witnesses(self) -> tuple[OrderedPartition, ...]:
         return tuple(_partition_from_levels(self.vertices, lv) for lv in self.table.tolist())
 
 
 def _levels(m: int, k: int, exact_k: bool, witness_cap: int) -> int:
-    """Validate a request; the number of levels to search with."""
+    """Validate a request; the number of levels to search with, a Python int."""
+    if isinstance(k, bool):
+        raise TypeError(f"k must be an integer, got {k!r}")
+    k = operator.index(k)  # a numpy k would wrap in k**m
     if k < 1:
         raise ValueError("k must be at least 1")
     if witness_cap < 1:

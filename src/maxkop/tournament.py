@@ -8,12 +8,11 @@ function is antisymmetric by construction.
 A tournament stores its ``integer_form``: the weights times one common scale
 as an antisymmetric integer matrix, plus its row sums (the scaled Borda
 scores).  ``parse_tournament``, ``induce_tournament`` and the gadget
-builders ``build_hg`` and ``build_fg`` fill it directly through
-``from_int_matrix`` (or, where the caller already chose the final dtype,
-``IntegerForm._trusted``); the mapping constructor converts its
-``Fraction``s once.  Every fast path reads it, and so do the transitivity
-tests and inner products.  The ``Fraction`` view ``weights`` is derived on
-first read.  Results stay exact ``Fraction``s; ``weight`` and
+builders ``build_hg`` and ``build_fg`` fill an integer matrix and hand it to
+``from_int_matrix``, which gives it its exact dtype; the mapping constructor
+converts its ``Fraction``s once.  Every fast path reads the form, and so do
+the transitivity tests and inner products.  The ``Fraction`` view
+``weights`` is derived on first read.  Results stay exact ``Fraction``s; ``weight`` and
 ``partition_score`` keep plain ``Fraction`` loops as the independent
 reference.
 """
@@ -90,16 +89,7 @@ class IntegerForm:
     @classmethod
     def of(cls, w: np.ndarray, scale: int) -> "IntegerForm":
         """Form of an exact integer matrix (int64 input must not have wrapped)."""
-        return cls._trusted(exact_int_matrix(w), scale)
-
-    @classmethod
-    def _trusted(cls, w: np.ndarray, scale: int) -> "IntegerForm":
-        """Form of a matrix already in the dtype ``exact_int_matrix`` would give it.
-
-        For callers that chose that dtype from their own bound before the
-        fill: int64 only from a bound at least ``2 * m * sum(abs(w))``, object
-        only from that exact bound.  Skips the second pass over ``w``.
-        """
+        w = exact_int_matrix(w)
         return cls(w, scale, w.sum(1))
 
     def beta_differences(self) -> np.ndarray:
@@ -199,9 +189,9 @@ class WeightedTournament(_VertexLookup):
 
     The constructor takes ``weights`` as a mapping keyed by either
     orientation of a pair; missing pairs weigh zero.  ``from_int_matrix``
-    (and the parser and ``induce_tournament``, through ``IntegerForm._trusted``)
-    pass an ``IntegerForm`` over the vertex list in its place, which is taken
-    as is: only the vertex names are checked.
+    (which the parser, ``induce_tournament`` and the gadget builders call)
+    passes an ``IntegerForm`` over the vertex list in its place, which is
+    taken as is: only the vertex names are checked.
     """
 
     vertices: tuple[str, ...]
@@ -326,31 +316,47 @@ def _level_table(levels, m: int) -> np.ndarray:
     return table
 
 
-class _LevelTableResult:
-    """``levels``, equality, hashing and repr of a result dataclass keeping its ``table``.
+class _IntegerTable:
+    """Equality and hashing of a frozen dataclass keeping one integer table.
 
-    The constructors take the level vectors as an array or as tuples
-    (``_level_table``).  The other fields compare as they are; the table
-    compares by value and prints as ``levels``, the tuple of its rows (Python
-    ints), as if that were the field.
+    ``_table`` names the table field.  The other fields compare as they are
+    and the table by value; objects of different classes never compare equal.
     """
 
-    table: np.ndarray
-
-    @cached_property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.table.tolist()))
+    _table = "table"
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "table")
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != self._table)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields() and np.array_equal(self.table, other.table)
+        table, other_table = getattr(self, self._table), getattr(other, self._table)
+        return self._fields() == other._fields() and np.array_equal(table, other_table)
 
     def __hash__(self) -> int:
-        return hash((self._fields(), self.table.tobytes()))
+        return hash((self._fields(), getattr(self, self._table).tobytes()))
+
+
+class _LevelTableResult(_IntegerTable):
+    """Constructor, ``levels`` and repr of a result dataclass with a level-vector ``table``.
+
+    The fields are, in order, the optimum, the names, ``table`` and
+    ``truncated``.  The constructor takes the level vectors as an array or as
+    tuples (``_level_table``).  The table prints as ``levels``, the tuple of
+    its rows (Python ints), as if that were the field.
+    """
+
+    table: np.ndarray
+
+    def __init__(self, optimum: Fraction, names: tuple[str, ...], levels, truncated: bool = False):
+        table = _level_table(levels, len(names))
+        for name, value in zip(self.__dataclass_fields__, (optimum, names, table, truncated)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
 
     def __repr__(self) -> str:
         shown = (("levels", self.levels) if f.name == "table" else (f.name, getattr(self, f.name))

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -493,3 +495,16 @@ def test_fresh_process_builds_the_parser_once_on_first_use(capsys, cyc_file):
         )
         assert proc.returncode == 0, proc.stderr.decode()
         assert proc.stdout == in_process.encode()
+
+
+def test_readme_synopsis_lists_each_subcommands_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^maxkop (\w+)(.*)$", readme, re.MULTILINE)
+    synopsis = dict(lines)
+    assert len(synopsis) == len(lines)  # one line per subcommand
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert synopsis.keys() == sub.choices.keys()
+    for name, subparser in sub.choices.items():
+        options = {o for a in subparser._actions for o in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[\w-]+", synopsis[name])) == options, name

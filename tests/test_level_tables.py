@@ -132,6 +132,26 @@ def test_aggregate_results_equal_their_tuple_built_copies():
     assert results[2] != results[3]
 
 
+def test_tables_compare_by_class_fields_and_values():
+    alts = ("a", "b", "c")
+    p = linear_profile(alts, [alts])
+    twice = Profile(alts, [(WeakOrder.from_classes([[a] for a in alts]), 2)])
+    agg = aggregate(p, LINEAR, LINEAR)
+    res = solve(induce_tournament(p), 3)
+    assert p == linear_profile(alts, [alts]) and hash(p) == hash(linear_profile(alts, [alts]))
+    assert p != twice and p != linear_profile(alts, [alts[::-1]])
+    # the same optimum, names and table under another class
+    assert SolveResult(agg.optimum, agg.alternatives, agg.table) == res != agg
+    assert AggregateResult(res.optimum, res.vertices, res.table) == agg
+    for x in (p, agg, res):
+        assert x.__eq__(alts) is NotImplemented and x != alts
+        assert all(x != y for y in (p, agg, res) if y is not x)
+    assert repr(p) == (
+        "Profile(alternatives=('a', 'b', 'c'), ballots=((WeakOrder(classes=("
+        "frozenset({'a'}), frozenset({'b'}), frozenset({'c'}))), 1),))"
+    )
+
+
 def test_levels_are_tuples_of_python_ints():
     res = solve(_acyclic_tournament(), 3, all_ties=True)
     agg = aggregate_rule(linear_profile(ALTS[:4], [ALTS[:4], ALTS[3::-1]]), "borda_ranking")

@@ -369,6 +369,22 @@ def test_invalid_level_specs_are_named():
         assert str(err.value) == f"invalid level spec {k!r}"
 
 
+def test_bool_level_specs_are_invalid():
+    p = profile("abc", wo(["a"], ["b", "c"]))
+    calls = (lambda: aggregate(p, 2, True), lambda: aggregate(p, True, 2),
+             lambda: validate_ballots(p, True))
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "invalid level spec True"
+
+
+def test_profile_needs_a_ballot():
+    with pytest.raises(ValueError) as err:
+        Profile(("a", "b"), [])
+    assert str(err.value) == "a profile needs at least one ballot"
+
+
 # three dichotomous ballots, one per top alternative: all three are tied winners
 TIED_TOPS = profile("abc", wo(["a"], ["b", "c"]), wo(["b"], ["a", "c"]), wo(["c"], ["a", "b"]))
 

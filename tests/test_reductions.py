@@ -460,6 +460,38 @@ def test_fg_project_roundtrip_and_errors():
         project_fg_partition(gm, scattered)
 
 
+def _gadget_errors():
+    hg, fg = build_hg(EDGE), build_fg(EDGE)
+    hg_all, fg_all = hg.tournament.vertices, fg.tournament.vertices
+    blocks = OrderedPartition.from_blocks
+    return [
+        (lambda: cut_score(K3, []), "expected between 1 and 3 pieces, got 0"),
+        (lambda: lift_partition_hg(fg, [{"a"}, {"b"}]),
+         "lift_partition_hg needs a 4-cycle gadget map"),
+        (lambda: lift_partition_hg(hg, [{"a"}, {"b"}], levels=2),
+         "placement needs at least three levels"),
+        (lambda: project_partition_hg(fg, blocks([fg_all])),
+         "project_partition_hg needs a 4-cycle gadget map"),
+        (lambda: project_partition_hg(hg, blocks([hg_all[1:]])),
+         "partition must cover the gadget tournament's vertices"),
+        (lambda: lift_bipartition_fg(hg, [{"a"}, {"b"}]),
+         "lift_bipartition_fg needs a chain gadget map"),
+        (lambda: project_fg_partition(hg, blocks([hg_all])),
+         "project_fg_partition needs a chain gadget map"),
+        (lambda: project_fg_partition(fg, blocks([[v] for v in fg_all[:3]] + [fg_all[3:]])),
+         "expected at most 3 blocks, got 4"),
+        (lambda: project_fg_partition(fg, blocks([fg_all[1:]])),
+         "partition must cover the gadget tournament's vertices"),
+    ]
+
+
+def test_gadget_map_errors():
+    for call, message in _gadget_errors():
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_fg_bruteforce_best_projects_to_the_max_cut():
     gm = build_fg(EDGE)
     res = solve_bruteforce(gm.tournament, 3)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from conftest import add_weights, scale_weights
@@ -19,6 +20,7 @@ from maxkop import (
     solve_bruteforce,
 )
 from maxkop.selftest import random_acyclic_tournament, random_tournament
+from maxkop.solvers import _levels, _route, _subset_cells
 
 
 def levels_key(t, p):
@@ -348,3 +350,19 @@ def test_two_partitions_blind_to_cycles():
             bot = [v for i, v in enumerate(t.vertices) if not mask >> i & 1]
             p = OrderedPartition.from_blocks([top, bot])
             assert partition_score(combo, p) == 0
+
+
+def test_k_is_taken_as_a_python_int_and_never_as_a_bool(three_cycle):
+    kk = _levels(40, np.int64(4), False, 1)
+    assert kk == 4 and type(kk) is int
+    # a 40-vertex tournament with a cyclic part: np.int64(4)**40 wraps to 0, an estimate
+    # that would pick the walk and pass its guard
+    d = (np.arange(40)[None, :] - np.arange(40)[:, None]) % 40
+    w = np.sign(20 - d) * (d != 0)  # v_i beats the next 19 around the circle
+    t = WeightedTournament.from_int_matrix([f"v{i}" for i in range(40)], w, 1)
+    assert not t.integer_form.is_acyclic()
+    assert _route(t, np.int64(4), False) == ("subset", _subset_cells(40, 4, False))
+    for call in (lambda: _levels(3, True, False, 1), lambda: solve(three_cycle, True)):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == "k must be an integer, got True"

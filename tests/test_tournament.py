@@ -226,3 +226,11 @@ def test_reserved_name_characters_are_whitespace_and_the_separators():
 
     chars = map(chr, range(sys.maxunicode + 1))
     assert [c for c in chars if bool(_RESERVED_CHAR.search(c)) != (c.isspace() or c in ">|")] == []
+
+
+def test_arc_weights_len_and_repr(three_cycle):
+    assert len(WeightedTournament.zeros("abcd").weights) == 6
+    assert len(three_cycle.weights) == 3
+    assert repr(three_cycle.weights) == (
+        "{('a', 'b'): Fraction(1, 1), ('a', 'c'): Fraction(-1, 1), ('b', 'c'): Fraction(1, 1)}"
+    )
