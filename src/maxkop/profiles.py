@@ -18,6 +18,7 @@ objects (``orders``) only when read.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -222,8 +223,19 @@ def _conforms(ranks: np.ndarray, spec: LevelSpec) -> np.ndarray:
         return classes == ranks.shape[1]
     if spec == UNIVALENT:
         return (classes == 2) & ((ranks == 0).sum(1) == 1)
-    if isinstance(spec, int) and not isinstance(spec, bool) and spec >= 1:
-        return classes <= spec
+    return classes <= _class_bound(spec)
+
+
+def _class_bound(spec: LevelSpec) -> int:
+    """A fixed-integer level spec as a Python int: any integer type but bool, at least 1."""
+    if not isinstance(spec, bool):
+        try:
+            bound = operator.index(spec)
+        except TypeError:
+            pass
+        else:
+            if bound >= 1:
+                return bound
     raise ValueError(f"invalid level spec {spec!r}")
 
 
@@ -275,10 +287,8 @@ def aggregate(
 
     if k == LINEAR:
         kk, exact = m, True
-    elif isinstance(k, int) and not isinstance(k, bool) and k >= 1:
-        kk, exact = k, exact_k
     else:
-        raise ValueError(f"invalid level spec {k!r}")
+        kk, exact = _class_bound(k), exact_k
 
     res = solve(t, kk, all_ties=True, exact_k=exact, guard=guard, witness_cap=witness_cap)
     return AggregateResult(res.optimum, res.vertices, res.table, res.truncated)

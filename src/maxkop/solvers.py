@@ -30,6 +30,13 @@ the subset program's cells, and the guard bounds the chosen route's estimate.
 
 Every route reads the tournament's ``integer_form`` (see
 ``maxkop.tournament``), whose dtype is int64 or Python ints (object arrays).
+The walk scores in int64 either way: Python-int weights are divided by a
+power of two and rounded (``_walk_weights``), which moves any two rounded
+scores by at most a known slack against the exact ones, so every vector
+whose rounded score trails the best one seen by more than the slack is
+dropped, and only the survivors are scored exactly, in Python ints.  The
+optimum, ties and witnesses come from those exact scores alone; no float is
+used anywhere.
 
 Results carry every optimal partition (up to a cap, flagged by ``truncated``)
 or just the canonically least one.  Every route builds them as one integer
@@ -135,6 +142,39 @@ def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool, term):
     return digits, used, step, first, second, terms, {}
 
 
+def _walk_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """The walk's int64 weights and the slack of the scores they give (see ``_walk_levels``).
+
+    An int64 w comes back unchanged, with slack 0.  Python ints (object) are
+    divided by 2**e and rounded per entry, halves away from zero (so an
+    antisymmetric or symmetric w stays so), e being the least shift with
+    2 * m * sum(abs(w64)) < 2**62, the int64 form's own bound.  Each of the
+    P = m(m-1)/2 pairs is then off by at most 1/2, so two level vectors'
+    rounded scores differ from their exact scores over 2**e by at most
+    slack = P.  A shift of 0 is exact, with slack 0.
+    """
+    if w.dtype.kind != "O":
+        return w, 0
+    m = len(w)
+    mag = abs(w)
+    e = max(0, (2 * m * int(mag.sum())).bit_length() - 63)  # any shift below this fails
+    while True:
+        rounded = (mag + (1 << e >> 1)) >> e
+        if 2 * m * int(rounded.sum()) < 2**62:
+            break
+        e += 1
+    w64 = np.where(w < 0, -rounded, rounded).astype(np.int64)
+    return w64, m * (m - 1) // 2 if e else 0
+
+
+def _kronecker_sum(table: np.ndarray) -> np.ndarray:
+    """``out[x]``: the sum of ``table[j, c_j]`` over the rows j, x numbering (c_0, c_1, ...)."""
+    out = table[0]
+    for row in table[1:]:  # first row outermost
+        out = np.add.outer(out, row).reshape(-1)
+    return out
+
+
 def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unordered: bool):
     """Score every gap-free level vector in lexicographic order.
 
@@ -152,6 +192,18 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
     as a Kronecker sum.  The tables that depend only on (k, s, ``exact_k``,
     ``unordered``, ``term``) are cached across calls, the valid suffix
     labelings among them (per set of levels the prefix uses).
+
+    Every score is taken in int64, on the weights of ``_walk_weights``.  For
+    int64 weights those scores are exact.  Python-int weights are rounded,
+    and a rounded score is off by at most slack / 2 from the exact one over
+    2**e, so a vector whose rounded score is below the best rounded score
+    seen so far minus the slack cannot be optimal.  The walk keeps that
+    running best; a leaf drops its vectors below it minus the slack and
+    scores the rest (the survivors) exactly, from the exact prefix score
+    and s-by-k table carried beside the int64 ones.  The ties, count and
+    cap are then taken on exact scores only, and every optimal vector is a
+    survivor, so the result is exact.  A leaf where more than a quarter of
+    the vectors survive is scored exactly as a whole.
     """
     m = w.shape[0]
     s = 1
@@ -159,24 +211,35 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
         s += 1
     p = m - s
     digits, used, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered, term)
-    own = w[p + first, p + second] @ terms  # own[x]: suffix-internal score of labeling x
-    # inc[i, l, j, c]: pair term of prefix vertex i at level l with suffix vertex j at level c
-    inc = w[:p, None, p:, None] * step[None, :, None, :]
-    rows, steps = w[:p, :p].tolist(), step.tolist()
+    w64, slack = _walk_weights(w)
+    own = w64[p + first, p + second] @ terms  # own[x]: suffix-internal score of labeling x
+    # inc[i, l, j, c]: pair terms of prefix vertex i at level l with suffix vertex j at level c
+    inc = w64[:p, None, p:, None] * step[None, :, None, :]
+    rows, steps = w64[:p, :p].tolist(), step.tolist()
+    if slack:  # the exact counterparts, own gathered only where it is needed
+        xpairs = w[p + first, p + second]
+        xinc = w[:p, None, p:, None] * step[None, :, None, :]
+        xrows = w[:p, :p].tolist()
+        xown = None
     full = (1 << k) - 1
     labels = [0] * p
-    best = None
+    best = rbest = None
     nopt = nkept = 0
     kept: list[np.ndarray] = []
 
-    def visit(d: int, score: int, table: np.ndarray, pmask: int) -> None:
-        # table[j, c]: pair terms of the prefix with suffix vertex j at level c
-        nonlocal best, nopt, nkept, kept
+    def visit(d: int, score: int, table: np.ndarray, pmask: int, exact) -> None:
+        # table[j, c]: pair terms of the prefix with suffix vertex j at level c; exact: the
+        # exact (score, table) when the weights are rounded, else None
+        nonlocal best, nopt, nkept, kept, rbest, xown
         if d < p:
             for lam in range(min(k, pmask.bit_length() + 1) if unordered else k):
                 labels[d] = lam
                 delta = sum(rows[i][d] * steps[li][lam] for i, li in enumerate(labels[:d]))
-                visit(d + 1, score + delta, table + inc[d, lam], pmask | 1 << lam)
+                sub = None
+                if exact is not None:
+                    xdelta = sum(xrows[i][d] * steps[li][lam] for i, li in enumerate(labels[:d]))
+                    sub = (exact[0] + xdelta, exact[1] + xinc[d, lam])
+                visit(d + 1, score + delta, table + inc[d, lam], pmask | 1 << lam, sub)
             return
         idx = valid.get(pmask)
         if idx is None:
@@ -193,10 +256,24 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
             idx.flags.writeable = False
         if idx.size == 0:
             return
-        cross = table[0]
-        for row in table[1:]:  # Kronecker sum over the suffix, first vertex outermost
-            cross = np.add.outer(cross, row).reshape(-1)
-        vals = (own + cross)[idx]
+        vals = (own + _kronecker_sum(table))[idx]
+        if exact is not None:  # keep the survivors, scored exactly: score + vals
+            top = score + int(vals.max())
+            if rbest is None or top > rbest:
+                rbest = top
+            alive = np.flatnonzero(vals >= rbest - slack - score)
+            if alive.size == 0:
+                return
+            score, table = exact
+            if 4 * alive.size > idx.size:
+                if xown is None:
+                    xown = xpairs @ terms
+                vals = (xown + _kronecker_sum(table))[idx]
+            else:
+                idx = idx[alive]
+                cross = table[np.arange(s)[:, None], digits[:, idx]].sum(0)
+                vals = xpairs @ terms[:, idx] + cross
+        # ties, count and cap on the exact scores score + vals of the labelings idx
         top = int(vals.max())
         if best is not None and score + top < best:
             return
@@ -212,7 +289,7 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
             kept.append(leaf)
             nkept += take.size
 
-    visit(0, 0, np.zeros((s, k), w.dtype), 0)
+    visit(0, 0, np.zeros((s, k), w64.dtype), 0, (0, np.zeros((s, k), object)) if slack else None)
     table = np.concatenate(kept) if kept else np.zeros((0, m), np.intp)
     kept.clear()  # ``visit`` refers to itself, so its closure outlives the call until a collection
     return best, nopt, table

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,3 +49,42 @@ def add_weights(t1: WeightedTournament, t2: WeightedTournament) -> WeightedTourn
     return WeightedTournament(
         t1.vertices, {k: t1.weights[k] + t2.weights[k] for k in t1.weights}
     )
+
+
+HUGE_SHAPES = ("near", "ties", "powers", "halves")
+
+
+def huge_weights(shape: str, pairs: list, rng: random.Random, *, nonnegative: bool = False) -> dict:
+    """Integer weights past 2**62 per pair that the walk's int64 rounding cannot tell apart.
+
+    ``near``: +-2**100 plus offsets in -3..3, far below the rounding unit;
+    ``ties``: multiples of one power of two between 2**80 and 2**300, so
+    exact ties abound; ``powers``: {-2**b, 0, 2**b, 2**(b+1)} plus 0 or 1;
+    ``halves``: multiples of 2**100 plus half the rounding unit plus or minus
+    1, so each weight rounds off by almost 1/2, up or down at random.
+    ``nonnegative`` keeps every weight at least 0 (cut weights).
+    """
+    b = rng.choice([80, 150, 300])
+    draws = {
+        "near": lambda: rng.choice([-1, 1]) * 2**100 + rng.randint(-3, 3),
+        "ties": lambda: rng.randint(-2, 2) << b,
+        "powers": lambda: rng.choice([-(2**b), 0, 2**b, 2 ** (b + 1)]) + rng.randint(0, 1),
+        "halves": lambda: rng.choice([1, 2] if nonnegative else [-1, 1]) << 100,
+    }
+    weights = {pair: draws[shape]() for pair in pairs}
+    if nonnegative:
+        weights = {pair: abs(x) for pair, x in weights.items()}
+    if shape == "halves":
+        m = len({v for pair in pairs for v in pair})
+        e = rounding_shift(m, weights.values())
+        weights = {pair: x + (1 << e - 1) + rng.choice([-1, 1]) for pair, x in weights.items()}
+        assert rounding_shift(m, weights.values()) == e
+    return weights
+
+
+def rounding_shift(m: int, weights) -> int:
+    """The least e with 2 * m * sum(abs(w / 2**e)) < 2**62, each w rounded, on both triangles."""
+    e = 0
+    while 4 * m * sum((abs(x) + (1 << e >> 1)) >> e for x in weights) >= 2**62:
+        e += 1
+    return e

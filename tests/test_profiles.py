@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from maxkop import (
@@ -377,6 +378,25 @@ def test_bool_level_specs_are_invalid():
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == "invalid level spec True"
+
+
+def test_numpy_integer_level_specs_are_taken_as_ints():
+    p = profile("abcd", wo(["a"], ["b", "c"], ["d"]), wo(["d", "c"], ["a", "b"]))
+    validate_ballots(p, np.int64(3))
+    with pytest.raises(ValueError) as err:
+        validate_ballots(p, np.int32(2))
+    assert str(err.value).endswith("is not a weak order with at most 2 classes")
+    for j, k in ((np.int64(3), np.int64(2)), (3, np.uint8(3)), (np.int16(3), 4)):
+        res = aggregate(p, j, k, exact_k=True)
+        ref = aggregate(p, int(j), int(k), exact_k=True)
+        assert (res.optimum, res.levels, res.truncated) == (ref.optimum, ref.levels, ref.truncated)
+    for k in (np.int64(0), np.bool_(True), np.float64(2.0)):
+        with pytest.raises(ValueError) as err:
+            aggregate(p, 3, k)
+        assert str(err.value) == f"invalid level spec {k!r}"
+        with pytest.raises(ValueError) as err:
+            validate_ballots(p, k)
+        assert str(err.value) == f"invalid level spec {k!r}"
 
 
 def test_profile_needs_a_ballot():

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 
+from conftest import HUGE_SHAPES, huge_weights
 from maxkop import (
     CutInstance,
     GadgetMap,
@@ -160,6 +161,16 @@ def _weighted_graph(n: int, weights: str, seed: int) -> CutInstance:
 )
 def test_cut_bruteforce_matches_reference_enumeration(n, pieces, weights):
     g = _weighted_graph(n, weights, seed=n * 10 + pieces)
+    assert solve_cut_bruteforce(g, pieces) == _reference_cuts(g, pieces)
+
+
+@pytest.mark.parametrize("shape", HUGE_SHAPES)
+@pytest.mark.parametrize("n, pieces", [(9, 3), (7, 4)])
+def test_cut_walk_matches_reference_enumeration_past_int64(shape, n, pieces):
+    # both sizes leave a prefix ahead of the suffix, so the exact prefix tables are carried
+    rng = random.Random(f"{shape}-{n}-{pieces}")
+    verts = tuple(f"v{i}" for i in range(n))
+    g = CutInstance(verts, huge_weights(shape, list(combinations(verts, 2)), rng, nonnegative=True))
     assert solve_cut_bruteforce(g, pieces) == _reference_cuts(g, pieces)
 
 

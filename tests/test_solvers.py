@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from conftest import add_weights, scale_weights
+from conftest import HUGE_SHAPES, add_weights, huge_weights, rounding_shift, scale_weights
 from maxkop import (
     GuardExceededError,
     OrderedPartition,
@@ -20,7 +20,7 @@ from maxkop import (
     solve_bruteforce,
 )
 from maxkop.selftest import random_acyclic_tournament, random_tournament
-from maxkop.solvers import _levels, _route, _subset_cells
+from maxkop.solvers import _levels, _route, _subset_cells, _walk_weights
 
 
 def levels_key(t, p):
@@ -158,6 +158,82 @@ def test_bruteforce_matches_independent_enumeration(m, k, exact_k, cap, scale):
     assert one.optimum == best
     assert [levels_key(t, w) for w in one.witnesses] == wins[:1]
     assert not one.truncated
+
+
+def huge_tournament(m: int, shape: str, rng: random.Random) -> WeightedTournament:
+    vertices = tuple(f"v{i}" for i in range(m))
+    return WeightedTournament(vertices, huge_weights(shape, list(combinations(vertices, 2)), rng))
+
+
+def assert_matches_enumeration(t, k, exact_k):
+    best, wins = enumerate_optima(t, k, exact_k)
+    for cap in (1, 3, len(wins) + 1):
+        res = solve_bruteforce(t, k, all_ties=True, exact_k=exact_k, witness_cap=cap)
+        assert res.optimum == best
+        assert [levels_key(t, w) for w in res.witnesses] == wins[:cap]
+        assert res.truncated == (len(wins) > cap)
+    one = solve_bruteforce(t, k, exact_k=exact_k)
+    assert (one.optimum, [levels_key(t, w) for w in one.witnesses]) == (best, wins[:1])
+
+
+@pytest.mark.parametrize("shape", HUGE_SHAPES)
+@pytest.mark.parametrize("m, k, exact_k", [(8, 3, False), (7, 4, True)])
+def test_rounded_walk_matches_enumeration_past_int64(shape, m, k, exact_k):
+    # both sizes leave a prefix ahead of the suffix, so the exact prefix tables are carried
+    rng = random.Random(f"{shape}-{m}-{k}")
+    t = huge_tournament(m, shape, rng)
+    assert t.integer_form.w.dtype == object
+    assert_matches_enumeration(t, k, exact_k)
+
+
+def test_rounded_walk_keeps_an_optimum_that_rounds_lower():
+    # multiples of 2**100 plus half the rounding unit plus or minus 1: each weight rounds off
+    # by almost 1/2, and the optimum rounds lower than another vector, so a walk whose slack
+    # were below 2 would drop it
+    a = [1, -1, 1, 1, 1, -1, -1, -1, 1, -1]
+    d = [-1, 1, 1, 1, 1, -1, 1, -1, -1, 1]
+    e = rounding_shift(5, [x << 100 for x in a])
+    vertices = tuple(f"v{i}" for i in range(5))
+    weights = zip(combinations(vertices, 2), a, d)
+    t = WeightedTournament(vertices, {pair: (x << 100) + (1 << e - 1) + y for pair, x, y in weights})
+    assert_matches_enumeration(t, 3, True)
+
+
+def test_rounded_walk_scores_a_dense_leaf_exactly():
+    # one dominant arc rounds every other weight to about 0, so every labeling with v0
+    # above v1 survives the rounded scores: over a quarter of the walk's one leaf
+    rng = random.Random(5)
+    vertices = tuple(f"v{i}" for i in range(7))
+    weights = {pair: rng.randint(-(2**100), 2**100) for pair in combinations(vertices, 2)}
+    weights["v0", "v1"] = 2**200
+    t = WeightedTournament(vertices, weights)
+    assert_matches_enumeration(t, 3, False)
+
+
+def test_walk_weights_round_python_ints_into_int64():
+    rng = random.Random(8)
+    w = np.array([[0, 3, -5], [-3, 0, 7], [5, -7, 0]], np.int64)
+    w64, slack = _walk_weights(w)
+    assert w64 is w and slack == 0
+    small = w.astype(object)  # representable as it is: no shift, no slack
+    w64, slack = _walk_weights(small)
+    assert w64.dtype == np.int64 and (w64 == w).all() and slack == 0
+    for shape in HUGE_SHAPES:
+        for sign in (-1, 1):  # antisymmetric (tournament) and symmetric (cut) weights
+            m = rng.randint(2, 9)
+            pairs = list(combinations(range(m), 2))
+            weights = huge_weights(shape, pairs, rng, nonnegative=sign > 0)
+            weights[0, m - 1] += 2**90  # past 2**62 whatever was drawn
+            w = np.zeros((m, m), object)
+            for (i, j), x in weights.items():
+                w[i, j], w[j, i] = x, sign * x
+            w64, slack = _walk_weights(w)
+            assert w64.dtype == np.int64 and slack == m * (m - 1) // 2
+            assert (w64 == sign * w64.T).all()
+            assert 2 * m * int(abs(w64).sum()) < 2**62
+            # every entry is within 1/2 of w / 2**e, e the least shift that fits
+            e = rounding_shift(m, weights.values())
+            assert all(abs((x << e) - y) << 1 <= 1 << e for x, y in zip(w64.ravel().tolist(), w.flat))
 
 
 def test_dp_requires_acyclic(three_cycle):
