@@ -18,7 +18,6 @@ objects (``orders``) only when read.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,6 +29,7 @@ from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, _levels, solve
 from .tournament import (
     WeightedTournament,
     _form_dtype,
+    _integer,
     _level_blocks,
     _IntegerTable,
     _LevelTableResult,
@@ -108,8 +108,7 @@ class Profile(_IntegerTable):
         rows, counts = [], []
         for entry in ballots:
             order, count = (entry, 1) if isinstance(entry, WeakOrder) else entry
-            if not isinstance(count, int) or count < 1:
-                raise ValueError(f"ballot multiplicity must be a positive integer, got {count!r}")
+            count = _integer(count, "ballot multiplicity", 1)
             if order.members() != members:
                 raise ValueError(_coverage_error(order))
             rank = order.rank_of()
@@ -228,15 +227,10 @@ def _conforms(ranks: np.ndarray, spec: LevelSpec) -> np.ndarray:
 
 def _class_bound(spec: LevelSpec) -> int:
     """A fixed-integer level spec as a Python int: any integer type but bool, at least 1."""
-    if not isinstance(spec, bool):
-        try:
-            bound = operator.index(spec)
-        except TypeError:
-            pass
-        else:
-            if bound >= 1:
-                return bound
-    raise ValueError(f"invalid level spec {spec!r}")
+    try:
+        return _integer(spec, "level spec", 1)
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid level spec {spec!r}") from None
 
 
 def validate_ballots(p: Profile, j: LevelSpec) -> None:

@@ -39,6 +39,7 @@ from .solvers import (
 from .tournament import (
     OrderedPartition,
     WeightedTournament,
+    _integer,
     _level_blocks,
     _vertex_index,
     _VertexLookup,
@@ -69,12 +70,14 @@ class CutInstance(_VertexLookup):
                 raise ValueError(f"unknown vertex in edge ({x!r}, {y!r})")
             if x == y:
                 raise ValueError("self-loops are not allowed")
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                raise ValueError(f"edge weight must be a nonnegative integer, got {w!r}")
+            try:
+                weight = _integer(w, "edge weight", 0)
+            except (TypeError, ValueError):
+                raise ValueError(f"edge weight must be a nonnegative integer, got {w!r}") from None
             key = (x, y) if index[x] < index[y] else (y, x)
             if key in normalized:
                 raise ValueError(f"duplicate edge {{{x!r}, {y!r}}}")
-            normalized[key] = w
+            normalized[key] = weight
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edge_weights", normalized)
         object.__setattr__(self, "_index", index)
@@ -162,8 +165,7 @@ def solve_cut_bruteforce(
     restricted-growth level vectors.  Runs the exhaustive walk with the pair
     term ``w * [l_i != l_j]``; the guard counts unordered partitions.
     """
-    if pieces < 1:
-        raise ValueError("pieces must be at least 1")
+    pieces = _integer(pieces, "pieces", 1)
     m = g.n
     count = _partition_count(m, pieces)
     if count > guard:
@@ -173,7 +175,7 @@ def solve_cut_bruteforce(
         w[g.index(x), g.index(y)] = w[g.index(y), g.index(x)] = weight
     # the cap is the partition count, so every maximizer is kept
     best, _, kept = _walk_levels(
-        exact_int_matrix(w), min(pieces, m), False, count, np.not_equal, unordered=True
+        exact_int_matrix(w), min(pieces, m), False, count, unordered=True
     )
     return best, [tuple(map(frozenset, _level_blocks(g.vertices, lv))) for lv in kept.tolist()]
 

@@ -6,9 +6,9 @@ Four routes are provided:
   exactly) k nonempty blocks, by walking level assignments in lexicographic
   order.  It is the oracle the faster routes are tested against.  A single
   numpy kernel walks the leading vertices in Python and scores every
-  labeling of the trailing ones as one array.  The kernel takes the pair
-  term as a callable, and in unordered mode visits each unordered partition
-  once, so ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.
+  labeling of the trailing ones as one array.  Its pair term is the ordered
+  one; in unordered mode it is the cut term and each unordered partition is
+  visited once, so ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.
 * ``solve_subset_dp`` is a dynamic program over the set of vertices placed
   in the top blocks, adding one block per level: O(m 2^m) for linear orders
   (exactly m blocks) and O(k 3^m) for k blocks, exact on any weights.
@@ -46,14 +46,16 @@ every route keeps the same witnesses under a cap.  Both dynamic programs list
 ties with ``_canonical_walk``, which counts the optimal paths over their tight
 steps (``_TightPaths``) fitting a prefix of levels, in polynomial time per
 witness.
+
+The walk and ``_canonical_walk`` are loops over explicit stacks, not
+self-calling closures, so no call leaves a reference cycle for the collector.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple
@@ -64,6 +66,7 @@ from .tournament import (
     OrderedPartition,
     WeightedTournament,
     _form_dtype,
+    _integer,
     _level_blocks,
     _LevelTableResult,
 )
@@ -101,13 +104,8 @@ class SolveResult(_LevelTableResult):
 
 def _levels(m: int, k: int, exact_k: bool, witness_cap: int) -> int:
     """Validate a request; the number of levels to search with, a Python int."""
-    if isinstance(k, bool):
-        raise TypeError(f"k must be an integer, got {k!r}")
-    k = operator.index(k)  # a numpy k would wrap in k**m
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if witness_cap < 1:
-        raise ValueError("witness_cap must be at least 1")
+    k = _integer(k, "k", 1)  # a numpy k would wrap in k**m
+    _integer(witness_cap, "witness_cap", 1)
     if exact_k and k > m:
         raise ValueError(f"cannot split {m} vertices into {k} nonempty blocks")
     return k if exact_k else min(k, m)
@@ -117,29 +115,40 @@ def _partition_from_levels(vertices: tuple[str, ...], levels) -> OrderedPartitio
     return OrderedPartition(tuple(_level_blocks(vertices, levels)))
 
 
-def _ordered_term(l, c):
-    """Pair term of ordered partitions: +1 downward, -1 upward, 0 within a block."""
-    return np.sign(c - l)
-
-
 @lru_cache(maxsize=64)
-def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool, term):
-    """The walk's read-only tables for k levels, an s-vertex suffix and a pair term.
+def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool):
+    """The walk's read-only tables for k levels and an s-vertex suffix.
 
+    ``step[l, c]`` is the pair term of vertices i < j at levels l and c:
+    sign(c - l) for ordered partitions (+1 when i's block is above j's, -1
+    below, 0 within one), or ``l != c`` with ``unordered`` (cuts).
     ``digits[j, x]`` is the level of suffix vertex j in suffix labeling x,
-    ``used[x]`` the bit mask of the levels labeling x uses, ``step[l, c]`` is
-    ``term(l, c)``, and ``terms[q, x]`` the term of the q-th suffix pair
-    ``(first[q], second[q])`` under labeling x.  The last item is the cache of
-    valid labelings per set of prefix levels, filled by ``_walk_levels``.
+    and ``terms[q, x]`` the term of the q-th suffix pair ``(first[q],
+    second[q])`` under labeling x.  ``valid[pmask]``, for every set of levels
+    ``pmask`` a prefix may use, lists the labelings that complete it into a
+    vector the walk visits: gap-free, using every level with ``exact_k``, and
+    restricted-growth with ``unordered``.
     """
     digits = np.arange(k**s) // k ** np.arange(s - 1, -1, -1)[:, None] % k
     used = np.bitwise_or.reduce(1 << digits, axis=0)
-    step = term(np.arange(k)[:, None], np.arange(k)).astype(np.int8)
+    lv = np.arange(k)
+    step = (lv[:, None] != lv if unordered else np.sign(lv - lv[:, None])).astype(np.int8)
     first, second = np.triu_indices(s, 1)
-    terms = term(digits[first], digits[second]).astype(np.int8)
-    for table in (digits, used, step, first, second, terms):
+    terms = step[digits[first], digits[second]]
+    if unordered:  # growth[h]: restricted growth after a prefix whose highest level is h - 1
+        # fresh[j, x]: one above the highest level of suffix vertices 0..j-1 (0 for j = 0)
+        fresh = np.maximum.accumulate(np.vstack([np.zeros(k**s, np.intp), digits[:-1] + 1]))
+        growth = [(digits <= np.maximum(fresh, h)).all(0) for h in range(k + 1)]
+    valid = []
+    for pmask in range(1 << k):
+        u = used | pmask
+        ok = u == (1 << k) - 1 if exact_k else (u & (u + 1)) == 0  # all k levels, or gap-free
+        if unordered:
+            ok &= growth[pmask.bit_length()]
+        valid.append(np.flatnonzero(ok))
+    for table in (digits, step, first, second, terms, *valid):
         table.flags.writeable = False
-    return digits, used, step, first, second, terms, {}
+    return digits, step, first, second, terms, tuple(valid)
 
 
 def _walk_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
@@ -175,96 +184,76 @@ def _kronecker_sum(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unordered: bool):
+def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, *, unordered: bool):
     """Score every gap-free level vector in lexicographic order.
 
-    A level vector l scores the sum of ``w[i, j] * term(l[i], l[j])`` over
-    pairs i < j, ``term`` being a vectorised pair term.  It is gap-free when
-    the levels it uses are 0..j-1, so each ordered partition has exactly one;
-    with ``unordered`` only restricted-growth vectors (each level first used
-    after every lower one) are visited, one per unordered partition.  Returns
-    the best score, the number of level vectors reaching it, and the first
-    ``cap`` of those in visit order, one per row of an intp array.
-    The last ``s`` vertices (the suffix) are scored all at once in numpy,
-    ``k**s`` being about ``_BLOCK``.  The prefix is walked depth first in
-    Python, keeping an s-by-k table of the prefix's pair terms with each
-    suffix vertex at each level; a leaf spreads it over all suffix labelings
-    as a Kronecker sum.  The tables that depend only on (k, s, ``exact_k``,
-    ``unordered``, ``term``) are cached across calls, the valid suffix
-    labelings among them (per set of levels the prefix uses).
+    A level vector l scores the sum of ``w[i, j] * step[l[i], l[j]]`` over
+    pairs i < j, ``step`` being the ordered pair term, or the cut term with
+    ``unordered`` (see ``_walk_tables``).  It is gap-free when the levels it
+    uses are 0..j-1, so each ordered partition has exactly one; with
+    ``unordered`` only restricted-growth vectors (each level first used after
+    every lower one) are visited, one per unordered partition.  Returns the
+    best score, the number of level vectors reaching it, and the first ``cap``
+    of those in visit order, one per row of an intp array.
 
-    Every score is taken in int64, on the weights of ``_walk_weights``.  For
-    int64 weights those scores are exact.  Python-int weights are rounded,
-    and a rounded score is off by at most slack / 2 from the exact one over
-    2**e, so a vector whose rounded score is below the best rounded score
-    seen so far minus the slack cannot be optimal.  The walk keeps that
-    running best; a leaf drops its vectors below it minus the slack and
-    scores the rest (the survivors) exactly, from the exact prefix score
-    and s-by-k table carried beside the int64 ones.  The ties, count and
-    cap are then taken on exact scores only, and every optimal vector is a
-    survivor, so the result is exact.  A leaf where more than a quarter of
-    the vectors survive is scored exactly as a whole.
+    The last ``s`` vertices (the suffix) are scored all at once in numpy,
+    ``k**s`` being about ``_BLOCK``.  The prefix is walked depth first, as a
+    loop over a stack of (labels, score, table, levels used) entries, children
+    pushed in reverse so that they pop in lexicographic order; ``table`` is the
+    s-by-k table of the prefix's pair terms with each suffix vertex at each
+    level, and a leaf spreads it over all suffix labelings as a Kronecker sum.
+
+    Every score on the stack is taken in int64, on the weights of
+    ``_walk_weights``.  For int64 weights those scores are exact.  Python-int
+    weights are rounded, and a rounded score is off by at most slack / 2 from
+    the exact one over 2**e, so a vector whose rounded score is below the best
+    rounded score seen so far minus the slack cannot be optimal.  The walk
+    keeps that running best; a leaf drops its vectors below it minus the slack
+    and scores the rest (the survivors) exactly, from the exact prefix score
+    and table rebuilt from its labels.  The ties, count and cap are then taken
+    on exact scores only, and every optimal vector is a survivor, so the
+    result is exact.  A leaf where more than a quarter of the vectors survive
+    is scored exactly as a whole.
     """
     m = w.shape[0]
     s = 1
     while s < m and k ** (s + 1) <= _BLOCK:
         s += 1
     p = m - s
-    digits, used, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered, term)
+    digits, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered)
     w64, slack = _walk_weights(w)
     own = w64[p + first, p + second] @ terms  # own[x]: suffix-internal score of labeling x
     # inc[i, l, j, c]: pair terms of prefix vertex i at level l with suffix vertex j at level c
     inc = w64[:p, None, p:, None] * step[None, :, None, :]
     rows, steps = w64[:p, :p].tolist(), step.tolist()
-    if slack:  # the exact counterparts, own gathered only where it is needed
-        xpairs = w[p + first, p + second]
-        xinc = w[:p, None, p:, None] * step[None, :, None, :]
-        xrows = w[:p, :p].tolist()
-        xown = None
-    full = (1 << k) - 1
-    labels = [0] * p
+    xpairs, xown = w[p + first, p + second], None  # exact suffix pairs; own, built when needed
     best = rbest = None
     nopt = nkept = 0
     kept: list[np.ndarray] = []
-
-    def visit(d: int, score: int, table: np.ndarray, pmask: int, exact) -> None:
-        # table[j, c]: pair terms of the prefix with suffix vertex j at level c; exact: the
-        # exact (score, table) when the weights are rounded, else None
-        nonlocal best, nopt, nkept, kept, rbest, xown
+    stack = [((), 0, np.zeros((s, k), w64.dtype), 0)]
+    while stack:
+        labels, score, table, pmask = stack.pop()
+        d = len(labels)
         if d < p:
-            for lam in range(min(k, pmask.bit_length() + 1) if unordered else k):
-                labels[d] = lam
-                delta = sum(rows[i][d] * steps[li][lam] for i, li in enumerate(labels[:d]))
-                sub = None
-                if exact is not None:
-                    xdelta = sum(xrows[i][d] * steps[li][lam] for i, li in enumerate(labels[:d]))
-                    sub = (exact[0] + xdelta, exact[1] + xinc[d, lam])
-                visit(d + 1, score + delta, table + inc[d, lam], pmask | 1 << lam, sub)
-            return
-        idx = valid.get(pmask)
-        if idx is None:
-            u = used | pmask
-            ok = (u & (u + 1)) == 0
-            if exact_k:
-                ok &= u == full
-            if unordered:  # each suffix level at most one above the highest level before it
-                fresh = pmask.bit_length()
-                for row in digits:
-                    ok &= row <= fresh
-                    fresh = np.maximum(fresh, row + 1)
-            idx = valid[pmask] = np.flatnonzero(ok)
-            idx.flags.writeable = False
+            for lam in reversed(range(min(k, pmask.bit_length() + 1) if unordered else k)):
+                delta = sum(rows[i][d] * steps[li][lam] for i, li in enumerate(labels))
+                child = (labels + (lam,), score + delta, table + inc[d, lam], pmask | 1 << lam)
+                stack.append(child)
+            continue
+        idx = valid[pmask]
         if idx.size == 0:
-            return
+            continue
         vals = (own + _kronecker_sum(table))[idx]
-        if exact is not None:  # keep the survivors, scored exactly: score + vals
+        if slack:  # keep the survivors, scored exactly: score + vals
             top = score + int(vals.max())
             if rbest is None or top > rbest:
                 rbest = top
             alive = np.flatnonzero(vals >= rbest - slack - score)
             if alive.size == 0:
-                return
-            score, table = exact
+                continue
+            lv = np.array(labels, np.intp)  # the exact prefix score and table, from the labels
+            score = int(np.triu(w[:p, :p] * step[lv[:, None], lv], 1).sum())
+            table = w[:p, p:].T @ step[lv]
             if 4 * alive.size > idx.size:
                 if xown is None:
                     xown = xpairs @ terms
@@ -276,7 +265,7 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
         # ties, count and cap on the exact scores score + vals of the labelings idx
         top = int(vals.max())
         if best is not None and score + top < best:
-            return
+            continue
         if best is None or score + top > best:
             best, nopt, nkept, kept = score + top, 0, 0, []
         hits = idx[vals == top]
@@ -288,10 +277,7 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, term, *, unorde
             leaf[:, p:] = digits[:, take].T
             kept.append(leaf)
             nkept += take.size
-
-    visit(0, 0, np.zeros((s, k), w64.dtype), 0, (0, np.zeros((s, k), object)) if slack else None)
     table = np.concatenate(kept) if kept else np.zeros((0, m), np.intp)
-    kept.clear()  # ``visit`` refers to itself, so its closure outlives the call until a collection
     return best, nopt, table
 
 
@@ -318,7 +304,7 @@ def solve_bruteforce(
         raise GuardExceededError(_guard_message("walk", kk**m, guard))
     form = t.integer_form
     best, nopt, kept = _walk_levels(
-        form.w, kk, exact_k, witness_cap if all_ties else 1, _ordered_term, unordered=False
+        form.w, kk, exact_k, witness_cap if all_ties else 1, unordered=False
     )
     truncated = all_ties and nopt > len(kept)
     return SolveResult(Fraction(best, form.scale), t.vertices, kept, truncated)
@@ -556,7 +542,7 @@ def solve_subset_dp(
         edges[j] = (src, np.concatenate(dst) if dst else np.zeros(0, np.intp))
     edges[1] = (np.zeros(live[1].sum(), np.intp), np.flatnonzero(live[1]))
 
-    need = witness_cap if all_ties else 1
+    need = int(witness_cap) if all_ties else 1  # checked by _levels; a numpy cap would wrap below
     paths = _TightPaths(live, edges, tops, need + 1, (need + 1) << m)
     sets = [plan.masks[base[j] + ids] for j, ids in enumerate(paths.nodes)]
 
@@ -591,33 +577,32 @@ def _canonical_walk(m: int, kk: int, need: int, counted, listed) -> tuple[np.nda
     (levels of vertices 0..i-1) and how many optimal level vectors fit it;
     ``listed(state)`` lists those as intp arrays of m-column rows.  Vertices
     are assigned levels in index order, levels ascending, until a prefix's
-    vectors fit what the cap has left.  Each listed batch is sorted alone, by
-    one packed key per row when kk**m fits int64.
+    vectors fit what the cap has left.  The walk is a loop over a stack of
+    lazy child iterators, one per prefix being extended, so ``counted`` runs
+    only for the prefixes the walk reaches.  Each listed batch is sorted
+    alone, by one packed key per row when kk**m fits int64.
     """
     room = need
     packed = kk**m < 2**62
     place = kk ** np.arange(m - 1, -1, -1) if packed else None
-
-    # ``visit`` refers to itself, so what it closes over outlives the call until a
-    # collection: ``found`` is passed down instead
-    def visit(prefix: list[int], state, total: int, found: list) -> None:
-        nonlocal room
-        if total <= room:
+    found: list[np.ndarray] = []
+    state, total = counted([])
+    stack = [iter([([], state, total)])]
+    while room and stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        prefix, state, n = node
+        if n > room:
+            # built now: a generator reading ``prefix`` would see a later node's
+            children = [prefix + [b] for b in range(kk)]
+            stack.append((child, *counted(child)) for child in children)
+        elif n:
             levels = np.concatenate(listed(state))
             order = np.argsort(levels @ place) if packed else np.lexsort(levels.T[::-1])
             found.append(levels[order])
             room -= len(levels)
-            return
-        for b in range(kk):
-            sub, n = counted(prefix + [b])
-            if n:
-                visit(prefix + [b], sub, n, found)
-            if not room:
-                return
-
-    found: list[np.ndarray] = []
-    state, total = counted([])
-    visit([], state, total, found)
     return np.concatenate(found), total
 
 
@@ -722,7 +707,7 @@ def _divider_dp(
         live[j - 1][c] = True
         edges[j] = (c, into[i])
 
-    need = witness_cap if all_ties else 1
+    need = int(witness_cap) if all_ties else 1  # checked by _levels; a numpy cap would wrap below
     ceiling = need + 1
     paths = _TightPaths(live, edges, tops, ceiling, (m + 1) * ceiling**2)
     hi = size.cumsum()
@@ -755,16 +740,7 @@ def _divider_dp(
         state, total = paths.counted([None] + [w[layer] for layer in layers])
         return (prefix, taken, state), total
 
-    @cache  # per call: a module-level cache would keep the arrays alive between calls
-    def arrangements(counts: tuple[int, ...]) -> np.ndarray:
-        """Every sequence holding counts[b] copies of each level b, one per row."""
-        if not any(counts):
-            return np.zeros((1, 0), np.intp)
-        parts = []
-        for b in np.flatnonzero(counts):  # the first vertex at level b, then the rest
-            rest = arrangements(counts[:b] + (counts[b] - 1,) + counts[b + 1 :])
-            parts.append(np.column_stack([np.full(len(rest), b), rest]))
-        return np.concatenate(parts)
+    memo: dict = {}  # per call: a module-level cache would keep the arrays alive between calls
 
     def listed(state) -> list[np.ndarray]:
         prefix, taken, state = state
@@ -781,7 +757,7 @@ def _divider_dp(
             for n in np.flatnonzero(spread.any(1)):  # expand the groups spanning several levels
                 rows = levels[n : n + 1]
                 for g in np.flatnonzero(spread[n]):
-                    arr = arrangements(tuple(want[n, g].tolist()))
+                    arr = _arrangements(tuple(want[n, g].tolist()), memo)
                     rows = np.repeat(rows, len(arr), 0)
                     members = p + np.flatnonzero(group[p:] == g)
                     rows[:, members] = np.tile(arr, (len(rows) // len(arr), 1))
@@ -789,10 +765,22 @@ def _divider_dp(
         return found
 
     found, total = _canonical_walk(m, kk, need, counted, listed)
-    arrangements.cache_clear()  # the recursive closure would keep its arrays until a collection
     truncated = all_ties and total > witness_cap
     optimum = Fraction(int(top), t.integer_form.scale * m)
     return SolveResult(optimum, t.vertices, found, truncated)
+
+
+def _arrangements(counts: tuple[int, ...], memo: dict) -> np.ndarray:
+    """Every sequence with counts[b] copies of each level b, one per row, memoized in ``memo``."""
+    if not any(counts):
+        return np.zeros((1, 0), np.intp)
+    if counts not in memo:
+        parts = []
+        for b in np.flatnonzero(counts):  # the first vertex at level b, then the rest
+            rest = _arrangements(counts[:b] + (counts[b] - 1,) + counts[b + 1 :], memo)
+            parts.append(np.column_stack([np.full(len(rest), b), rest]))
+        memo[counts] = np.concatenate(parts)
+    return memo[counts]
 
 
 def solve_acyclic_dp(

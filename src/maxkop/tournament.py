@@ -20,6 +20,7 @@ reference.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -156,6 +157,22 @@ def _vertex_index(names: tuple[str, ...], owner: str | None = "tournament") -> d
     if len(index) != len(names):
         raise ValueError(f"{'vertex names' if owner else 'alternatives'} must be distinct")
     return index
+
+
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as a Python int, by ``operator.index``, refusing bool and values below ``least``.
+
+    The one integer rule for every count the API takes: k, witness caps,
+    level specs, ballot multiplicities, cut weights and piece counts.  The
+    refusals read ``<name> must be an integer, got <repr>`` (TypeError) and
+    ``<name> must be at least <least>`` (ValueError).
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    number = operator.index(value)
+    if number < least:
+        raise ValueError(f"{name} must be at least {least}")
+    return number
 
 
 class _VertexLookup:

@@ -23,6 +23,7 @@ from maxkop import (
     realize_weights,
     validate_ballots,
 )
+from maxkop.profiles import _class_bound
 from maxkop.selftest import random_profile, random_tournament, vertex_names
 
 
@@ -397,6 +398,33 @@ def test_numpy_integer_level_specs_are_taken_as_ints():
         with pytest.raises(ValueError) as err:
             validate_ballots(p, k)
         assert str(err.value) == f"invalid level spec {k!r}"
+
+
+@pytest.mark.parametrize("spec", [True, np.int64(2), 2.5])
+def test_level_spec_follows_the_integer_rule(spec):
+    p = profile("abc", wo(["a"], ["b", "c"]), wo(["c"], ["a", "b"]))
+    if type(spec) is np.int64:
+        assert _class_bound(spec) == 2 and type(_class_bound(spec)) is int
+        res, ref = aggregate(p, spec, spec), aggregate(p, 2, 2)
+        assert (res.optimum, res.levels, res.truncated) == (ref.optimum, ref.levels, ref.truncated)
+        return
+    for call in (lambda: aggregate(p, 2, spec), lambda: validate_ballots(p, spec)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"invalid level spec {spec!r}"
+
+
+@pytest.mark.parametrize("count", [True, np.int64(2), 2.5])
+def test_ballot_multiplicity_follows_the_integer_rule(count):
+    ballot = wo(["a"], ["b"])
+    if type(count) is np.int64:
+        p = Profile(("a", "b"), [(ballot, count)])
+        assert p.counts == (2,) and type(p.counts[0]) is int
+        assert p == Profile(("a", "b"), [(ballot, 2)])
+        return
+    with pytest.raises(TypeError) as err:
+        Profile(("a", "b"), [(ballot, count)])
+    assert str(err.value) == f"ballot multiplicity must be an integer, got {count!r}"
 
 
 def test_profile_needs_a_ballot():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from conftest import HUGE_SHAPES, huge_weights
@@ -105,6 +106,28 @@ def test_cut_bruteforce_needs_a_piece():
     with pytest.raises(ValueError) as err:
         solve_cut_bruteforce(K3, 0)
     assert str(err.value) == "pieces must be at least 1"
+
+
+@pytest.mark.parametrize("pieces", [True, np.int64(2), 2.5])
+def test_piece_count_follows_the_integer_rule(pieces):
+    if type(pieces) is np.int64:
+        assert solve_cut_bruteforce(K3, pieces) == solve_cut_bruteforce(K3, 2)
+        return
+    with pytest.raises(TypeError) as err:
+        solve_cut_bruteforce(K3, pieces)
+    assert str(err.value) == f"pieces must be an integer, got {pieces!r}"
+
+
+@pytest.mark.parametrize("w", [True, np.int64(2), 2.5])
+def test_cut_weight_follows_the_integer_rule(w):
+    if type(w) is np.int64:
+        g = CutInstance(("a", "b"), {("a", "b"): w})
+        assert g.edge_weights == {("a", "b"): 2} and type(g.edge_weight("a", "b")) is int
+        assert solve_cut_bruteforce(g, 2)[0] == 2
+        return
+    with pytest.raises(ValueError) as err:
+        CutInstance(("a", "b"), {("a", "b"): w})
+    assert str(err.value) == f"edge weight must be a nonnegative integer, got {w!r}"
 
 
 def test_cut_bruteforce_guard():

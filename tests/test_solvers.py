@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import HUGE_SHAPES, add_weights, huge_weights, rounding_shift, scale_weights
 from maxkop import (
+    CutInstance,
     GuardExceededError,
     OrderedPartition,
     WeightedTournament,
@@ -18,9 +20,18 @@ from maxkop import (
     solve_2op,
     solve_acyclic_dp,
     solve_bruteforce,
+    solve_cut_bruteforce,
+    solve_subset_dp,
 )
 from maxkop.selftest import random_acyclic_tournament, random_tournament
-from maxkop.solvers import _levels, _route, _subset_cells, _walk_weights
+from maxkop.solvers import (
+    _canonical_walk,
+    _levels,
+    _route,
+    _subset_cells,
+    _walk_tables,
+    _walk_weights,
+)
 
 
 def levels_key(t, p):
@@ -208,6 +219,108 @@ def test_rounded_walk_scores_a_dense_leaf_exactly():
     weights["v0", "v1"] = 2**200
     t = WeightedTournament(vertices, weights)
     assert_matches_enumeration(t, 3, False)
+
+
+def test_rounded_walk_scores_a_dense_leaf_exactly_under_a_prefix():
+    # at k = 4 the walk's suffix holds 5 vertices, so v0 and v1 form the prefix: a leaf
+    # scored exactly as a whole rebuilds the exact prefix score and table from its labels
+    rng = random.Random(5)
+    vertices = tuple(f"v{i}" for i in range(7))
+    weights = {pair: rng.randint(-(2**100), 2**100) for pair in combinations(vertices, 2)}
+    weights["v0", "v1"] = 2**200
+    t = WeightedTournament(vertices, weights)
+    assert_matches_enumeration(t, 4, False)
+
+
+@pytest.mark.parametrize("unordered", [False, True])
+@pytest.mark.parametrize("exact_k", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_walk_tables_match_a_brute_force_filter(k, exact_k, unordered):
+    for s in range(1, 5):
+        digits, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered)
+        labelings = list(product(range(k), repeat=s))
+        assert digits.T.tolist() == [list(x) for x in labelings]
+        for l, c in product(range(k), repeat=2):
+            assert step[l, c] == (l != c if unordered else (c > l) - (c < l))
+        pair_terms = [[step[x[i], x[j]] for i, j in zip(first, second)] for x in labelings]
+        assert terms.T.tolist() == pair_terms
+        assert len(valid) == 2**k
+        for pmask in range(2**k):
+            want = []
+            for x, lab in enumerate(labelings):
+                used = pmask | sum({1 << c for c in lab})
+                ok = used == (1 << used.bit_length()) - 1 and (not exact_k or used == 2**k - 1)
+                fresh = pmask.bit_length()  # restricted growth: one above the highest level so far
+                for c in lab:
+                    ok &= not unordered or c <= fresh
+                    fresh = max(fresh, c + 1)
+                if ok:
+                    want.append(x)
+            assert valid[pmask].tolist() == want
+        assert not any(a.flags.writeable for a in (digits, step, first, second, terms, *valid))
+
+
+def _garbage_routes():
+    rng = random.Random(3)
+    vertices = tuple(f"v{i}" for i in range(8))
+    pairs = list(combinations(vertices, 2))
+    ties = WeightedTournament(vertices, {pair: rng.randint(-1, 1) for pair in pairs})
+    huge = huge_tournament(8, "ties", random.Random(0))
+    potential = dict(zip(vertices, [0, 0, 0, 1, 2, 2, 2, 3]))
+    acyclic = WeightedTournament(vertices, {(a, b): potential[b] - potential[a] for a, b in pairs})
+    g = CutInstance(vertices[:6], {pair: 1 for pair in combinations(vertices[:6], 2)})
+    return {
+        "walk": lambda: solve_bruteforce(ties, 3, all_ties=True),
+        "walk past 2**62": lambda: solve_bruteforce(huge, 3, all_ties=True),
+        "cut walk": lambda: solve_cut_bruteforce(g, 3),
+        "subset dp": lambda: solve_subset_dp(ties, 3, all_ties=True),
+        "divider dp": lambda: solve_acyclic_dp(acyclic, 3, all_ties=True),
+        "2op": lambda: solve_2op(ties, all_ties=True),
+    }
+
+
+@pytest.mark.parametrize("route", list(_garbage_routes()))
+def test_solver_calls_leave_no_cyclic_garbage(route):
+    call = _garbage_routes()[route]
+    result = call()  # warm: the tables cached across calls are built here
+    assert len(result[1] if route == "cut walk" else result.table) > 1  # ties are listed
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize(
+    "need, seen",
+    [
+        (1, ["", "0", "00", "000", "0000", "00000"]),
+        (4, ["", "0", "00", "000", "0000", "0001", "00010"]),
+        (10, ["", "0", "00", "000", "001", "0010", "00100"]),
+        (243, [""]),
+    ],
+)
+def test_canonical_walk_counts_only_the_prefixes_it_reaches(need, seen):
+    # every level vector is optimal, so each prefix of length i fits 3**(5 - i) of them
+    every = np.array(list(product(range(3), repeat=5)), np.intp)
+    calls = []
+
+    def counted(prefix):
+        calls.append("".join(map(str, prefix)))
+        fits = every[(every[:, : len(prefix)] == prefix).all(1)]
+        return fits, len(fits)
+
+    def listed(state):
+        return [state[::-1]]  # out of order: the walk sorts each batch
+
+    found, total = _canonical_walk(5, 3, need, counted, listed)
+    assert calls == seen
+    assert total == 243
+    assert found.tolist() == every[:need].tolist()
 
 
 def test_walk_weights_round_python_ints_into_int64():
@@ -442,3 +555,36 @@ def test_k_is_taken_as_a_python_int_and_never_as_a_bool(three_cycle):
         with pytest.raises(TypeError) as err:
             call()
         assert str(err.value) == "k must be an integer, got True"
+
+
+@pytest.mark.parametrize("k", [True, np.int64(2), 2.5])
+def test_k_follows_the_integer_rule(three_cycle, k):
+    if type(k) is np.int64:
+        assert type(_levels(3, k, False, 1)) is int
+        res = solve_bruteforce(three_cycle, k, all_ties=True)
+        ref = solve_bruteforce(three_cycle, 2, all_ties=True)
+        assert (res.optimum, res.levels, res.truncated) == (ref.optimum, ref.levels, ref.truncated)
+        return
+    for call in (lambda: solve(three_cycle, k), lambda: solve_bruteforce(three_cycle, k)):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == f"k must be an integer, got {k!r}"
+
+
+@pytest.mark.parametrize("cap", [True, np.int64(2), 2.5])
+def test_witness_cap_follows_the_integer_rule(three_cycle, cap):
+    # three tied optima at k = 3, seven tied 2-partitions: a cap of 2 truncates on every route
+    solvers = (
+        lambda: solve(three_cycle, 3, all_ties=True, witness_cap=cap),
+        lambda: solve_bruteforce(three_cycle, 3, all_ties=True, witness_cap=cap),
+        lambda: solve_subset_dp(three_cycle, 3, all_ties=True, witness_cap=cap),
+        lambda: solve_2op(three_cycle, all_ties=True, witness_cap=cap),
+    )
+    for call in solvers:
+        if type(cap) is np.int64:
+            res = call()
+            assert len(res.table) == 2 and res.truncated
+            continue
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == f"witness_cap must be an integer, got {cap!r}"
