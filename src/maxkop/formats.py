@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -189,6 +190,14 @@ def parse_partition(text: str, path: str = "<string>") -> OrderedPartition:
 _CHUNK_ROWS = 2048  # rows per text chunk, bounding the transient cell table and text
 
 
+@lru_cache(maxsize=16)
+def _vocabulary(names: tuple[str, ...], sep: str, head: str) -> np.ndarray:
+    """``vocab[v, g]``: name v followed by " ", ``sep`` or a line end and ``head``; read-only."""
+    vocab = np.array(names, object)[:, None] + np.array([" ", sep, "\n" + head], object)
+    vocab.flags.writeable = False
+    return vocab
+
+
 def _format_levels(
     names: Sequence[str], table: np.ndarray, sep: str, head: str = ""
 ) -> Iterator[str]:
@@ -199,9 +208,9 @@ def _format_levels(
     for partitions, " | " for weak orders and ballot lines).  A chunk joins
     its lines with newlines, without a trailing one.  Per chunk: one stable
     argsort, one gather from a vocabulary of each name followed by " ",
-    ``sep`` or a line end, and one join.
+    ``sep`` or a line end (``_vocabulary``, kept across calls), and one join.
     """
-    vocab = np.array(names, object)[:, None] + np.array([" ", sep, "\n" + head], object)
+    vocab = _vocabulary(tuple(names), sep, head)
     for lo in range(0, len(table), _CHUNK_ROWS):
         lv = table[lo : lo + _CHUNK_ROWS]
         order = np.argsort(lv, axis=1, kind="stable")

@@ -5,10 +5,15 @@ Four routes are provided:
 * ``solve_bruteforce`` enumerates every ordered partition into at most (or
   exactly) k nonempty blocks, by walking level assignments in lexicographic
   order.  It is the oracle the faster routes are tested against.  A single
-  numpy kernel walks the leading vertices in Python and scores every
-  labeling of the trailing ones as one array.  Its pair term is the ordered
-  one; in unordered mode it is the cut term and each unordered partition is
-  visited once, so ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.
+  numpy kernel (``_walk_levels``) numbers the labelings of the leading
+  vertices (the prefix rows) and scores a chunk of rows times every labeling
+  of the trailing vertices, about 2**16 level vectors, in one array per
+  numpy pass; row-major order in that array is lexicographic order.  Its
+  pair term is the ordered one; in unordered mode it is the cut term and
+  each unordered partition is visited once, so
+  ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.  Vectors the
+  walk does not visit are scored as well: each ties a visited vector that
+  comes earlier, so only the ties are checked for validity.
 * ``solve_subset_dp`` is a dynamic program over the set of vertices placed
   in the top blocks, adding one block per level: O(m 2^m) for linear orders
   (exactly m blocks) and O(k 3^m) for k blocks, exact on any weights.
@@ -47,8 +52,9 @@ ties with ``_canonical_walk``, which counts the optimal paths over their tight
 steps (``_TightPaths``) fitting a prefix of levels, in polynomial time per
 witness.
 
-The walk and ``_canonical_walk`` are loops over explicit stacks, not
-self-calling closures, so no call leaves a reference cycle for the collector.
+The walk is a loop over chunks and ``_canonical_walk`` a loop over an
+explicit stack, not self-calling closures, so no call leaves a reference
+cycle for the collector.
 """
 
 from __future__ import annotations
@@ -73,7 +79,9 @@ from .tournament import (
 
 DEFAULT_GUARD = 10**8
 DEFAULT_WITNESS_CAP = 10_000
-_BLOCK = 3**7  # suffix labelings scored per numpy pass in the exhaustive walk
+_BLOCK = 3**7  # about this many suffix labelings per prefix row in the exhaustive walk
+_CHUNK = 2**16  # about this many level vectors scored per numpy pass in the exhaustive walk
+_FLOOR = np.iinfo(np.int64).min  # below every int64 walk score (those stay within 2**62)
 
 
 class GuardExceededError(RuntimeError):
@@ -116,6 +124,14 @@ def _partition_from_levels(vertices: tuple[str, ...], levels) -> OrderedPartitio
 
 
 @lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of range(n) in lexicographic order, as read-only (first, second)."""
+    first, second = np.triu_indices(n, 1)
+    first.flags.writeable = second.flags.writeable = False
+    return first, second
+
+
+@lru_cache(maxsize=64)
 def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool):
     """The walk's read-only tables for k levels and an s-vertex suffix.
 
@@ -133,7 +149,7 @@ def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool):
     used = np.bitwise_or.reduce(1 << digits, axis=0)
     lv = np.arange(k)
     step = (lv[:, None] != lv if unordered else np.sign(lv - lv[:, None])).astype(np.int8)
-    first, second = np.triu_indices(s, 1)
+    first, second = _pairs(s)
     terms = step[digits[first], digits[second]]
     if unordered:  # growth[h]: restricted growth after a prefix whose highest level is h - 1
         # fresh[j, x]: one above the highest level of suffix vertices 0..j-1 (0 for j = 0)
@@ -176,12 +192,82 @@ def _walk_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
     return w64, m * (m - 1) // 2 if e else 0
 
 
-def _kronecker_sum(table: np.ndarray) -> np.ndarray:
-    """``out[x]``: the sum of ``table[j, c_j]`` over the rows j, x numbering (c_0, c_1, ...)."""
-    out = table[0]
-    for row in table[1:]:  # first row outermost
-        out = np.add.outer(out, row).reshape(-1)
-    return out
+@lru_cache(maxsize=64)
+def _walk_mask(k: int, s: int, exact_k: bool, unordered: bool) -> np.ndarray:
+    """``ok[pmask, x]``: x is in ``valid[pmask]`` (see ``_walk_tables``), as a read-only table."""
+    valid = _walk_tables(k, s, exact_k, unordered)[-1]
+    ok = np.zeros((len(valid), k**s), bool)
+    for pmask, idx in enumerate(valid):
+        ok[pmask, idx] = True
+    ok.flags.writeable = False
+    return ok
+
+
+@lru_cache(maxsize=64)
+def _growth_counts(k: int, p: int) -> np.ndarray:
+    """``ways[d, h]``: restricted-growth labelings of d more vertices once levels 0..h-1 are used.
+
+    At most k levels are used; read-only.
+    """
+    ways = np.ones((p + 1, k + 1), np.int64)
+    for d in range(1, p + 1):  # below h: any used level; h itself: a fresh one
+        ways[d] = np.arange(k + 1) * ways[d - 1] + np.append(ways[d - 1, 1:], 0)
+    ways.flags.writeable = False
+    return ways
+
+
+def _prefix_labels(rows: np.ndarray, k: int, p: int, unordered: bool) -> np.ndarray:
+    """The p-vertex labelings numbered ``rows``, one per row, in lexicographic order.
+
+    Every one of the k**p labelings is numbered, or with ``unordered`` only
+    the restricted-growth ones (``_growth_counts``).
+    """
+    if not unordered:
+        return rows[:, None] // k ** np.arange(p - 1, -1, -1) % k
+    ways = _growth_counts(k, p)
+    labels = np.empty((len(rows), p), np.intp)
+    used = np.zeros(len(rows), np.intp)
+    rest = rows.copy()
+    for i in range(p):
+        per = ways[p - 1 - i, used]  # labelings of the later vertices per used level
+        lab = np.minimum(rest // per, used)  # ``used`` itself is the fresh level
+        rest -= lab * per
+        labels[:, i] = lab
+        used += lab == used
+    return labels
+
+
+def _prefix_terms(w: np.ndarray, p: int, digits: np.ndarray, step: np.ndarray) -> tuple:
+    """The pair terms of a p-vertex prefix with the suffix under weights w, per half of the suffix.
+
+    Suffix labeling x is (x // width, x % width) over the first ``s // 2``
+    suffix vertices and the rest, ``digits`` and ``step`` being the walk's
+    tables.  Returns ``lift``, where ``lift[h][l, i, y]`` sums the pair terms
+    of prefix vertex i at level l with the vertices of half h under its
+    labeling y.
+    """
+    s, k = digits.shape[0], len(step)
+    half, width = s // 2, k ** (s - s // 2)
+    head = w[:p, p : p + half] @ step[:, digits[:half, ::width]]
+    return head, w[:p, p + half :] @ step[:, digits[half:, :width]]
+
+
+def _row_scores(labels, own, lift, w, step, vals: np.ndarray) -> np.ndarray:
+    """Fill ``vals[b, x]`` with the score of prefix labeling ``labels[b]`` then suffix labeling x.
+
+    ``own[x]`` is the suffix-internal score of x and ``lift`` the prefix's
+    terms from ``_prefix_terms``, all under weights w (int64 or Python ints).
+    The prefix scores take one matmul over the prefix pairs; the two halves
+    of the suffix meet in one broadcast add.
+    """
+    p, width = labels.shape[1], lift[1].shape[-1]
+    pfirst, psecond = _pairs(p)
+    at = labels, np.arange(p)
+    score = step[labels[:, pfirst], labels[:, psecond]] @ w[pfirst, psecond]
+    out = vals.reshape(len(labels), -1, width)
+    np.add(own.reshape(-1, width), lift[1][at].sum(1)[:, None, :], out=out)
+    out += (lift[0][at].sum(1) + score[:, None])[:, :, None]
+    return vals
 
 
 def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, *, unordered: bool):
@@ -196,89 +282,111 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, *, unordered: b
     best score, the number of level vectors reaching it, and the first ``cap``
     of those in visit order, one per row of an intp array.
 
-    The last ``s`` vertices (the suffix) are scored all at once in numpy,
-    ``k**s`` being about ``_BLOCK``.  The prefix is walked depth first, as a
-    loop over a stack of (labels, score, table, levels used) entries, children
-    pushed in reverse so that they pop in lexicographic order; ``table`` is the
-    s-by-k table of the prefix's pair terms with each suffix vertex at each
-    level, and a leaf spreads it over all suffix labelings as a Kronecker sum.
+    The last ``s`` vertices are the suffix, ``k**s`` being about ``_BLOCK``,
+    and the first p the prefix.  The prefix labelings (rows) are numbered in
+    lexicographic order, only the restricted-growth ones with ``unordered``
+    (``_prefix_labels``), and scored in chunks of ``_CHUNK // k**s`` rows.
+    A chunk derives all it needs from its row numbers, and caches nothing
+    per row: the labels and levels used, the prefix scores (one matmul over
+    the prefix pairs), and the pair terms of the prefix with each half of the
+    suffix under each of its labelings (one gather from ``lift`` per half).
+    One broadcast add joins the two halves onto ``own``, the suffix-internal
+    scores, into the score of every (row, suffix labeling) pair of the chunk.
+    Row-major order over those pairs is lexicographic order over the vectors,
+    so one ``flatnonzero`` per chunk gives its ties in visit order, merged
+    into the running best.
 
-    Every score on the stack is taken in int64, on the weights of
-    ``_walk_weights``.  For int64 weights those scores are exact.  Python-int
-    weights are rounded, and a rounded score is off by at most slack / 2 from
-    the exact one over 2**e, so a vector whose rounded score is below the best
-    rounded score seen so far minus the slack cannot be optimal.  The walk
-    keeps that running best; a leaf drops its vectors below it minus the slack
-    and scores the rest (the survivors) exactly, from the exact prefix score
-    and table rebuilt from its labels.  The ties, count and cap are then taken
-    on exact scores only, and every optimal vector is a survivor, so the
-    result is exact.  A leaf where more than a quarter of the vectors survive
-    is scored exactly as a whole.
+    Vectors the walk does not visit (gapped, or not restricted-growth) are
+    scored too.  Each of them compresses its levels (ordered) or relabels
+    them by first use (cuts) into a visited vector with the same score that
+    is lexicographically smaller, so it sits in the same chunk or an earlier
+    one.  The running best over all vectors is thus the best over visited
+    ones, and only the ties need the validity check.  With ``exact_k`` that
+    argument fails (a vector using fewer levels may score more), so invalid
+    vectors are masked below every score before the maximum is taken.
+
+    Every score is taken in int64, on the weights of ``_walk_weights``.  For
+    int64 weights those scores are exact.  Python-int weights are rounded,
+    and a rounded score is off by at most slack / 2 from the exact one over
+    2**e, so a vector whose rounded score is below the best rounded score
+    seen so far minus the slack cannot be optimal.  Invalid vectors are masked
+    here too; the chunk's maximum joins the running best first, and only the
+    vectors within the slack of it (the survivors) are scored exactly.  Each
+    survivor is scored from its row's exact prefix score and s-by-k table,
+    rebuilt for the rows holding survivors only; when over a quarter of the
+    vectors of those rows survive, the rows are scored whole, like a chunk,
+    on exact ``own`` and ``lift`` tables built once per call.  Ties, count
+    and cap are taken on exact scores, and every optimal vector is a
+    survivor, so the result is exact.
     """
     m = w.shape[0]
     s = 1
     while s < m and k ** (s + 1) <= _BLOCK:
         s += 1
-    p = m - s
-    digits, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered)
+    p, size = m - s, k**s
+    digits, step, first, second, terms, _ = _walk_tables(k, s, exact_k, unordered)
+    ok = _walk_mask(k, s, exact_k, unordered)
     w64, slack = _walk_weights(w)
-    own = w64[p + first, p + second] @ terms  # own[x]: suffix-internal score of labeling x
-    # inc[i, l, j, c]: pair terms of prefix vertex i at level l with suffix vertex j at level c
-    inc = w64[:p, None, p:, None] * step[None, :, None, :]
-    rows, steps = w64[:p, :p].tolist(), step.tolist()
-    xpairs, xown = w[p + first, p + second], None  # exact suffix pairs; own, built when needed
-    best = rbest = None
+    own = w64[p:, p:][first, second] @ terms  # own[x]: suffix-internal score of labeling x
+    nrows = int(_growth_counts(k, p)[p, 0]) if unordered else k**p
+    batch = min(max(1, _CHUNK // size), nrows)
+    labels, pmask = np.zeros((1, 0), np.intp), np.zeros(1, np.intp)  # the one row when p = 0
+    if p:
+        lift = _prefix_terms(w64, p, digits, step)
+        chunk = np.empty((batch, size), np.int64)  # the chunk's scores
+    best = rbest = xlift = None
     nopt = nkept = 0
     kept: list[np.ndarray] = []
-    stack = [((), 0, np.zeros((s, k), w64.dtype), 0)]
-    while stack:
-        labels, score, table, pmask = stack.pop()
-        d = len(labels)
-        if d < p:
-            for lam in reversed(range(min(k, pmask.bit_length() + 1) if unordered else k)):
-                delta = sum(rows[i][d] * steps[li][lam] for i, li in enumerate(labels))
-                child = (labels + (lam,), score + delta, table + inc[d, lam], pmask | 1 << lam)
-                stack.append(child)
-            continue
-        idx = valid[pmask]
-        if idx.size == 0:
-            continue
-        vals = (own + _kronecker_sum(table))[idx]
-        if slack:  # keep the survivors, scored exactly: score + vals
-            top = score + int(vals.max())
-            if rbest is None or top > rbest:
-                rbest = top
-            alive = np.flatnonzero(vals >= rbest - slack - score)
-            if alive.size == 0:
-                continue
-            lv = np.array(labels, np.intp)  # the exact prefix score and table, from the labels
-            score = int(np.triu(w[:p, :p] * step[lv[:, None], lv], 1).sum())
-            table = w[:p, p:].T @ step[lv]
-            if 4 * alive.size > idx.size:
-                if xown is None:
-                    xown = xpairs @ terms
-                vals = (xown + _kronecker_sum(table))[idx]
-            else:
-                idx = idx[alive]
-                cross = table[np.arange(s)[:, None], digits[:, idx]].sum(0)
-                vals = xpairs @ terms[:, idx] + cross
-        # ties, count and cap on the exact scores score + vals of the labelings idx
+    for lo in range(0, nrows, batch):
+        if p:
+            labels = _prefix_labels(np.arange(lo, min(lo + batch, nrows)), k, p, unordered)
+            pmask = np.bitwise_or.reduce(1 << labels, axis=1)
+            vals = _row_scores(labels, own, lift, w64, step, chunk[: len(labels)])
+        else:
+            vals = own[None].copy()
+        if exact_k or slack:
+            np.putmask(vals, ~ok[pmask], _FLOOR)
         top = int(vals.max())
-        if best is not None and score + top < best:
+        if slack:  # the survivors, scored exactly
+            if top == _FLOOR:
+                continue
+            rbest = top if rbest is None else max(rbest, top)
+            hits = np.flatnonzero(vals >= rbest - slack)
+            if hits.size == 0:
+                continue
+            r, x = np.divmod(hits, size)
+            live, at = np.unique(r, return_inverse=True)
+            lab = labels[live]  # the rows holding survivors
+            xpairs = w[p:, p:][first, second]  # the exact suffix pairs
+            if 4 * hits.size > live.size * size:  # their whole rows, scored exactly
+                if xlift is None:
+                    xown, xlift = xpairs @ terms, _prefix_terms(w, p, digits, step)
+                xvals = np.empty((live.size, size), object)
+                xvals = _row_scores(lab, xown, xlift, w, step, xvals)[at, x]
+            else:  # each survivor, from its row's exact prefix score and s-by-k table
+                pfirst, psecond = _pairs(p)
+                xscore = step[lab[:, pfirst], lab[:, psecond]] @ w[pfirst, psecond]
+                xtable = w[:p, p:].T @ step[lab]
+                xvals = xpairs @ terms[:, x] + xscore[at]
+                xvals += xtable[at[:, None], np.arange(s), digits[:, x].T].sum(1)
+            top = xvals.max()
+            hits = hits[xvals == top]
+        else:
+            hits = np.flatnonzero(vals == top)
+            hits = hits[ok[pmask[hits // size], hits % size]]
+        if hits.size == 0 or best is not None and top < best:
             continue
-        if best is None or score + top > best:
-            best, nopt, nkept, kept = score + top, 0, 0, []
-        hits = idx[vals == top]
+        if best is None or top > best:
+            best, nopt, nkept, kept = top, 0, 0, []
         nopt += hits.size
-        take = hits[: cap - nkept]
-        if take.size:
-            leaf = np.empty((take.size, m), np.intp)
-            leaf[:, :p] = labels
-            leaf[:, p:] = digits[:, take].T
-            kept.append(leaf)
-            nkept += take.size
-    table = np.concatenate(kept) if kept else np.zeros((0, m), np.intp)
-    return best, nopt, table
+        r, x = np.divmod(hits[: cap - nkept], size)
+        if r.size:
+            found = np.empty((r.size, m), np.intp)
+            found[:, :p] = labels[r]
+            found[:, p:] = digits[:, x].T
+            kept.append(found)
+            nkept += r.size
+    return best, nopt, np.concatenate(kept)
 
 
 def solve_bruteforce(

@@ -1,7 +1,8 @@
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -23,12 +24,16 @@ from maxkop import (
     solve_cut_bruteforce,
     solve_subset_dp,
 )
+from maxkop import solvers
 from maxkop.selftest import random_acyclic_tournament, random_tournament
 from maxkop.solvers import (
+    _BLOCK,
+    _CHUNK,
     _canonical_walk,
     _levels,
     _route,
     _subset_cells,
+    _walk_levels,
     _walk_tables,
     _walk_weights,
 )
@@ -230,6 +235,92 @@ def test_rounded_walk_scores_a_dense_leaf_exactly_under_a_prefix():
     weights["v0", "v1"] = 2**200
     t = WeightedTournament(vertices, weights)
     assert_matches_enumeration(t, 4, False)
+
+
+def _walk_inputs():
+    """Ordered and cut weights, int64 and past 2**62, whose walks score many prefix rows."""
+    rng = random.Random(17)
+    inputs = []
+    sizes = ((12, 3, False), (9, 3, True), (9, 4, False), (8, 4, True), (14, 2, True))
+    for unordered in (False, True):
+        for m, k, huge in sizes:
+            pairs = list(combinations(range(m), 2))
+            if huge:
+                weights = huge_weights(rng.choice(HUGE_SHAPES), pairs, rng, nonnegative=unordered)
+            else:
+                weights = {pair: rng.randint(0 if unordered else -2, 2) for pair in pairs}
+            w = np.zeros((m, m), object)
+            for (i, j), x in weights.items():
+                w[i, j], w[j, i] = x, x if unordered else -x
+            for exact_k in (False, True):
+                inputs.append((w if huge else w.astype(np.int64), k, exact_k, unordered))
+    return inputs
+
+
+@pytest.mark.parametrize("chunk", [1, 10**12])
+def test_walk_gives_the_same_result_in_any_chunk_size(monkeypatch, chunk):
+    # one prefix row per chunk, or every row in one chunk, against the default chunks
+    caps = (1, 3, 10**9)
+    inputs = _walk_inputs()
+    want = [[_walk_levels(w, k, x, cap, unordered=u) for cap in caps] for w, k, x, u in inputs]
+    monkeypatch.setattr(solvers, "_CHUNK", chunk)
+    for (w, k, exact_k, unordered), results in zip(inputs, want):
+        for cap, (best, nopt, table) in zip(caps, results):
+            got = _walk_levels(w, k, exact_k, cap, unordered=unordered)
+            assert (got[0], got[1], got[2].tolist()) == (best, nopt, table.tolist())
+
+
+def test_walk_caps_ties_across_chunk_boundaries():
+    # zero weights tie every gap-free vector: 2**20 - 1 of them at k = 2, in many chunks
+    m = 20
+    s = max(s for s in range(1, m) if 2**s <= _BLOCK)  # the walk's suffix length at k = 2
+    per_chunk = _CHUNK // 2**s * 2**s  # level vectors scored per chunk
+    assert per_chunk < 2**m // 4
+    gap_free = (lv for lv in product(range(2), repeat=m) if 0 in lv)
+    first = [list(lv) for lv in islice(gap_free, per_chunk + 1)]
+    t = WeightedTournament.zeros(tuple(f"v{i}" for i in range(m)))
+    for cap in (1, per_chunk - 1, per_chunk + 1, 10_000):
+        res = solve_bruteforce(t, 2, all_ties=True, witness_cap=cap)
+        assert res.optimum == 0
+        assert res.table.tolist() == first[:cap]
+        assert res.truncated
+    assert _walk_levels(t.integer_form.w, 2, False, 1, unordered=False)[1] == 2**m - 1
+
+
+def test_cut_walk_with_exact_k_masks_partitions_with_fewer_pieces():
+    # mostly negative cut weights: fewer pieces cut more, so only the mask keeps them out
+    rng = random.Random(23)
+    m, k = 9, 3
+    w = np.zeros((m, m), np.int64)
+    for i, j in combinations(range(m), 2):
+        w[i, j] = w[j, i] = rng.randint(-5, 1)
+    best, wins = None, []
+    for lv in product(range(k), repeat=m):
+        if len(set(lv)) < k or any(lv[i] > max(lv[:i], default=-1) + 1 for i in range(m)):
+            continue
+        score = sum(int(w[i, j]) for i, j in combinations(range(m), 2) if lv[i] != lv[j])
+        if best is None or score > best:
+            best, wins = score, []
+        if score == best:
+            wins.append(list(lv))
+    got = _walk_levels(w, k, True, 10**9, unordered=True)
+    assert (got[0], got[1], got[2].tolist()) == (best, len(wins), wins)
+
+
+@pytest.mark.parametrize("m, k", [(16, 3), (22, 2), (12, 4)])
+def test_walk_memory_is_bounded_by_its_chunks(m, k):
+    # nothing is kept per prefix row: k**(m - s) rows would take several MiB here
+    rng = np.random.default_rng(m * k)
+    w = np.triu(rng.integers(-50, 51, (m, m)), 1)
+    w -= w.T
+    _walk_levels(w, k, False, 1, unordered=False)  # the cached tables are built here
+    tracemalloc.start()
+    try:
+        _walk_levels(w, k, False, 1, unordered=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("unordered", [False, True])
