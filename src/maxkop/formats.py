@@ -91,12 +91,32 @@ def _parse_header(
     return count, names, lines[1 + count :]
 
 
+def _plain_rational(token: str) -> tuple[int, int]:
+    """(p, q) in lowest terms of a token ``[+-]p`` or ``[+-]p/q``, p and q ASCII digits, q nonzero.
+
+    The value ``Fraction(token)`` has, read without building one.  Raises
+    ValueError on any other token, and on digits past ``int``'s string limit.
+    """
+    num, slash, den = token.partition("/")
+    if not slash:
+        den = "1"
+    unsigned = num[1:] if num[:1] in ("+", "-") else num
+    if not (unsigned.isascii() and unsigned.isdigit() and den.isascii() and den.isdigit()):
+        raise ValueError(token)
+    p, q = int(num), int(den)
+    if q == 0:
+        raise ValueError(token)
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 def _weight_tokens(tokens: Sequence[str], path: str, linenos: Sequence[int]):
     """(nums, dens, error): weight tokens read up to the first that is no rational.
 
     When every token is an ``int`` they are read as such and ``dens`` is
-    None; otherwise each is read as a ``Fraction`` (``3/6``, ``1.5``,
-    ``1e3``).  ``error`` is the first bad token's ParseError, or None.
+    None; otherwise each is read as a rational in lowest terms: plain ones
+    by ``_plain_rational``, the rest by ``_rational`` (``1.5``, ``1e3``),
+    the one grammar.  ``error`` is the first bad token's ParseError, or None.
     """
     try:
         return list(map(int, tokens)), None, None
@@ -105,11 +125,15 @@ def _weight_tokens(tokens: Sequence[str], path: str, linenos: Sequence[int]):
     nums, dens = [], []
     for tok, lineno in zip(tokens, linenos):
         try:
-            w = _parse_rational(tok, path, lineno)
-        except ParseError as exc:
-            return nums, dens, exc
-        nums.append(w.numerator)
-        dens.append(w.denominator)
+            num, den = _plain_rational(tok)
+        except ValueError:
+            try:
+                w = _parse_rational(tok, path, lineno)
+            except ParseError as exc:
+                return nums, dens, exc
+            num, den = w.numerator, w.denominator
+        nums.append(num)
+        dens.append(den)
     return nums, dens, None
 
 

@@ -30,8 +30,11 @@ scale * m, and the optimum depends on nothing else when the cyclic component
 is zero (acyclic weights) or invisible (2-partitions).
 
 ``solve`` plans the route (``_route``): k = 2 and acyclic weights take the
-polynomial routes; otherwise the walk's k^m level vectors are weighed against
-the subset program's cells, and the guard bounds the chosen route's estimate.
+polynomial routes; otherwise it takes the exponential route with the least
+modeled time among those whose work fits the guard.  A route's modeled time
+is a per-call constant plus a per-unit cost times its units of work (the
+walk's k^m level vectors, the subset program's cells), both fit per integer
+form (``_ROUTE_COST``).  The guard bounds the units, not the time.
 
 Every route reads the tournament's ``integer_form`` (see
 ``maxkop.tournament``), whose dtype is int64 or Python ints (object arrays).
@@ -936,6 +939,17 @@ def solve_2op(
     return _divider_dp(t, kk, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
 
 
+# Modeled time of an exponential route: (ns per call, ps per unit of work), on an int64 integer
+# form and on a Python-int one (the walk's rounded path, object arrays in the subset program).
+# Fit by least relative squares to in-process timings of solve_bruteforce and solve_subset_dp
+# on random weights, m = 3-12, k = 2-m, exact_k on and off, both forms, on a 2-core x86-64 VM
+# (CPython 3.11, numpy 2.4); grid, fit and misroutes are in BENCH_18.json.  Only their ratios
+# matter, and only near the break-even line.
+_ROUTE_COST = {
+    "walk": {False: (20_000, 2_600), True: (66_000, 3_100)},
+    "subset": {False: (192_000, 2_650), True: (182_000, 36_000)},
+}
+
 _ROUTE_WORK = {
     "walk": ("exhaustive walk", "level vectors"),
     "subset": ("subset dynamic program", "cells"),
@@ -949,23 +963,35 @@ def _guard_message(route: str, estimate: int, guard: int) -> str:
 
 
 def _route(
-    t: WeightedTournament, k: int, exact_k: bool, witness_cap: int = 1
+    t: WeightedTournament, k: int, exact_k: bool, witness_cap: int = 1, guard: int = DEFAULT_GUARD
 ) -> tuple[str, int | None]:
-    """The route ``solve`` takes, with its work estimate (None on the polynomial routes).
+    """The route ``solve`` takes, with its units of work (None on the polynomial routes).
 
     2-partitions go to ``"2op"`` and purely acyclic weights to ``"divider"``.
-    Otherwise the exponential route with the smaller estimate wins:
-    ``"walk"`` visits kk**m level vectors, ``"subset"`` evaluates
-    ``_subset_cells`` cells; a tie goes to the walk.  The request is validated
-    before the estimates are taken.
+    Otherwise ``"walk"`` visits kk**m level vectors and ``"subset"`` evaluates
+    ``_subset_cells`` cells, and the route with the least modeled time
+    (``_ROUTE_COST``: a per-call constant plus a per-unit cost times the
+    units, by integer form) wins among those whose units fit ``guard``; a
+    tie goes to the walk.  When neither fits, the modeled faster one is
+    returned, for its guard to refuse.  The route with fewer units fits
+    whenever either does, so a call is refused only when both exceed the
+    guard.  The request is validated before the estimates are taken.
     """
     if k == 2 and t.m >= 2:
         return "2op", None
-    if t.integer_form.is_acyclic():
+    form = t.integer_form
+    if form.is_acyclic():
         return "divider", None
     kk = _levels(t.m, k, exact_k, witness_cap)
-    walk, cells = kk**t.m, _subset_cells(t.m, kk, exact_k)
-    return ("subset", cells) if cells < walk else ("walk", walk)
+    units = {"walk": kk**t.m, "subset": _subset_cells(t.m, kk, exact_k)}
+    python_ints = form.w.dtype == object
+
+    def modeled_ps(route: str) -> int:
+        call_ns, unit_ps = _ROUTE_COST[route][python_ints]
+        return 1000 * call_ns + unit_ps * units[route]
+
+    route = min([r for r in units if units[r] <= guard] or units, key=modeled_ps)
+    return route, units[route]
 
 
 def solve(
@@ -977,15 +1003,16 @@ def solve(
     guard: int = DEFAULT_GUARD,
     witness_cap: int = DEFAULT_WITNESS_CAP,
 ) -> SolveResult:
-    """Dispatch to the cheapest exact route for the given instance (see ``_route``).
+    """Dispatch to the exact route modeled fastest for the given instance (see ``_route``).
 
     2-partitions go through the acyclic projection and purely acyclic weights
     through the divider dynamic program, both polynomial.  Everything else
-    goes to the exhaustive walk or the subset dynamic program, whichever
-    estimates less work; that route validates the request and raises
-    GuardExceededError, naming itself, when its estimate exceeds ``guard``.
+    goes to the exhaustive walk or the subset dynamic program: the one with
+    the least modeled time among those whose work fits ``guard``.  That
+    route validates the request; when neither fits, the modeled faster one
+    raises GuardExceededError, naming itself and its work.
     """
-    route, _ = _route(t, k, exact_k, witness_cap)
+    route, _ = _route(t, k, exact_k, witness_cap, guard)
     if route == "2op":
         return solve_2op(t, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
     if route == "divider":

@@ -276,6 +276,16 @@ def test_guard_below_both_estimates_names_the_route(capsys, tmp_path, kemeny9_fi
     assert "subset dynamic program: 4608 cells exceed the guard of 100" in capsys.readouterr().err
 
 
+def test_guard_below_the_faster_route_runs_the_other(capsys, tmp_path):
+    # Kemeny at m = 5: the walk is modeled faster but its 3125 level vectors exceed the guard,
+    # which the subset program's 160 cells fit
+    path = tmp_path / "p5.txt"
+    path.write_text(format_profile(random_profile(random.Random(89), 5, 9, LINEAR)))
+    code, out = run_cli(capsys, "aggregate", "--rule", "kemeny_ranking", "--guard", "1000", str(path))
+    assert code == 0
+    assert (code, out) == run_cli(capsys, "aggregate", "--rule", "kemeny_ranking", str(path))
+
+
 def test_realize_roundtrip(capsys, tmp_path):
     t = WeightedTournament(("a", "b", "c"), {("a", "b"): 2, ("b", "c"): -1})
     src = tmp_path / "t.txt"

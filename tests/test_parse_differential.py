@@ -25,6 +25,7 @@ from maxkop.formats import (
     _parse_header,
     _parse_int,
     _parse_rational,
+    _weight_tokens,
     format_profile,
     format_tournament,
     parse_profile,
@@ -243,6 +244,36 @@ def test_formatted_values_parse_like_the_reference(seed):
     text = format_profile(p)
     same_profile(parse_profile(text), _reference_parse_profile(text))
     same_profile(parse_profile(text), p)
+
+
+# ---- rational tokens against Fraction ------------------------------------------------
+
+RATIONAL_TOKENS = [
+    "3/6", "-3/6", "+3/6", "-0/5", "0", "-0", "7", "007/010", "-00/001", "6/3", "1/1",
+    f"{2**70 + 1}/{3 * 2**70}", f"-{10**30}/{10**20}",  # lowest terms past int64
+    "1_000/3", "3/1_0", "1_0", "1__0/3", "_1/2", "1_/2",  # underscores
+    "٣/4", "3/٤", "３/４", "١٢", "²/3",  # Unicode digits
+    "3/-4", "3/+4", "-3/-4", "+-3/4", "--3/4",  # signs
+    "0/0", "5/0", "-5/000",  # zero denominators
+    "1.5", "-2.25", ".5", "5.", "1e3", "1E+2", "-1.25e-3", "1/2.0", "1e3/2",  # decimals, exponents
+    "1/2/3", "/3", "3/", "/", "+", "-", "", "one", "x/2", "0x10", "inf", "nan", "3 /4", "\t3/4",
+    "1" * 5000, "1/" + "1" * 5000,  # digits past int's string limit
+]
+
+
+@pytest.mark.parametrize("token", RATIONAL_TOKENS)
+def test_rational_token_reads_as_fraction(token):
+    # "1/2" first puts every token on the rational path, the fast read or Fraction's
+    nums, dens, error = _weight_tokens(["1/2", token], "f.txt", [5, 6])
+    try:
+        want = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        assert (nums, dens) == ([1], [2])
+        assert str(error) == f"f.txt:6: expected a rational p/q, got {token!r}"
+        return
+    assert error is None
+    assert (nums, dens) == ([1, want.numerator], [2, want.denominator])
+    assert all(type(x) is int for x in nums + dens)
 
 
 # ---- no Fraction on integer input -----------------------------------------------------

@@ -112,10 +112,43 @@ def test_route_by_estimated_work(three_cycle):
     # at most 3 levels: 3**m level vectors against about 2 * 3**m cells
     assert _route(cyclic, 3, False) == ("walk", 3**9)
     assert _route(three_cycle, 3, False) == ("walk", 27)  # against 44 cells
-    assert _route(three_cycle, 3, True) == ("subset", 24)  # linear orders: 2 * 3 * 2**2 cells
+    # linear orders: 27 level vectors against 2 * 3 * 2**2 cells, the walk's per-call cost the lower
+    assert _route(three_cycle, 3, True) == ("walk", 27)
     assert _route(cyclic, 4, True) == ("subset", _subset_cells(9, 4, True))
     assert _route(cyclic, 9, True) == ("subset", 2 * 9 * 2**8)
     assert _route(cyclic, 1, False) == ("walk", 1)  # one level vector; 2 cells
+
+
+def test_route_by_modeled_time():
+    # the benchmark's exponential shapes: Kemeny at m = 5-7, k = 4 with exact_k at m = 8-9
+    rng = random.Random(89)
+    for m, want in ((5, ("walk", 5**5)), (6, ("walk", 6**6)), (7, ("subset", 2 * 7 * 2**6))):
+        t = induce_tournament(random_profile(rng, m, 9, LINEAR))
+        assert _route(t, m, True) == want
+    for m, scale, want in (
+        (8, 1, ("walk", 4**8)),  # against 20,024 cells
+        (8, Fraction(2**63), ("walk", 4**8)),  # past 2**62: the rounded walk, object cells
+        (9, 1, ("subset", _subset_cells(9, 4, True))),  # 65,316 cells against 262,144 vectors
+    ):
+        t = scale_weights(random_tournament(rng, m, -6, 6), scale)
+        assert t.integer_form.w.dtype == (np.int64 if scale == 1 else object)
+        assert _route(t, 4, True) == want
+
+
+def test_guard_falls_back_to_the_route_that_fits():
+    # Kemeny at m = 5 is modeled faster on the walk, whose 3125 level vectors exceed a guard
+    # of 1000 that the subset program's 160 cells fit
+    t = induce_tournament(random_profile(random.Random(89), 5, 9, LINEAR))
+    assert _route(t, 5, True, guard=1000) == ("subset", 160)
+    assert_same(
+        solve(t, 5, exact_k=True, all_ties=True, guard=1000),
+        solve_bruteforce(t, 5, exact_k=True, all_ties=True),
+    )
+    # when neither fits, the modeled faster route refuses, naming itself
+    assert _route(t, 5, True, guard=159) == ("walk", 3125)
+    with pytest.raises(GuardExceededError) as err:
+        solve(t, 5, exact_k=True, guard=159)
+    assert str(err.value) == "exhaustive walk: 3125 level vectors exceed the guard of 159"
 
 
 def test_solve_guard_names_the_chosen_route():
@@ -127,23 +160,23 @@ def test_solve_guard_names_the_chosen_route():
     assert_same(solve(t, 8, exact_k=True, all_ties=True), solve_subset_dp(t, 8, exact_k=True, all_ties=True))
 
 
-ROUTE_CASES = {  # route: (tournament seed, k, exact_k)
-    "2op": (90, 2, False),
-    "divider": (None, 3, False),
-    "walk": (91, 3, False),
-    "subset": (92, 6, True),
+ROUTE_CASES = {  # route: (tournament seed, m, k, exact_k)
+    "2op": (90, 6, 2, False),
+    "divider": (None, 6, 3, False),
+    "walk": (91, 6, 3, False),
+    "subset": (92, 7, 7, True),  # at m = 6 an int64 form is modeled faster on the walk for any k
 }
 
 
 @pytest.mark.parametrize("route", ROUTE_CASES)
 def test_solve_validates_the_request_on_every_route(route):
     # solve leaves validation to the route it picks, ahead of that route's guard
-    seed, k, exact_k = ROUTE_CASES[route]
+    seed, m, k, exact_k = ROUTE_CASES[route]
     if seed is None:  # acyclic: differences of vertex potentials
         pot = np.array([3, 1, 4, 1, 5, 9])
         t = WeightedTournament.from_int_matrix(tuple("abcdef"), pot[:, None] - pot, 1)
     else:
-        t = random_tournament(random.Random(seed), 6, -3, 3)
+        t = random_tournament(random.Random(seed), m, -3, 3)
     assert _route(t, k, exact_k)[0] == route
     with pytest.raises(ValueError, match="^witness_cap must be at least 1$"):
         solve(t, k, exact_k=exact_k, guard=1, witness_cap=0)
@@ -163,14 +196,18 @@ def test_uncached_plan_matches_the_cached_one(monkeypatch):
 
 def test_solve_matches_walk_on_both_routes():
     rng = random.Random(86)
+    taken = set()
     for _ in range(10):
         t = random_tournament(rng, rng.randint(3, 7), -1, 1)
         for k, exact_k in ((3, False), (4, False), (t.m, True)):
-            if _route(t, k, exact_k)[0] in ("walk", "subset"):
+            route = _route(t, k, exact_k)[0]
+            if route in ("walk", "subset"):
+                taken.add(route)
                 assert_same(
                     solve(t, k, all_ties=True, exact_k=exact_k, witness_cap=9),
                     solve_bruteforce(t, k, all_ties=True, exact_k=exact_k, witness_cap=9),
                 )
+    assert taken == {"walk", "subset"}
 
 
 def test_kemeny_at_14_alternatives():
