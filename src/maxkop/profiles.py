@@ -261,6 +261,7 @@ def aggregate(
     has exactly one class per alternative, and a univalent k is enumerated
     over singleton-top 2-partitions directly).
     """
+    guard = _integer(guard, "guard", 1)
     if not coerce:
         validate_ballots(p, j)
     t = induce_tournament(p)
@@ -392,6 +393,7 @@ def aggregate_rule(
     lists tied orders group by group (see ``_borda_ranking``), not by level
     vector.
     """
+    guard = _integer(guard, "guard", 1)
     pairs: Mapping[str, tuple[LevelSpec, LevelSpec]] = {
         "approval_ranking": (2, LINEAR),
         "approval_winner": (2, UNIVALENT),

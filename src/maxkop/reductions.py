@@ -166,6 +166,7 @@ def solve_cut_bruteforce(
     term ``w * [l_i != l_j]``; the guard counts unordered partitions.
     """
     pieces = _integer(pieces, "pieces", 1)
+    guard = _integer(guard, "guard", 1)
     m = g.n
     count = _partition_count(m, pieces)
     if count > guard:
@@ -499,6 +500,7 @@ def check_transitive_gadget(
     gadget is small enough for the guard; otherwise every maximal bipartition
     is lifted and its rounded score compared against 3nC + max-cut(g).
     """
+    guard = _integer(guard, "guard", 1)
     gm = build_fg(g)
     t = gm.tournament
     transitive = is_qualitatively_transitive(t)

@@ -37,6 +37,7 @@ from .solvers import (
 from .tournament import (
     OrderedPartition,
     WeightedTournament,
+    _integer,
     borda_score,
     is_quantitatively_transitive,
     partition_score,
@@ -277,6 +278,7 @@ def run_selftest(
 
     GuardExceededError propagates to the caller.
     """
+    guard = _integer(guard, "guard", 1)
     emit(f"seed {seed}")
     failures = 0
     for name, prop in PROPERTIES:

@@ -13,7 +13,15 @@ Four routes are provided:
   each unordered partition is visited once, so
   ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.  Vectors the
   walk does not visit are scored as well: each ties a visited vector that
-  comes earlier, so only the ties are checked for validity.
+  comes earlier, so only the ties are checked for validity.  ``solve``'s
+  walk is bounded (branch and bound over the prefix rows): each block of
+  rows gets an upper bound per row in one vectorised pass, the row with the
+  highest bound seeds the best accepted score, and only the rows whose bound
+  reaches the best so far are scored.  A skipped row scores strictly below
+  an accepted vector, so it holds no optimum, and the ties, their order and
+  the cap stay those of the unbounded walk.  Walks over fewer than
+  ``_BOUND_ROWS`` prefix rows skip the pass.  ``solve_bruteforce`` and the
+  cut walk stay unbounded, as the oracles.
 * ``solve_subset_dp`` is a dynamic program over the set of vertices placed
   in the top blocks, adding one block per level: O(m 2^m) for linear orders
   (exactly m blocks) and O(k 3^m) for k blocks, exact on any weights.
@@ -85,6 +93,7 @@ DEFAULT_WITNESS_CAP = 10_000
 _BLOCK = 3**7  # about this many suffix labelings per prefix row in the exhaustive walk
 _CHUNK = 2**16  # about this many level vectors scored per numpy pass in the exhaustive walk
 _FLOOR = np.iinfo(np.int64).min  # below every int64 walk score (those stay within 2**62)
+_BOUND_ROWS = 10  # bounded walks over fewer prefix rows than this score every row
 
 
 class GuardExceededError(RuntimeError):
@@ -255,25 +264,60 @@ def _prefix_terms(w: np.ndarray, p: int, digits: np.ndarray, step: np.ndarray) -
     return head, w[:p, p + half :] @ step[:, digits[half:, :width]]
 
 
-def _row_scores(labels, own, lift, w, step, vals: np.ndarray) -> np.ndarray:
-    """Fill ``vals[b, x]`` with the score of prefix labeling ``labels[b]`` then suffix labeling x.
+def _row_terms(labels, lift, w, step) -> tuple:
+    """The terms of each prefix labeling ``labels[b]`` (a row) that its vectors share.
 
-    ``own[x]`` is the suffix-internal score of x and ``lift`` the prefix's
-    terms from ``_prefix_terms``, all under weights w (int64 or Python ints).
-    The prefix scores take one matmul over the prefix pairs; the two halves
-    of the suffix meet in one broadcast add.
+    Returns (score, l0, l1): ``score[b]`` sums the pair terms within the
+    prefix (one matmul over the prefix pairs), and ``l0[b, y1]`` and
+    ``l1[b, y2]`` the terms of the prefix with the first and second half of
+    the suffix under their labelings y1 and y2 (gathered from ``lift``, see
+    ``_prefix_terms``, one prefix vertex at a time), all under weights w.
     """
-    p, width = labels.shape[1], lift[1].shape[-1]
+    n, p = labels.shape
     pfirst, psecond = _pairs(p)
-    at = labels, np.arange(p)
     score = step[labels[:, pfirst], labels[:, psecond]] @ w[pfirst, psecond]
-    out = vals.reshape(len(labels), -1, width)
-    np.add(own.reshape(-1, width), lift[1][at].sum(1)[:, None, :], out=out)
-    out += (lift[0][at].sum(1) + score[:, None])[:, :, None]
+    if not p:
+        return score, *(np.zeros((n, half.shape[-1]), half.dtype) for half in lift)
+    head, tail = lift[0][labels[:, 0], 0], lift[1][labels[:, 0], 0]
+    for i in range(1, p):  # no n-by-p-by-labelings gather: a bounded block has many rows
+        head += lift[0][labels[:, i], i]
+        tail += lift[1][labels[:, i], i]
+    return score, head, tail
+
+
+def _row_scores(rows: tuple, own, vals: np.ndarray) -> np.ndarray:
+    """Fill ``vals[b, x]`` with the score of row b then suffix labeling x = (y1, y2).
+
+    ``rows`` holds the rows' (score, l0, l1) from ``_row_terms`` and
+    ``own[x]`` the suffix-internal score of x; the two halves of the suffix
+    meet in one broadcast add.
+    """
+    score, l0, l1 = rows
+    width = l1.shape[1]
+    out = vals.reshape(len(score), -1, width)
+    np.add(own.reshape(-1, width), l1[:, None, :], out=out)
+    out += (l0 + score[:, None])[:, :, None]
     return vals
 
 
-def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, *, unordered: bool):
+def _row_bounds(rows: tuple, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """``U[b]``, at least the score of every vector of row b, from the rows' ``_row_terms``.
+
+    With o[y1, y2] = ``own`` over the suffix halves, ``heads[y1]`` is the
+    maximum of o[y1, :] and ``tails[y2]`` that of o[:, y2].  A vector of the
+    row scores score + o[y1, y2] + l0[y1] + l1[y2], which is at most
+    score + max(heads + l0) + max(l1) and at most score + max(tails + l1) +
+    max(l0); U is the smaller.
+    """
+    score, l0, l1 = rows
+    by_head = (heads + l0).max(1) + l1.max(1)
+    by_tail = (tails + l1).max(1) + l0.max(1)
+    return score + np.minimum(by_head, by_tail)
+
+
+def _walk_levels(
+    w: np.ndarray, k: int, exact_k: bool, cap: int, *, unordered: bool, bound: bool = False
+):
     """Score every gap-free level vector in lexicographic order.
 
     A level vector l scores the sum of ``w[i, j] * step[l[i], l[j]]`` over
@@ -289,15 +333,17 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, *, unordered: b
     and the first p the prefix.  The prefix labelings (rows) are numbered in
     lexicographic order, only the restricted-growth ones with ``unordered``
     (``_prefix_labels``), and scored in chunks of ``_CHUNK // k**s`` rows.
-    A chunk derives all it needs from its row numbers, and caches nothing
-    per row: the labels and levels used, the prefix scores (one matmul over
-    the prefix pairs), and the pair terms of the prefix with each half of the
-    suffix under each of its labelings (one gather from ``lift`` per half).
-    One broadcast add joins the two halves onto ``own``, the suffix-internal
-    scores, into the score of every (row, suffix labeling) pair of the chunk.
-    Row-major order over those pairs is lexicographic order over the vectors,
-    so one ``flatnonzero`` per chunk gives its ties in visit order, merged
-    into the running best.
+    The rows come in blocks, one chunk each unless bounded (below).  A
+    block derives all it needs from its row numbers (``_row_terms``), and
+    nothing is kept from one block to the next: the labels and levels used,
+    the prefix scores (one matmul over the prefix pairs), and the pair terms
+    of the prefix with each half of the suffix under each of its labelings
+    (gathered from ``lift``).  One
+    broadcast add joins the two halves onto ``own``, the suffix-internal
+    scores, into the score of every (row, suffix labeling) pair of a chunk
+    (``_row_scores``).  Row-major order over those pairs is lexicographic
+    order over the vectors, so one ``flatnonzero`` per chunk gives its ties
+    in visit order, merged into the running best.
 
     Vectors the walk does not visit (gapped, or not restricted-growth) are
     scored too.  Each of them compresses its levels (ordered) or relabels
@@ -308,87 +354,140 @@ def _walk_levels(w: np.ndarray, k: int, exact_k: bool, cap: int, *, unordered: b
     argument fails (a vector using fewer levels may score more), so invalid
     vectors are masked below every score before the maximum is taken.
 
+    With ``bound`` (``solve``'s walk; ``solve_bruteforce`` and the cut walk
+    stay unbounded, as the oracles), rows come in blocks of about
+    ``_CHUNK // (k**h + k**t)`` rows, h and t being the sizes of the
+    suffix's halves, and each block is first bounded in one vectorised pass
+    (``_row_bounds``): U(row) is at least the score of every vector of the
+    row, from the block's prefix scores and half-lifts and two maxima of
+    ``own`` taken once per call.  A row with no visited vector gets the
+    floor.  The block's row with the highest bound, when that bound passes
+    the lead (the best accepted score seen), raises the lead to its best
+    accepted vector's score; that row is scored again in turn.  Then only
+    the rows whose bound reaches the lead (minus the slack, on rounded
+    weights) are scored, in chunks of the block's terms, and the lead rises
+    as chunks are scored.  A skipped row's bound is strictly below an
+    accepted score, so every vector in it is strictly below the optimum
+    (or, on rounded weights, would not survive the slack) and would never
+    be kept: the best, the count of ties, their order, and the cap stay
+    those of the unbounded walk.  The block's terms are dropped before the
+    next block, so memory stays that of a block.  Walks over fewer than
+    ``_BOUND_ROWS`` rows skip the pass, which would not pay there.
+
     Every score is taken in int64, on the weights of ``_walk_weights``.  For
     int64 weights those scores are exact.  Python-int weights are rounded,
     and a rounded score is off by at most slack / 2 from the exact one over
-    2**e, so a vector whose rounded score is below the best rounded score
-    seen so far minus the slack cannot be optimal.  Invalid vectors are masked
-    here too; the chunk's maximum joins the running best first, and only the
-    vectors within the slack of it (the survivors) are scored exactly.  Each
-    survivor is scored from its row's exact prefix score and s-by-k table,
-    rebuilt for the rows holding survivors only; when over a quarter of the
-    vectors of those rows survive, the rows are scored whole, like a chunk,
-    on exact ``own`` and ``lift`` tables built once per call.  Ties, count
-    and cap are taken on exact scores, and every optimal vector is a
-    survivor, so the result is exact.
+    2**e, so a vector whose rounded score is below the lead minus the slack
+    cannot be optimal.  Invalid vectors are masked here too; the chunk's
+    maximum joins the lead first, and only the vectors within the slack of
+    it (the survivors) are scored exactly.  Each survivor is scored from its
+    row's exact prefix score and s-by-k table, rebuilt for the rows holding
+    survivors only; when over a quarter of the vectors of those rows
+    survive, the rows are scored whole, like a chunk, on exact ``own`` and
+    ``lift`` tables built once per call.  Ties, count and cap are taken on
+    exact scores, and every optimal vector is a survivor, so the result is
+    exact.
     """
     m = w.shape[0]
     s = 1
     while s < m and k ** (s + 1) <= _BLOCK:
         s += 1
     p, size = m - s, k**s
-    digits, step, first, second, terms, _ = _walk_tables(k, s, exact_k, unordered)
+    digits, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered)
     ok = _walk_mask(k, s, exact_k, unordered)
     w64, slack = _walk_weights(w)
+    masked = exact_k or slack  # invalid vectors may outscore the best valid one, or its rounding
     own = w64[p:, p:][first, second] @ terms  # own[x]: suffix-internal score of labeling x
     nrows = int(_growth_counts(k, p)[p, 0]) if unordered else k**p
-    batch = min(max(1, _CHUNK // size), nrows)
+    batch = block = min(max(1, _CHUNK // size), nrows)
+    bounded = bound and nrows >= _BOUND_ROWS
     labels, pmask = np.zeros((1, 0), np.intp), np.zeros(1, np.intp)  # the one row when p = 0
     if p:
         lift = _prefix_terms(w64, p, digits, step)
         chunk = np.empty((batch, size), np.int64)  # the chunk's scores
-    best = rbest = xlift = None
+    if bounded:
+        o = own.reshape(-1, lift[1].shape[-1])
+        heads, tails = o.max(1), o.max(0)
+        fits = np.array([idx.size > 0 for idx in valid])  # fits[pmask]: some vector is visited
+        block = min(max(1, _CHUNK // (len(heads) + len(tails))), nrows)
+    best = lead = xlift = live = rows = None
     nopt = nkept = 0
     kept: list[np.ndarray] = []
-    for lo in range(0, nrows, batch):
+    for lo in range(0, nrows, block):
         if p:
-            labels = _prefix_labels(np.arange(lo, min(lo + batch, nrows)), k, p, unordered)
+            labels = _prefix_labels(np.arange(lo, min(lo + block, nrows)), k, p, unordered)
             pmask = np.bitwise_or.reduce(1 << labels, axis=1)
-            vals = _row_scores(labels, own, lift, w64, step, chunk[: len(labels)])
-        else:
-            vals = own[None].copy()
-        if exact_k or slack:
-            np.putmask(vals, ~ok[pmask], _FLOOR)
-        top = int(vals.max())
-        if slack:  # the survivors, scored exactly
-            if top == _FLOOR:
+            rows = _row_terms(labels, lift, w64, step)
+        if bounded:
+            score, l0, l1 = rows
+            ub = _row_bounds(rows, heads, tails)
+            if masked:  # unmasked, every vector scores at most the best visited one
+                ub[~fits[pmask]] = _FLOOR
+            r = int(ub.argmax())
+            if ub[r] == _FLOOR:
                 continue
-            rbest = top if rbest is None else max(rbest, top)
-            hits = np.flatnonzero(vals >= rbest - slack)
-            if hits.size == 0:
+            if lead is None or ub[r] > lead:  # the seed row: its best vector raises the lead
+                one = slice(r, r + 1)
+                vals = _row_scores((score[one], l0[one], l1[one]), own, chunk[:1])
+                if masked:
+                    np.putmask(vals, ~ok[pmask[r]], _FLOOR)
+                top = int(vals.max())
+                lead = top if lead is None else max(lead, top)
+            live = np.flatnonzero(ub >= lead - slack)
+        for i in range(0, 1 if live is None else live.size, batch):
+            lab, pm, part = labels, pmask, rows  # the chunk: the whole block, unbounded
+            if live is not None:  # the next live rows still reaching the lead
+                at = live[i : i + batch]
+                if i:  # the lead may have risen since ``live`` was taken
+                    at = at[ub[at] >= lead - slack]
+                    if at.size == 0:
+                        continue
+                lab, pm, part = labels[at], pmask[at], (score[at], l0[at], l1[at])
+            vals = _row_scores(part, own, chunk[: len(lab)]) if p else own[None].copy()
+            if masked:
+                np.putmask(vals, ~ok[pm], _FLOOR)
+            top = int(vals.max())
+            if slack:  # the survivors, scored exactly
+                if top == _FLOOR:
+                    continue
+                lead = top if lead is None else max(lead, top)
+                hits = np.flatnonzero(vals >= lead - slack)
+                if hits.size == 0:
+                    continue
+                r, x = np.divmod(hits, size)
+                held, row_of = np.unique(r, return_inverse=True)
+                hlab = lab[held]  # the rows holding survivors
+                xpairs = w[p:, p:][first, second]  # the exact suffix pairs
+                if 4 * hits.size > held.size * size:  # their whole rows, scored exactly
+                    if xlift is None:
+                        xown, xlift = xpairs @ terms, _prefix_terms(w, p, digits, step)
+                    xvals = np.empty((held.size, size), object)
+                    xvals = _row_scores(_row_terms(hlab, xlift, w, step), xown, xvals)[row_of, x]
+                else:  # each survivor, from its row's exact prefix score and s-by-k table
+                    pfirst, psecond = _pairs(p)
+                    xscore = step[hlab[:, pfirst], hlab[:, psecond]] @ w[pfirst, psecond]
+                    xtable = w[:p, p:].T @ step[hlab]
+                    xvals = xpairs @ terms[:, x] + xscore[row_of]
+                    xvals += xtable[row_of[:, None], np.arange(s), digits[:, x].T].sum(1)
+                top = xvals.max()
+                hits = hits[xvals == top]
+            else:
+                hits = np.flatnonzero(vals == top)
+                hits = hits[ok[pm[hits // size], hits % size]]
+            if hits.size == 0 or best is not None and top < best:
                 continue
-            r, x = np.divmod(hits, size)
-            live, at = np.unique(r, return_inverse=True)
-            lab = labels[live]  # the rows holding survivors
-            xpairs = w[p:, p:][first, second]  # the exact suffix pairs
-            if 4 * hits.size > live.size * size:  # their whole rows, scored exactly
-                if xlift is None:
-                    xown, xlift = xpairs @ terms, _prefix_terms(w, p, digits, step)
-                xvals = np.empty((live.size, size), object)
-                xvals = _row_scores(lab, xown, xlift, w, step, xvals)[at, x]
-            else:  # each survivor, from its row's exact prefix score and s-by-k table
-                pfirst, psecond = _pairs(p)
-                xscore = step[lab[:, pfirst], lab[:, psecond]] @ w[pfirst, psecond]
-                xtable = w[:p, p:].T @ step[lab]
-                xvals = xpairs @ terms[:, x] + xscore[at]
-                xvals += xtable[at[:, None], np.arange(s), digits[:, x].T].sum(1)
-            top = xvals.max()
-            hits = hits[xvals == top]
-        else:
-            hits = np.flatnonzero(vals == top)
-            hits = hits[ok[pmask[hits // size], hits % size]]
-        if hits.size == 0 or best is not None and top < best:
-            continue
-        if best is None or top > best:
-            best, nopt, nkept, kept = top, 0, 0, []
-        nopt += hits.size
-        r, x = np.divmod(hits[: cap - nkept], size)
-        if r.size:
-            found = np.empty((r.size, m), np.intp)
-            found[:, :p] = labels[r]
-            found[:, p:] = digits[:, x].T
-            kept.append(found)
-            nkept += r.size
+            if best is None or top > best:
+                best, nopt, nkept, kept = top, 0, 0, []
+            if not slack:
+                lead = top if lead is None else max(lead, top)
+            nopt += hits.size
+            r, x = np.divmod(hits[: cap - nkept], size)
+            if r.size:
+                found = np.empty((r.size, m), np.intp)
+                found[:, :p] = lab[r]
+                found[:, p:] = digits[:, x].T
+                kept.append(found)
+                nkept += r.size
     return best, nopt, np.concatenate(kept)
 
 
@@ -409,13 +508,19 @@ def solve_bruteforce(
     Raises GuardExceededError when the level-vector count k^m exceeds
     ``guard``.
     """
+    return _solve_walk(t, k, all_ties, exact_k, guard, witness_cap, bound=False)
+
+
+def _solve_walk(t, k, all_ties, exact_k, guard, witness_cap, *, bound: bool) -> SolveResult:
+    """``solve_bruteforce``, on the walk that skips prefix rows by their bound with ``bound``."""
     m = t.m
     kk = _levels(m, k, exact_k, witness_cap)
+    guard = _integer(guard, "guard", 1)
     if kk**m > guard:
         raise GuardExceededError(_guard_message("walk", kk**m, guard))
     form = t.integer_form
     best, nopt, kept = _walk_levels(
-        form.w, kk, exact_k, witness_cap if all_ties else 1, unordered=False
+        form.w, kk, exact_k, witness_cap if all_ties else 1, unordered=False, bound=bound
     )
     truncated = all_ties and nopt > len(kept)
     return SolveResult(Fraction(best, form.scale), t.vertices, kept, truncated)
@@ -609,6 +714,7 @@ def solve_subset_dp(
     """
     m = t.m
     kk = _levels(m, k, exact_k, witness_cap)
+    guard = _integer(guard, "guard", 1)
     cells = _subset_cells(m, kk, exact_k)
     if cells > guard:
         raise GuardExceededError(_guard_message("subset", cells, guard))
@@ -944,7 +1050,8 @@ def solve_2op(
 # Fit by least relative squares to in-process timings of solve_bruteforce and solve_subset_dp
 # on random weights, m = 3-12, k = 2-m, exact_k on and off, both forms, on a 2-core x86-64 VM
 # (CPython 3.11, numpy 2.4); grid, fit and misroutes are in BENCH_18.json.  Only their ratios
-# matter, and only near the break-even line.
+# matter, and only near the break-even line.  The walk's pair models the unbounded walk, so it
+# is an upper bound on the bounded walk ``solve`` runs, whose pruning is not known up front.
 _ROUTE_COST = {
     "walk": {False: (20_000, 2_600), True: (66_000, 3_100)},
     "subset": {False: (192_000, 2_650), True: (182_000, 36_000)},
@@ -1012,15 +1119,17 @@ def solve(
     route validates the request; when neither fits, the modeled faster one
     raises GuardExceededError, naming itself and its work.
     """
+    guard = _integer(guard, "guard", 1)
     route, _ = _route(t, k, exact_k, witness_cap, guard)
     if route == "2op":
         return solve_2op(t, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
     if route == "divider":
         return solve_acyclic_dp(t, k, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
-    exhaustive = solve_subset_dp if route == "subset" else solve_bruteforce
-    return exhaustive(
-        t, k, all_ties=all_ties, exact_k=exact_k, guard=guard, witness_cap=witness_cap
-    )
+    if route == "subset":
+        return solve_subset_dp(
+            t, k, all_ties=all_ties, exact_k=exact_k, guard=guard, witness_cap=witness_cap
+        )
+    return _solve_walk(t, k, all_ties, exact_k, guard, witness_cap, bound=True)
 
 
 def decide(

@@ -163,9 +163,9 @@ def _integer(value, name: str, least: int) -> int:
     """``value`` as a Python int, by ``operator.index``, refusing bool and values below ``least``.
 
     The one integer rule for every count the API takes: k, witness caps,
-    level specs, ballot multiplicities, cut weights and piece counts.  The
-    refusals read ``<name> must be an integer, got <repr>`` (TypeError) and
-    ``<name> must be at least <least>`` (ValueError).
+    level specs, ballot multiplicities, cut weights, piece counts and
+    guards.  The refusals read ``<name> must be an integer, got <repr>``
+    (TypeError) and ``<name> must be at least <least>`` (ValueError).
     """
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise TypeError(f"{name} must be an integer, got {value!r}")

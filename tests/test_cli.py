@@ -67,6 +67,19 @@ def test_solve_guard_exhaustion_exit_2(capsys, cyc_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command", [["solve", "--k", "3"], ["decide", "--k", "3", "--threshold", "1"]]
+)
+def test_guard_below_one_is_an_input_error(capsys, cyc_file, command):
+    # a guard below 1 is refused as input (exit 1), not as exhausted work (exit 2)
+    for guard in ("-1", "0"):
+        assert cli.main([*command, "--guard", guard, str(cyc_file)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: guard must be at least 1\n")
+    assert cli.main(["selftest", "--guard", "0"]) == 1
+    assert capsys.readouterr().err == "error: guard must be at least 1\n"
+
+
 def test_decide(capsys, cyc_file):
     code, out = run_cli(capsys, "decide", "--k", "2", "--threshold", "1", str(cyc_file))
     assert code == 0

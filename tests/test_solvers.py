@@ -12,9 +12,16 @@ from maxkop import (
     CutInstance,
     GuardExceededError,
     OrderedPartition,
+    Profile,
+    WeakOrder,
     WeightedTournament,
+    aggregate,
+    aggregate_rule,
     basic_cycle,
     borda_score,
+    check_club_identity,
+    check_transitive_gadget,
+    check_tricut_identity,
     decide,
     partition_score,
     solve,
@@ -25,7 +32,7 @@ from maxkop import (
     solve_subset_dp,
 )
 from maxkop import solvers
-from maxkop.selftest import random_acyclic_tournament, random_tournament
+from maxkop.selftest import random_acyclic_tournament, random_tournament, run_selftest
 from maxkop.solvers import (
     _BLOCK,
     _CHUNK,
@@ -679,3 +686,29 @@ def test_witness_cap_follows_the_integer_rule(three_cycle, cap):
         with pytest.raises(TypeError) as err:
             call()
         assert str(err.value) == f"witness_cap must be an integer, got {cap!r}"
+
+
+@pytest.mark.parametrize("guard", [True, 2.5, "7", 0, -1])
+def test_guard_follows_the_integer_rule_at_every_entry_point(three_cycle, guard):
+    p = Profile(("a", "b", "c"), ((WeakOrder.from_classes([["a"], ["b"], ["c"]]), 1),))
+    g = CutInstance(("a", "b"), {("a", "b"): 1})
+    calls = [
+        lambda: solve(three_cycle, 3, guard=guard),
+        lambda: solve_bruteforce(three_cycle, 3, guard=guard),
+        lambda: solve_subset_dp(three_cycle, 3, guard=guard),
+        lambda: decide(three_cycle, 3, Fraction(1), guard=guard),
+        lambda: aggregate(p, "linear", 2, guard=guard),
+        lambda: aggregate_rule(p, "borda_ranking", guard=guard),
+        lambda: solve_cut_bruteforce(g, 2, guard=guard),
+        lambda: check_tricut_identity(g, guard=guard),
+        lambda: check_club_identity(g, guard=guard),
+        lambda: check_transitive_gadget(g, guard=guard),
+        lambda: run_selftest(guard=guard, emit=lambda line: pytest.fail(line)),
+    ]
+    for call in calls:
+        if isinstance(guard, int) and not isinstance(guard, bool):
+            with pytest.raises(ValueError, match="^guard must be at least 1$"):
+                call()
+        else:
+            with pytest.raises(TypeError, match=f"^guard must be an integer, got {guard!r}$"):
+                call()
