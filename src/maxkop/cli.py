@@ -163,8 +163,8 @@ def _run_decompose(ns: argparse.Namespace, out) -> int:
     prefix = _default_prefix(ns)
     cycle_path = prefix.parent / (prefix.name + ".cycle.txt")
     cocycle_path = prefix.parent / (prefix.name + ".cocycle.txt")
-    cycle_path.write_text(format_tournament(d.cycle))
-    cocycle_path.write_text(format_tournament(d.cocycle))
+    cycle_path.write_text(format_tournament(d.cycle), encoding="utf-8")
+    cocycle_path.write_text(format_tournament(d.cocycle), encoding="utf-8")
     out(
         f"cyclic_norm_sq {format_rational(norm_squared(d.cycle))} "
         f"cocyclic_norm_sq {format_rational(norm_squared(d.cocycle))}"
@@ -199,7 +199,7 @@ def _run_realize(ns: argparse.Namespace, out) -> int:
     t = read_tournament(ns.file)
     text = format_profile(realize_weights(t))
     if ns.output:
-        Path(ns.output).write_text(text)
+        Path(ns.output).write_text(text, encoding="utf-8")
         out(f"wrote {ns.output}")
     else:
         out(text.rstrip("\n"))
@@ -213,12 +213,12 @@ def _run_reduce(ns: argparse.Namespace, out) -> int:
     if ns.gadget == "club":
         gstar, sigma = add_club_vertex(g)
         out_path = prefix.parent / (prefix.name + ".club.graph.txt")
-        out_path.write_text(format_graph(gstar))
+        out_path.write_text(format_graph(gstar), encoding="utf-8")
         map_lines.append("constant sigma " + str(sigma))
     else:
         gm = build_hg(g) if ns.gadget == "hg" else build_fg(g)
         out_path = prefix.parent / (prefix.name + f".{ns.gadget}.tournament.txt")
-        out_path.write_text(format_tournament(gm.tournament))
+        out_path.write_text(format_tournament(gm.tournament), encoding="utf-8")
         for v in g.vertices:
             map_lines.append(f"ordinary {v} : " + " ".join(gm.ordinary[v]))
         for (a, b), d in sorted(
@@ -232,7 +232,7 @@ def _run_reduce(ns: argparse.Namespace, out) -> int:
         if gm.reference_order is not None:
             map_lines.append("reference " + " ".join(gm.reference_order))
     map_path = prefix.parent / (prefix.name + f".{ns.gadget}.map.txt")
-    map_path.write_text("\n".join(map_lines) + "\n")
+    map_path.write_text("\n".join(map_lines) + "\n", encoding="utf-8")
     out(f"wrote {out_path}")
     out(f"wrote {map_path}")
     return 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +20,7 @@ from .reductions import CutInstance
 from .tournament import (
     OrderedPartition,
     WeightedTournament,
+    _abs_sum,
     _arc_error,
     _form_dtype,
     _vertex_index,
@@ -137,14 +137,231 @@ def _weight_tokens(tokens: Sequence[str], path: str, linenos: Sequence[int]):
     return nums, dens, None
 
 
+# ---- the byte reader: a plain text read on whole arrays --------------------------------
+#
+# A text is plain when its only whitespace is " ", "\t", "\n" and "\r" before "\n".
+# Then its tokens and line breaks are those of str.split() and str.splitlines(), and
+# one uint8 array holds them all.  The byte reader returns None, never an error: a
+# text it declines goes whole to the line reader, the one source of every message.
+
+# texts shorter than these go straight to the line reader, which reads them faster
+# (the crossovers are measured in BENCH_20.json)
+_PROFILE_BYTES_MIN = 1500
+_TOURNAMENT_BYTES_MIN = 3200
+
+# every non-ASCII character str.split() splits on; the UTF-8 of each starts with
+# one of the bytes 0xc2, 0xe1, 0xe2, 0xe3
+_UNICODE_SPACES = "".join(
+    map(chr, [0x85, 0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000])
+)
+# the low n bytes of a word, and spaces in the rest of it, for n = 0..8
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(8)] + [2**64 - 1], np.uint64)
+_SPACES = np.array([0x2020202020202020 >> 8 * n << 8 * n for n in range(8)] + [0], np.uint64)
+_POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+# the heads of the tokens '|', '*' and '×'
+_BAR, _STAR, _TIMES = (int.from_bytes(s.encode().ljust(8, b" "), "little") for s in "|*×")
+
+
+class _ByteText:
+    """A plain text as one byte array cut into tokens; built by ``_byte_text``.
+
+    ``byte[j]`` is the text's byte j, then spaces.  Token i spans bytes
+    ``start[i]:stop[i]``; ``brk[i]`` says a line break precedes it (``brk``
+    has one more entry, True, closing the last line); ``head[i]`` is its
+    first 8 bytes, padded with spaces, as one little-endian uint64.  As no
+    token holds a space, two tokens of up to 7 bytes are equal exactly when
+    their heads are, and a longer token's head is no shorter one's.
+    """
+
+    def __init__(self, data: bytes, padded: np.ndarray):
+        # padded: a space, the text, then 8 spaces
+        self.data, self.byte = data, padded[1:]
+        ws = (padded == 32) | (padded == 10) | (padded == 9) | (padded == 13)
+        edges = np.flatnonzero(ws[1:] != ws[:-1])
+        self.start, self.stop = edges[0::2], edges[1::2]
+        short = np.minimum(self.stop - self.start, 8)
+        # the 8 bytes from each token's start, one word each
+        word = np.ndarray(len(data), "<u8", padded, 1, (1,)).copy()[self.start]
+        self.head = (word & _LOW_BYTES[short]) | _SPACES[short]
+        self.brk = np.zeros(len(self.start) + 1, bool)
+        self.brk[np.searchsorted(self.start, np.flatnonzero(self.byte == 10))] = True
+        self.brk[-1] = True
+
+    def header(self, keyword: bytes) -> tuple[str, ...] | None:
+        """The names after a header line ``keyword <count>``, one per line, all valid.
+
+        Sets ``body``, the index of the first token after the names; None
+        when any of this does not hold or a name is over 7 bytes.
+        """
+        start, stop, brk, data = self.start, self.stop, self.brk, self.data
+        if len(start) < 2 or data[start[0] : stop[0]] != keyword:
+            return None
+        try:
+            m = int(data[start[1] : stop[1]])
+        except ValueError:
+            return None
+        # the count on the header's line, then one token on each of m lines
+        if not 1 <= m <= len(start) - 2 or brk[1] or not brk[2 : m + 3].all():
+            return None
+        if (stop[2 : m + 2] - start[2 : m + 2]).max() > 7:
+            return None  # a name that its head does not tell apart
+        spans = zip(start[2 : m + 2].tolist(), stop[2 : m + 2].tolist())
+        names = tuple(data[i:j].decode() for i, j in spans)
+        try:
+            _vertex_index(names, None)
+        except ValueError:
+            return None
+        self.body = m + 2
+        return names
+
+    def codes(self, i) -> np.ndarray:
+        """Code of each token i: the position of the name it is, or -1.
+
+        As every name is its head exactly, one search over the sorted name
+        heads and one comparison find every code.
+        """
+        names = self.head[2 : self.body]
+        order = np.argsort(names)
+        heads = self.head[i]
+        at = np.minimum(np.searchsorted(names[order], heads), len(order) - 1)
+        code = order[at]
+        return np.where(names[code] == heads, code, -1)
+
+    def integers(self, i, signed: bool) -> np.ndarray | None:
+        """Values of tokens i spelled ``[-+]?[0-9]{1,18}`` (a sign only if ``signed``), or None."""
+        start, stop = self.start[i], self.stop[i]
+        negative = np.zeros(len(start), bool)
+        if signed:
+            first = self.byte[start]
+            negative = first == 45
+            start = start + (negative | (first == 43))
+        size = stop - start
+        if not len(size):
+            return np.zeros(0, np.int64)
+        width = int(size.max())
+        if size.min() < 1 or width > 18:
+            return None
+        # the last `width` bytes of each token, the ones before its digits zeroed
+        at = stop[:, None] - np.arange(width, 0, -1)
+        digits = self.byte[np.maximum(at, 0)] - 48
+        digits[at < start[:, None]] = 0
+        if (digits > 9).any():
+            return None
+        value = digits.astype(np.int64) @ _POW10[-width:]
+        return np.where(negative, -value, value)
+
+
+def _byte_text(text: str) -> _ByteText | None:
+    """``text`` as a ``_ByteText`` when it is plain, else None."""
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    padded = np.full(len(data) + 9, 32, np.uint8)
+    b = padded[1:-8]
+    b[:] = np.frombuffer(data, np.uint8)
+    # the ASCII line breaks and blanks beyond " \t\n\r": \x0b, \x0c and \x1c-\x1f
+    if (((b - 11) < 2) | ((b - 28) < 4)).any():
+        return None
+    if (padded[np.flatnonzero(b == 13) + 2] != 10).any():  # a lone \r breaks a line
+        return None
+    if not text.isascii() and ((b == 0xC2) | ((b - 0xE1) < 3)).any():
+        if any(c in text for c in _UNICODE_SPACES):
+            return None
+    return _ByteText(data, padded)
+
+
+def _tournament_bytes(text: str) -> WeightedTournament | None:
+    """``parse_tournament``'s value of a plain text with integer weights, read on arrays; else None.
+
+    Declines any text the line reader would refuse, so it never reports an error.
+    """
+    t = _byte_text(text)
+    names = t and t.header(b"tournament")
+    if not names:
+        return None
+    m, body = len(names), t.body
+    if (len(t.start) - body) % 3:
+        return None
+    arcs = np.arange(body, len(t.start)).reshape(-1, 3)
+    if not (t.brk[arcs] == (True, False, False)).all():
+        return None  # not three tokens on every line
+    ends, nums = t.codes(arcs[:, :2]), t.integers(arcs[:, 2], signed=True)
+    if nums is None or (ends < 0).any():
+        return None
+    x, y = ends.T
+    pair = np.minimum(x, y) * m + np.maximum(x, y)
+    if (x == y).any() or np.bincount(pair, minlength=1).max() > 1:
+        return None
+    # the line reader's dtype, from the same bound
+    dtype = _form_dtype(4 * m * _abs_sum(nums))
+    w = np.zeros((m, m), dtype)
+    w[x, y] = nums if dtype is np.int64 else nums.tolist()
+    return WeightedTournament.from_int_matrix(names, w - w.T, 1)
+
+
+def _profile_bytes(text: str) -> Profile | None:
+    """``parse_profile``'s value of a plain text with regular ballots, read on arrays; else None.
+
+    A ballot is regular when it names every alternative once, with '|'
+    between nonempty classes, and any multiplicity has at most 18 digits.
+    Declines any text the line reader would refuse, so it never reports an error.
+    """
+    t = _byte_text(text)
+    names = t and t.header(b"profile")
+    if not names or t.body == len(t.start):
+        return None
+    m = len(names)
+    head = t.head[t.body :]
+    brk = t.brk[t.body :]
+    first, last = np.flatnonzero(brk[:-1]), np.flatnonzero(brk[1:])
+    # a line ending in a marker ('*' or '×') and a token: that token is its multiplicity
+    marker = head[last - 1]
+    marked = (last > first) & ((marker == _STAR) | (marker == _TIMES))
+    counts = t.integers(t.body + last[marked], signed=False)
+    if counts is None or (counts < 1).any() or (last - first < 2)[marked].any():
+        return None
+    keep = np.ones(len(brk), bool)  # brk's closing entry stays
+    keep[last[marked]] = keep[last[marked] - 1] = False
+    kept = np.flatnonzero(keep[:-1])
+    sep, opens = head[kept] == _BAR, brk[keep]
+    # an empty class: '|' first or last on its line, or before another '|'
+    if (sep & (opens[:-1] | opens[1:])).any() or (sep[1:] & sep[:-1]).any():
+        return None
+    n = len(first)
+    at = np.flatnonzero(~sep)
+    # m names on every line: as each line starts with a name, lines start every m names
+    if len(at) != n * m or not opens[at[::m]].all():
+        return None
+    code = t.codes(t.body + kept[at])
+    if (code < 0).any():
+        return None  # a token neither a name nor '|'
+    # a name's class: the '|' tokens before it on its line
+    classes = np.cumsum(sep)[at].reshape(n, m)
+    ranks = np.full((n, m), -1, RANK_DTYPE)
+    ranks[np.arange(n)[:, None], code.reshape(n, m)] = classes - classes[:, :1]
+    if (ranks < 0).any():  # a name twice on a line, so another missing
+        return None
+    multiplicity = np.ones(n, np.int64)
+    multiplicity[marked] = counts
+    return Profile._of_ranks(names, ranks, tuple(multiplicity.tolist()))
+
+
+# ---- the parsers, with the line reader, and the writers --------------------------------
+
+
 def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
     """Tournament of a text, read straight into its integer form.
 
-    Errors come in the constructor's order: every line's own error first, in
-    line order (the arc line's shape, then its weight, then a repeated pair),
-    then the vertex names and the first arc naming no pair of them, both
-    reported at line 1.
+    A plain text of at least ``_TOURNAMENT_BYTES_MIN`` characters with
+    integer weights is read on arrays (``_tournament_bytes``); any other goes
+    to the line reader below.  Errors come in the constructor's order: every line's own
+    error first, in line order (the arc line's shape, then its weight, then
+    a repeated pair), then the vertex names and the first arc naming no pair
+    of them, both reported at line 1.
     """
+    if len(text) >= _TOURNAMENT_BYTES_MIN and (t := _tournament_bytes(text)) is not None:
+        return t
     _, names, rest = _parse_header(_lines(text), "tournament", path)
     m = len(names)
     arcs = [ln.split() for _, ln in rest]
@@ -261,39 +478,6 @@ def _ballot_classes(toks: list[str]) -> list[list[str]]:
     return [part.split() for part in ("\n" + "\n\n".join(toks) + "\n").split("\n|\n")]
 
 
-def _regular_rows(ballots: list[list[str]], names: tuple[str, ...]):
-    """Rank rows of ballot lines read together on arrays: (ranks, covers, irregular).
-
-    A line is regular when its tokens are distinct alternatives and '|'
-    tokens with no empty class between them; ``ranks`` and ``covers`` are
-    exact for those lines only, and every other line is marked ``irregular``.
-    """
-    n, m = len(ballots), len(names)
-    lens = np.fromiter(map(len, ballots), np.intp, n)
-    flat = list(chain.from_iterable(ballots))
-    index = {a: i for i, a in enumerate(names)}
-    index["|"] = -1
-    # code per token: the alternative's position, -1 for '|', m for any other name
-    code = np.fromiter(map(index.get, flat, repeat(m)), np.intp, len(flat))
-    line = np.repeat(np.arange(n), lens)
-    starts, ends = np.cumsum(lens) - lens, np.cumsum(lens)
-    sep = code < 0
-    # an empty class: a line without tokens, or a '|' first, last or before another '|'
-    # the extra slot takes the positions -1 and len(flat) that empty lines give
-    edge = np.zeros(len(flat) + 1, bool)
-    edge[starts] = edge[ends - 1] = True
-    empty_at = sep & (edge[:-1] | np.r_[sep[1:], False])
-    irregular = (lens == 0) | (np.bincount(line[empty_at | (code == m)], minlength=n) > 0)
-    named = ~sep & (code < m)
-    uses = np.bincount(line[named] * m + code[named], minlength=n * m).reshape(n, m)
-    irregular |= (uses > 1).any(1)
-    ranks = np.zeros((n, m), RANK_DTYPE)
-    # a name's class: the '|' tokens before it on its line
-    seps = np.cumsum(sep)
-    ranks[line[named], code[named]] = (seps - np.r_[0, seps][starts][line])[named]
-    return ranks, (uses == 1).all(1), irregular
-
-
 def parse_profile(text: str, path: str = "<string>") -> Profile:
     """Profile of a text, read straight into its rank matrix.
 
@@ -301,44 +485,40 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
     line order (its multiplicity, then ``WeakOrder``'s checks of its
     classes); then, at line 1, each alternative's name, repeated alternatives
     and the first ballot that does not cover the alternatives exactly.
-    Regular lines are read on arrays (``_regular_rows``), the others one by
-    one through ``WeakOrder``.
+
+    A plain text of at least ``_PROFILE_BYTES_MIN`` characters with regular
+    ballots is read on arrays in one piece (``_profile_bytes``); any other
+    goes to the line reader below, one ``WeakOrder`` per line.
     """
+    if len(text) >= _PROFILE_BYTES_MIN and (p := _profile_bytes(text)) is not None:
+        return p
     _, names, rest = _parse_header(_lines(text), "profile", path)
     names = tuple(names)
-    linenos, ballots, counts = [], [], []
-    error = None
+    members = set(names)
+    rows, counts, uncovered = [], [], None
     for lineno, ln in rest:
         toks = ln.split()
         count = 1
         if len(toks) >= 2 and toks[-2] in ("×", "*"):
-            try:
-                count = _parse_int(toks[-1], path, lineno, "a multiplicity")
-                if count < 1:
-                    raise ParseError(path, lineno, f"multiplicity must be positive, got {count}")
-            except ParseError as exc:
-                error = exc  # raised after any error on an earlier line
-                break
+            count = _parse_int(toks[-1], path, lineno, "a multiplicity")
+            if count < 1:
+                raise ParseError(path, lineno, f"multiplicity must be positive, got {count}")
             toks = toks[:-2]
-        linenos.append(lineno)
-        ballots.append(toks)
-        counts.append(count)
-    ranks, covers, irregular = _regular_rows(ballots, names)
-    for b in np.flatnonzero(irregular).tolist():
         try:
-            rank = WeakOrder.from_classes(_ballot_classes(ballots[b])).rank_of()
+            order = WeakOrder.from_classes(_ballot_classes(toks))
         except ValueError as exc:
-            raise ParseError(path, linenos[b], str(exc)) from None
-        covers[b] = rank.keys() == set(names)
-        if covers[b]:
-            ranks[b] = [rank[a] for a in names]
-    if error is not None:
-        raise error
+            raise ParseError(path, lineno, str(exc)) from None
+        rank = order.rank_of()
+        if rank.keys() == members:
+            rows.append(list(map(rank.__getitem__, names)))
+        elif uncovered is None:
+            uncovered = order
+        counts.append(count)
     try:
         _vertex_index(names, None)
-        if not covers.all():
-            order = WeakOrder.from_classes(_ballot_classes(ballots[int(covers.argmin())]))
-            raise ValueError(_coverage_error(order))
+        if uncovered is not None:
+            raise ValueError(_coverage_error(uncovered))
+        ranks = np.array(rows, RANK_DTYPE).reshape(len(rows), len(names))
         return Profile._of_ranks(names, ranks, tuple(counts))
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
@@ -384,13 +564,28 @@ def format_graph(g: CutInstance) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_text(path: str | Path) -> str:
+    """A file's text, decoded as strict UTF-8 whatever the locale.
+
+    A byte that is not UTF-8 raises ParseError at its line, counting lines as
+    ``str.splitlines`` does.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        # "_" stands in for the bad byte, so that its line counts when nothing precedes it
+        line = len((data[: exc.start].decode() + "_").splitlines())
+        raise ParseError(str(path), line, f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+
+
 def read_tournament(path: str | Path) -> WeightedTournament:
-    return parse_tournament(Path(path).read_text(), str(path))
+    return parse_tournament(_read_text(path), str(path))
 
 
 def read_profile(path: str | Path) -> Profile:
-    return parse_profile(Path(path).read_text(), str(path))
+    return parse_profile(_read_text(path), str(path))
 
 
 def read_graph(path: str | Path) -> CutInstance:
-    return parse_graph(Path(path).read_text(), str(path))
+    return parse_graph(_read_text(path), str(path))

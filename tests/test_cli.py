@@ -161,7 +161,7 @@ def test_aggregate_jk(capsys, tmp_path):
         ((WeakOrder.from_classes([["a", "b"], ["c"]]), 2),),
     )
     path = tmp_path / "p.txt"
-    path.write_text(format_profile(p))
+    path.write_text(format_profile(p), encoding="utf-8")
     code, out = run_cli(capsys, "aggregate", "--j", "2", "--k", "2", str(path))
     assert code == 0
     lines = out.splitlines()
@@ -181,7 +181,7 @@ def test_aggregate_mirrored_profile_prints_the_walks_witnesses(capsys, tmp_path)
     )
     p = Profile(alts, ballots)
     prof_path, tour_path = tmp_path / "p.txt", tmp_path / "t.txt"
-    prof_path.write_text(format_profile(p))
+    prof_path.write_text(format_profile(p), encoding="utf-8")
     t = induce_tournament(p)
     tour_path.write_text(format_tournament(t))
     code, agg = run_cli(capsys, "aggregate", "--j", "2", "--k", "2", str(prof_path))
@@ -214,7 +214,7 @@ def kemeny9_file(tmp_path):
     p = random_profile(random.Random(9), 9, 7, LINEAR)
     assert not induce_tournament(p).integer_form.is_acyclic()
     path = tmp_path / "kemeny9.txt"
-    path.write_text(format_profile(p))
+    path.write_text(format_profile(p), encoding="utf-8")
     return path
 
 
@@ -293,7 +293,7 @@ def test_guard_below_the_faster_route_runs_the_other(capsys, tmp_path):
     # Kemeny at m = 5: the walk is modeled faster but its 3125 level vectors exceed the guard,
     # which the subset program's 160 cells fit
     path = tmp_path / "p5.txt"
-    path.write_text(format_profile(random_profile(random.Random(89), 5, 9, LINEAR)))
+    path.write_text(format_profile(random_profile(random.Random(89), 5, 9, LINEAR)), encoding="utf-8")
     code, out = run_cli(capsys, "aggregate", "--rule", "kemeny_ranking", "--guard", "1000", str(path))
     assert code == 0
     assert (code, out) == run_cli(capsys, "aggregate", "--rule", "kemeny_ranking", str(path))
@@ -306,7 +306,7 @@ def test_realize_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "p.txt"
     code, _ = run_cli(capsys, "realize", "--output", str(out_path), str(src))
     assert code == 0
-    p = parse_profile(out_path.read_text(), str(out_path))
+    p = parse_profile(out_path.read_text(encoding="utf-8"), str(out_path))
     assert p == realize_weights(t)
     induced = induce_tournament(p)
     for pair in t.stored_pairs():
@@ -465,7 +465,7 @@ def test_main_reuses_its_parser_without_carrying_state(tmp_path, cyc_file):
     bad = tmp_path / "bad.txt"
     bad.write_text("tournament 2\na\nb\na b oops\n")
     prof = tmp_path / "p.txt"
-    prof.write_text("profile 3\na\nb\nc\na | b | c × 2\nc | b | a\n")
+    prof.write_text("profile 3\na\nb\nc\na | b | c × 2\nc | b | a\n", encoding="utf-8")
     cyc = str(cyc_file)
     argvs = [
         ["solve", cyc],  # --k missing
@@ -520,8 +520,40 @@ def test_fresh_process_builds_the_parser_once_on_first_use(capsys, cyc_file):
         assert proc.stdout == in_process.encode()
 
 
+def test_files_are_utf8_under_the_c_locale(tmp_path):
+    # the C locale with no coercion and no UTF-8 mode makes the locale's encoding ASCII
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONUTF8="0",
+    )
+
+    def maxkop(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "maxkop.cli", *argv],
+            env=env, cwd=tmp_path, capture_output=True, timeout=120,
+        )
+
+    (tmp_path / "cyc.txt").write_bytes(b"tournament 3\na\nb\nc\na b 2\nb c 2\nc a 2\n")
+    proc = maxkop("realize", "--output", "r.txt", "cyc.txt")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"wrote r.txt\n", b"")
+    written = (tmp_path / "r.txt").read_bytes()
+    assert "a | b | c × 2\n".encode() in written
+    proc = maxkop("aggregate", "--rule", "borda_winner", "r.txt")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"order a | b c\norder b | a c\norder c | a b\n"
+
+    (tmp_path / "bad.txt").write_bytes(written.replace(b"\xc3\x97 2", b"\xff 2", 1))
+    proc = maxkop("aggregate", "--rule", "borda_winner", "bad.txt")
+    line = written[: written.index(b"\xc3\x97")].count(b"\n") + 1
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == f"bad.txt:{line}: invalid UTF-8 byte 0xff\n".encode()
+
+
 def test_readme_synopsis_lists_each_subcommands_options():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = re.findall(r"^maxkop (\w+)(.*)$", readme, re.MULTILINE)
     synopsis = dict(lines)
     assert len(synopsis) == len(lines)  # one line per subcommand

@@ -10,21 +10,27 @@ return equal values or raise the same ``ParseError`` text.
 """
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from maxkop import Profile, WeakOrder, WeightedTournament, induce_tournament
+from maxkop import formats
 from maxkop.formats import (
+    _PROFILE_BYTES_MIN,
+    _TOURNAMENT_BYTES_MIN,
     ParseError,
     _lines,
     _parse_header,
     _parse_int,
     _parse_rational,
+    _profile_bytes,
+    _tournament_bytes,
     _weight_tokens,
     format_profile,
     format_tournament,
@@ -95,18 +101,38 @@ def outcome(parse, text):
 
 NAMES = ["a", "b", "c", "d", "e"]
 ODD_NAMES = ["z", "a>b", "x|y", "|", "١", "a"]
+# name lists around the byte reader's rule that names have at most 7 bytes: names
+# over 8 bytes sharing their first 8, names of 7, 8 and 9 bytes, names of up to 7
+# bytes sharing all but the last, NUL bytes, non-ASCII names and the markers, names
+# over 16 bytes
+NAME_LISTS = [
+    ["alternative1", "alternative10", "alternative11", "alternative2", "alternative20"],
+    ["abcdefg", "abcdefgh", "abcdefgi", "abcdefghi", "bcdefgh"],
+    ["abcdefg", "abcdefh", "abcdef", "bbcdefg", "abcdeg"],
+    ["a\x00", "\x00", "a", "\x00\x00b", "ab"],
+    ["é", "名前", "ü1", "×", "*"],
+    ["candidate_number_1", "candidate_number_2", "c", "d", "e"],
+]
 ODD_INTS = ["1_000", "+5", "-0", "007", "١٢"]
 ODD_FRACTIONS = ["3/6", "1.5", "1e3", "-2.25", "1/0", "one", "x/2", "0x10", "1__0"]
+MULTIPLICITIES = [" × 3", " * 2", " × 007", " * 0002", f" × {2**70}", f" × {2**62 + 1}"]
+# blanks and line breaks: the byte reader reads the first of each kind, declines the odd ones
+BLANKS = [" ", "  ", "\t", " \t "]
+ODD_BLANKS = ["\xa0", "\u3000"]
+BREAKS = ["\n", "\r\n"]
+ODD_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
 
 
 def int_token(rng: random.Random) -> str:
-    kind = rng.randrange(7)
+    kind = rng.randrange(9)
     if kind == 0:
         return str(rng.choice((1, -1)) * rng.randint(2**62, 2**72))
     if kind == 1:
         return rng.choice(ODD_INTS)
     if kind == 2:  # around the int64 form's bound 2 * m * sum(abs(w)) < 2**62
         return str(rng.choice((1, -1)) * rng.randint(2**54, 2**60))
+    if kind == 3:  # 18 and 19 digits, around the byte reader's limit
+        return str(rng.choice((1, -1)) * rng.randint(10**17, 10**19 - 1))
     return str(rng.randint(-9, 9))
 
 
@@ -120,16 +146,42 @@ def fraction_token(rng: random.Random) -> str:
 
 
 def header(rng: random.Random, keyword: str) -> tuple[list[str], list[str]]:
-    names = NAMES[: rng.randint(1, 5)]
+    names = rng.choice(NAME_LISTS) if rng.randrange(4) == 0 else NAMES
+    names = names[: rng.randint(1, 5)]
     if rng.randrange(10) == 0:
         names[-1] = rng.choice(ODD_NAMES)
     return names, [f"{keyword} {len(names)}", *names]
+
+
+def layout(rng: random.Random, lines: list[str]) -> str:
+    """The lines as a text, tokens split by runs of blanks and lines ended by line breaks.
+
+    Half the texts keep single spaces and "\n"; the rest get tabs and runs
+    of blanks, blanks before and after lines, blank lines, "\r\n", and now
+    and then a non-ASCII blank or a line break other than "\n" and "\r\n".
+    """
+    if rng.random() < 0.5:
+        return "\n".join(lines) + "\n"
+    out = []
+    for line in lines:
+        if rng.randrange(15) == 0:
+            out.append(rng.choice(["", *BLANKS]) + rng.choice(BREAKS))
+        blanks = ODD_BLANKS if rng.randrange(40) == 0 else BLANKS
+        first, *rest = line.split(" ")
+        text = first + "".join(rng.choice(blanks) + tok for tok in rest)
+        if rng.randrange(5) == 0:
+            text = rng.choice(BLANKS) + text + rng.choice(BLANKS)
+        out.append(text + rng.choice(ODD_BREAKS if rng.randrange(40) == 0 else BREAKS))
+    return "".join(out)
 
 
 @st.composite
 def tournament_texts(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     names, lines = header(rng, "tournament")
+    if rng.randrange(20) == 0:  # past the byte reader's size threshold
+        names = [f"v{i}" for i in range(40)]
+        lines = [f"tournament {len(names)}", *names]
     fractions = rng.random() < 0.5
     pairs = list(combinations(names, 2))
     rng.shuffle(pairs)
@@ -142,7 +194,7 @@ def tournament_texts(draw):
             shapes = [f"{x} {y}", f"{x} {y} {tok} 4", f"{x} z {tok}", f"{y} {x} 1", f"{x} {x} 1"]
             lines.append(rng.choice([*shapes, ""]))
         lines.append(f"{x} {y} {tok}")
-    return "\n".join(lines) + "\n"
+    return layout(rng, lines)
 
 
 @st.composite
@@ -161,11 +213,16 @@ def profile_texts(draw):
             toks.pop(rng.randrange(len(toks)))
         mult = ""
         if rng.randrange(3) == 0:
-            mult = rng.choice([" × 3", " * 2", f" × {2**70}", f" × {2**62 + 1}"])
+            mult = rng.choice(MULTIPLICITIES)
+        if rng.randrange(8) == 0:  # 18 and 19 digits, around the byte reader's limit
+            mult = f" {rng.choice('×*')} {rng.randint(10**17, 10**19 - 1)}"
         if rng.randrange(25) == 0:
-            mult = rng.choice([" × 0", " × -1", " * x", " ×"])
+            mult = rng.choice([" × 0", " × 000", " × -1", " * x", " ×"])
         lines.append(" ".join(toks) + mult)
-    return "\n".join(lines) + "\n"
+    body = lines[len(names) + 1 :]
+    if body and rng.randrange(20) == 0:  # past the byte reader's size threshold
+        lines += body * (_PROFILE_BYTES_MIN // (len("".join(body)) + 1) + 1)
+    return layout(rng, lines)
 
 
 # ---- the differential tests -----------------------------------------------------------
@@ -221,6 +278,68 @@ def test_parse_profile_matches_reference(text):
     assert got_err == want_err
     if want is not None:
         same_profile(got, want)
+
+
+@FUZZ
+@given(st.one_of(tournament_texts(), profile_texts()))
+# refused texts the generators seldom write: as many names as a full profile's but
+# not m on each line, and tokens that share a name's first 7 or 8 bytes
+@example("profile 2\na\nb\na b a\nb\n")
+@example("profile 2\na\nb\nb\na | b a\n")
+@example("profile 1\nabcdefgh\nabcdefghi\n")
+@example("profile 2\nalternative1\nb\nalternative10 b\n")
+@example("tournament 2\nabcdefgh\nb\nabcdefghi b 1\n")
+@example("profile 2\nabcdefg\nb\nabcdefgh | b\n")
+@example("tournament 2\nabcdefg\nb\nabcdefg\x00 b 1\n")
+def test_byte_reader_reads_like_the_reference_or_declines(text):
+    # the byte reader itself, below its size threshold too: it returns the
+    # reference's value or None, and None whenever the reference raises
+    if text.split()[0] == "tournament":
+        got, same = _tournament_bytes(text), same_tournament
+        want, want_err = outcome(_reference_parse_tournament, text)
+    else:
+        got, same = _profile_bytes(text), same_profile
+        want, want_err = outcome(_reference_parse_profile, text)
+    if want_err is not None:
+        assert got is None
+    elif got is not None:
+        same(got, want)
+
+
+def test_byte_reader_declines_every_other_blank_and_line_break():
+    # str.split() splits on the plain blanks " \t\n\r" and on the characters the byte
+    # reader declines, which hold every line break of str.splitlines() but "\n" and "\r"
+    space = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    declined = set(formats._UNICODE_SPACES) | set("\x0b\x0c\x1c\x1d\x1e\x1f")
+    assert space == declined | set(" \t\n\r")
+    assert {c for c in space if len(f"a{c}b".splitlines()) == 2} <= declined | {"\n", "\r"}
+    # the byte reader looks for the non-ASCII ones only behind these lead bytes
+    assert {c.encode()[0] for c in declined if not c.isascii()} == {0xC2, 0xE1, 0xE2, 0xE3}
+    text = "profile 2\na\nb\na{}b{}b a\n"
+    for c in declined | {"\r"}:
+        assert formats._byte_text(text.format(" ", c)) is None
+        assert formats._byte_text(text.format(c, "\n")) is None
+    assert formats._byte_text(text.format("\t", "\r\n")) is not None  # one line break
+
+
+@pytest.mark.parametrize("m, weight", [(20, 10**15), (45, 10**9), (80, 10**9)])
+def test_regular_texts_are_read_on_arrays(monkeypatch, m, weight):
+    # written texts past the size threshold never reach the line reader; the
+    # m = 20 weights take the form past 2**62, the others int64
+    rng = random.Random(m)
+    p = random_profile(rng, m, 60, rng.choice([2, 3, "linear"]))
+    t = random_tournament(rng, m, -weight, weight)
+    profile_text, tournament_text = format_profile(p), format_tournament(t)
+    assert "×" in profile_text
+    assert len(profile_text) >= _PROFILE_BYTES_MIN
+    assert len(tournament_text) >= _TOURNAMENT_BYTES_MIN
+
+    def line_reader(text):
+        raise AssertionError("a regular text went to the line reader")
+
+    monkeypatch.setattr(formats, "_lines", line_reader)
+    same_profile(parse_profile(profile_text), p)
+    same_tournament(parse_tournament(tournament_text), t)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
