@@ -202,6 +202,10 @@ def _run_realize(ns: argparse.Namespace, out) -> int:
         Path(ns.output).write_text(text, encoding="utf-8")
         out(f"wrote {ns.output}")
     else:
+        try:
+            "×".encode(getattr(sys.stdout, "encoding", None) or "utf-8")
+        except UnicodeEncodeError:  # an ASCII stdout: both parsers read '*' as the marker too
+            text = text.replace(" × ", " * ")
         out(text.rstrip("\n"))
     return 0
 

@@ -316,27 +316,32 @@ def borda_mean_rule(p: Profile, **kwargs) -> list[WeakOrder]:
     return jk_kemeny(p, LINEAR, 2, **kwargs)
 
 
-def _first_permutations(size: int, n: int) -> np.ndarray:
-    """The first min(n, size!) permutations of range(size), one per row, in lexicographic order.
+def _permutation_ranks(size: int, n: int) -> np.ndarray:
+    """How the first min(n, size!) permutations of range(size) place the items that move.
 
-    That is the order of ``itertools.permutations``.  Only the last r places
-    vary, r the least with r! >= n; row i places them by the Lehmer code of
-    i, whose digit j is ``i // (r - 1 - j)! % (r - j)``: the index of the
-    next value among those still unused, in ascending order.
+    The permutations are taken in lexicographic order, the order of
+    ``itertools.permutations``.  Only the last r items move, r the least with
+    r! >= n (at most size); the others keep their places.  Row i holds, for
+    each of the r, its place among the last r in the i-th permutation.  The
+    table is built block by block, one item count i at a time: the
+    permutations of i items that start with item a place a first and the
+    other items, in order, one place later than the table of i - 1 items.
     """
     r = 0
     while r < size and math.factorial(r) < n:
         r += 1
     rows = min(n, math.factorial(r))
-    rank = np.arange(rows)
-    perms = np.empty((rows, size), np.intp)
-    perms[:, : size - r] = np.arange(size - r)
-    unused = np.tile(np.arange(size - r, size), (rows, 1))  # per row, ascending
-    for j in range(r):
-        digit = rank // math.factorial(r - 1 - j) % (r - j)
-        perms[:, size - r + j] = unused[rank, digit]
-        unused = unused[np.arange(r - j) != digit[:, None]].reshape(rows, r - j - 1)
-    return perms
+    ranks = np.zeros((1, 0), np.intp)
+    for i in range(1, r + 1):
+        blocks = min(i, -(-rows // len(ranks)))  # only the blocks the first rows reach
+        later = ranks + 1
+        grown = np.empty((blocks, len(ranks), i), np.intp)
+        for a in range(blocks):  # three slice copies per block
+            grown[a, :, :a] = later[:, :a]
+            grown[a, :, a] = 0
+            grown[a, :, a + 1 :] = later[:, a:]
+        ranks = grown.reshape(-1, i)
+    return ranks[:rows]
 
 
 def _borda_ranking(p: Profile, witness_cap: int) -> AggregateResult:
@@ -345,6 +350,8 @@ def _borda_ranking(p: Profile, witness_cap: int) -> AggregateResult:
     Alternatives of equal Borda score are permuted in every way, the group of
     the highest score outermost and each group's permutations in the order
     ``itertools.permutations`` gives them on its alternatives sorted by name.
+    Every row starts as the first order; then, group by group, the columns
+    that move take the group's offset plus the rows of ``_permutation_ranks``.
     """
     t = induce_tournament(p)
     _levels(t.m, t.m, True, witness_cap)  # the solver routes' request check
@@ -360,18 +367,19 @@ def _borda_ranking(p: Profile, witness_cap: int) -> AggregateResult:
     top = [v for g in groups for v in g]
     count = math.prod(math.factorial(len(g)) for g in groups)
     n = min(count, witness_cap)
-    # seq[r]: the r-th order as alternative indices, best first; the last group varies fastest
-    seq = np.tile(top, (n, 1))
+    # levels[r, v]: the place of alternative v in the r-th order; the last group varies fastest
+    levels = np.empty((n, t.m), np.intp)
+    levels[:] = np.argsort(top)
     rows = np.arange(n)
-    start, stride = t.m, 1
+    end, stride = t.m, 1
     for g in reversed(groups):
-        start -= len(g)
         if len(g) > 1 and stride < n:
-            perms = np.array(g)[_first_permutations(len(g), -(-n // stride))]
-            seq[:, start : start + len(g)] = perms[rows // stride % len(perms)]
+            ranks = _permutation_ranks(len(g), -(-n // stride))
+            if stride > 1 or len(ranks) < n:
+                ranks = ranks[rows // stride % len(ranks)]
+            levels[:, g[len(g) - ranks.shape[1] :]] = end - ranks.shape[1] + ranks
+        end -= len(g)
         stride *= math.factorial(len(g))
-    levels = np.empty_like(seq)
-    levels[rows[:, None], seq] = np.arange(t.m)
     # the score every best linear order achieves: the weight above its diagonal
     optimum = Fraction(int(np.triu(form.w[np.ix_(top, top)], 1).sum()), form.scale)
     return AggregateResult(optimum, t.vertices, levels, count > witness_cap)

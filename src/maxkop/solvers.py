@@ -760,7 +760,7 @@ def solve_subset_dp(
     edges[1] = (np.zeros(live[1].sum(), np.intp), np.flatnonzero(live[1]))
 
     need = int(witness_cap) if all_ties else 1  # checked by _levels; a numpy cap would wrap below
-    paths = _TightPaths(live, edges, tops, need + 1, (need + 1) << m)
+    paths = _TightPaths(live, edges, tops, 2 * need + 1, (2 * need + 1) << m)  # see _canonical_walk
     sets = [plan.masks[base[j] + ids] for j, ids in enumerate(paths.nodes)]
 
     def counted(prefix: list[int]):
@@ -791,19 +791,22 @@ def _canonical_walk(m: int, kk: int, need: int, counted, listed) -> tuple[np.nda
     """The ``need`` lexicographically least optimal level vectors, with their saturated count.
 
     ``counted(prefix)`` returns a dynamic program's state under a prefix
-    (levels of vertices 0..i-1) and how many optimal level vectors fit it;
+    (levels of vertices 0..i-1) and how many optimal level vectors fit it,
+    exactly up to 2 * need (a larger count may saturate above that);
     ``listed(state)`` lists those as intp arrays of m-column rows.  Vertices
     are assigned levels in index order, levels ascending, until a prefix's
-    vectors fit what the cap has left.  The walk is a loop over a stack of
-    lazy child iterators, one per prefix being extended, so ``counted`` runs
-    only for the prefixes the walk reaches.  Each listed batch is sorted
-    alone, by one packed key per row when kk**m fits int64.
+    vectors number at most twice what the cap has left: listing a few more
+    vectors than needed costs less than the counts and batches of a deeper
+    descent.  The walk is a loop over a stack of lazy child iterators, one
+    per prefix being extended, so ``counted`` runs only for the prefixes the
+    walk reaches.  Each listed batch is sorted alone, on the columns its
+    prefix leaves free (by one packed key per row when kk**(free columns)
+    fits int64), and its least rows, up to what the cap has left, go
+    straight into one table of min(need, total) rows.
     """
-    room = need
-    packed = kk**m < 2**62
-    place = kk ** np.arange(m - 1, -1, -1) if packed else None
-    found: list[np.ndarray] = []
     state, total = counted([])
+    table = np.empty((min(need, total), m), np.intp)
+    room = len(table)
     stack = [iter([([], state, total)])]
     while room and stack:
         node = next(stack[-1], None)
@@ -811,16 +814,32 @@ def _canonical_walk(m: int, kk: int, need: int, counted, listed) -> tuple[np.nda
             stack.pop()
             continue
         prefix, state, n = node
-        if n > room:
+        if n > 2 * room:
             # built now: a generator reading ``prefix`` would see a later node's
             children = [prefix + [b] for b in range(kk)]
             stack.append((child, *counted(child)) for child in children)
         elif n:
-            levels = np.concatenate(listed(state))
-            order = np.argsort(levels @ place) if packed else np.lexsort(levels.T[::-1])
-            found.append(levels[order])
-            room -= len(levels)
-    return np.concatenate(found), total
+            batch = listed(state)
+            levels = batch[0] if len(batch) == 1 else np.concatenate(batch)
+            done = len(table) - room
+            if len(levels) == 1:
+                table[done] = levels[0]
+                room -= 1
+                continue
+            free = levels[:, len(prefix) :]  # every row of the batch starts with ``prefix``
+            span = kk ** free.shape[1]  # the packed keys lie below it
+            if span < 2**62:
+                key = free @ kk ** np.arange(free.shape[1] - 1, -1, -1)
+                if span <= 2**16:  # a 16-bit key sorts by radix, in linear time
+                    order = np.argsort(key.astype(np.uint16), kind="stable")
+                else:
+                    order = key.argsort()
+            else:
+                order = np.lexsort(free.T[::-1])
+            order = order[:room]  # the least of them, when more fit than the cap has left
+            np.take(levels, order, 0, out=table[done : done + len(order)], mode="clip")
+            room -= len(order)
+    return table, total
 
 
 class _TightPaths:
@@ -861,15 +880,20 @@ class _TightPaths:
         found = []
         for top in self.tops:
             cur = np.array([len(counts[top]) - 1])
-            steps = np.zeros((1, 0), np.intp)
+            grown = []  # per layer, top down: the steps kept and the partial path each extends
             for j in range(top, 0, -1):  # extend the paths upward, one step at a time
                 first = self.start[j][cur]
                 deg = self.start[j][cur + 1] - first
                 owner = np.repeat(np.arange(cur.size), deg)
                 step = np.arange(deg.sum()) + np.repeat(first - deg.cumsum() + deg, deg)
                 keep = (counts[j - 1][self.src[j][step]] > 0) & (weight[j][step] > 0)
-                steps = np.column_stack([step[keep], steps[owner[keep]]])
+                grown.append((step[keep], owner[keep]))
                 cur = self.src[j][step[keep]]
+            steps = np.empty((cur.size, top), np.intp)
+            path = np.arange(cur.size)
+            for j, (step, owner) in enumerate(reversed(grown)):  # layer 1 first, back to the top
+                steps[:, j] = step[path]
+                path = owner[path]
             found.append((top, steps))
         return found
 
@@ -892,7 +916,8 @@ def _divider_dp(
     group, the binomial of the group's free vertices at its level or below
     over those it places, so a path weighs as many level vectors as fit the
     prefix.  A listed path is expanded only in the groups whose free vertices
-    span several levels.
+    span several levels, each such group from one table for all the paths
+    of the batch (``_arrangements``).
     """
     m = t.m
     beta = t.integer_form.beta
@@ -925,7 +950,7 @@ def _divider_dp(
         edges[j] = (c, into[i])
 
     need = int(witness_cap) if all_ties else 1  # checked by _levels; a numpy cap would wrap below
-    ceiling = need + 1
+    ceiling = 2 * need + 1  # counts up to 2 * need stay exact (``_canonical_walk``)
     paths = _TightPaths(live, edges, tops, ceiling, (m + 1) * ceiling**2)
     hi = size.cumsum()
     lo = hi - size
@@ -957,29 +982,46 @@ def _divider_dp(
         state, total = paths.counted([None] + [w[layer] for layer in layers])
         return (prefix, taken, state), total
 
-    memo: dict = {}  # per call: a module-level cache would keep the arrays alive between calls
+    tables = [np.zeros((1, size.max()), bool)]  # the subset tables, shared by the batches
 
     def listed(state) -> list[np.ndarray]:
         prefix, taken, state = state
         p = len(prefix)
-        found = []
+        parts = []
         for blocks, steps in paths.listed(state):
             # want[n, g, b]: free vertices of group g that path n puts at level b
-            want = share[steps + ends[:blocks]].transpose(0, 2, 1) - taken[:, :blocks]
-            spread = (want > 0).sum(-1) > 1
-            levels = np.empty((len(steps), m), np.intp)
-            levels[:, :p] = prefix
-            levels[:, p:] = (want > 0).argmax(-1)[:, group[p:]]
-            found.append(levels[~spread.any(1)])
-            for n in np.flatnonzero(spread.any(1)):  # expand the groups spanning several levels
-                rows = levels[n : n + 1]
-                for g in np.flatnonzero(spread[n]):
-                    arr = _arrangements(tuple(want[n, g].tolist()), memo)
-                    rows = np.repeat(rows, len(arr), 0)
-                    members = p + np.flatnonzero(group[p:] == g)
-                    rows[:, members] = np.tile(arr, (len(rows) // len(arr), 1))
-                found.append(rows)
-        return found
+            part = np.zeros((len(steps), len(size), kk), np.intp)
+            part[:, :, :blocks] = share[steps + ends[:blocks]].transpose(0, 2, 1)
+            part[:, :, :blocks] -= taken[:, :blocks]
+            parts.append(part)
+        want = np.concatenate(parts)
+        # the groups whose free vertices some path spreads over several levels are arranged in
+        # every way, each from one table for all the paths; per path, a later group's
+        # arrangements vary faster
+        varied = np.flatnonzero((np.count_nonzero(want, -1) > 1).any(0))
+        rows = np.ones(len(want), np.intp)  # level vectors per path
+        arranged = []
+        for g in varied[::-1]:
+            index: dict = {}
+            ids = [index.setdefault(c, len(index)) for c in map(tuple, want[:, g].tolist())]
+            table, start = _arrangements(np.array(list(index), np.intp), tables)
+            count = np.diff(np.append(start, len(table)))[ids]
+            arranged.append((g, table, start[ids], count, rows.copy()))
+            rows *= count
+        path = np.repeat(np.arange(len(want)), rows)
+        local = np.arange(len(path)) - np.repeat(rows.cumsum() - rows, rows)  # row within path
+        levels = np.empty((len(path), m), np.intp)
+        levels[:, :p] = prefix
+        single = np.ones(len(size), bool)
+        single[varied] = False
+        still = p + np.flatnonzero(single[group[p:]])  # free vertices of the other groups
+        levels[:, still] = (want > 0).argmax(-1)[path[:, None], group[still]]
+        for g, table, start, count, stride in arranged:
+            cols = p + np.flatnonzero(group[p:] == g)
+            if cols[-1] - cols[0] == len(cols) - 1:  # a slice writes several times faster
+                cols = slice(cols[0], cols[-1] + 1)
+            levels[:, cols] = table[start[path] + local // stride[path] % count[path]]
+        return [levels]
 
     found, total = _canonical_walk(m, kk, need, counted, listed)
     truncated = all_ties and total > witness_cap
@@ -987,17 +1029,78 @@ def _divider_dp(
     return SolveResult(optimum, t.vertices, found, truncated)
 
 
-def _arrangements(counts: tuple[int, ...], memo: dict) -> np.ndarray:
-    """Every sequence with counts[b] copies of each level b, one per row, memoized in ``memo``."""
-    if not any(counts):
-        return np.zeros((1, 0), np.intp)
-    if counts not in memo:
-        parts = []
-        for b in np.flatnonzero(counts):  # the first vertex at level b, then the rest
-            rest = _arrangements(counts[:b] + (counts[b] - 1,) + counts[b + 1 :], memo)
-            parts.append(np.column_stack([np.full(len(rest), b), rest]))
-        memo[counts] = np.concatenate(parts)
-    return memo[counts]
+def _subsets(widths: np.ndarray, sizes: np.ndarray, tables: list) -> tuple[np.ndarray, ...]:
+    """Every sizes[v]-subset of range(widths[v]), for each v, as bool rows over n places.
+
+    Returns the rows, those of v after those of v - 1, and how many each v
+    has.  tables[r] lists r-subsets in colex order, and tables[0], the empty
+    subset, sets n.  The r-subsets whose largest element is t are the
+    (r - 1)-subsets of range(t), which are the first comb(t, r - 1) rows one
+    size down, plus t.  So the r-subsets of range(w) are the first comb(w, r)
+    rows of a table grown for any longer range: the tables are grown on
+    demand and kept in ``tables``.  A size past w / 2 is read as the
+    complements of the other side.
+    """
+    side = np.minimum(sizes, widths - sizes)
+    spare = (widths - side).tolist()
+    for j in range(1, int(side.max(initial=0)) + 1):
+        # the longest range any side r >= j grows from: r - j more elements lie above it
+        reach = j + max(x for x, r in zip(spare, side.tolist()) if r >= j)
+        if j < len(tables) and len(tables[j]) >= comb(reach, j):
+            continue
+        below = np.array([comb(t, j - 1) for t in range(j - 1, reach)])
+        grown = tables[j - 1][np.arange(below.sum()) - np.repeat(np.cumsum(below) - below, below)]
+        grown[np.arange(len(grown)), np.repeat(np.arange(j - 1, reach), below)] = True
+        tables[j : j + 1] = [grown]
+    rows, counts = [], []
+    for w, r, c in zip(widths.tolist(), side.tolist(), sizes.tolist()):
+        counts.append(comb(w, r))
+        rows.append(tables[r][: counts[-1]])
+        if r < c:  # complements within range(w)
+            rows[-1] = rows[-1] ^ (np.arange(tables[0].shape[1]) < w)
+    return np.concatenate(rows), np.array(counts)
+
+
+def _arrangements(counts: np.ndarray, tables: list) -> tuple[np.ndarray, np.ndarray]:
+    """Every sequence with counts[v, b] copies of each level b, for each row v of ``counts``.
+
+    The rows share one total n, at most the width of the subset ``tables``
+    (``_subsets``).  Returns one n-column table, in which row v's sequences
+    take rows start[v]:start[v + 1] in no set order, and ``start``.  The walk
+    sorts every batch, so no order is kept.  The table is built a level at a
+    time for all rows at once: the sequences over levels 0..b are those over
+    the levels below b with the counts[v, b] copies of b merged in at every
+    subset of places.  The first merge is arithmetic, since every place it
+    leaves holds level 0; a later merge is one gather, in which place i reads
+    ``source[x, i]`` of the shorter sequence, whose column n holds b.  The
+    table has the narrowest dtype holding every level.
+    """
+    n = int(counts[0].sum())
+    dtype = np.min_scalar_type(counts.shape[1] - 1)
+    seq = np.zeros((len(counts), n), dtype)  # level 0 everywhere until the first merge
+    have = np.ones(len(counts), np.intp)  # sequences per row of ``counts``
+    width = counts[:, 0]
+    first = True
+    for b in range(1, counts.shape[1]):
+        c = counts[:, b]
+        if not c.any():
+            continue
+        width = width + c
+        new, merges = _subsets(width, c, tables)
+        new = new[:, :n]
+        if first:  # every place the first merge keeps holds level 0
+            seq, have, first = new * dtype.type(b), merges, False
+            continue
+        source = np.where(new, n, np.cumsum(~new, 1) - 1)
+        # every sequence of row v meets every merge of row v
+        pairs = have * merges
+        k = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        per = np.repeat(merges, pairs)
+        old = np.repeat(np.cumsum(have) - have, pairs) + k // per
+        merge = np.repeat(np.cumsum(merges) - merges, pairs) + k % per
+        seq = np.column_stack([seq, np.full(len(seq), b, dtype)])[old[:, None], source[merge]]
+        have = pairs
+    return seq, np.cumsum(have) - have
 
 
 def solve_acyclic_dp(

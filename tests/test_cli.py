@@ -545,6 +545,13 @@ def test_files_are_utf8_under_the_c_locale(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b"order a | b c\norder b | a c\norder c | a b\n"
 
+    # stdout keeps the locale's encoding: ASCII prints '*' for the multiplicity marker
+    proc = maxkop("realize", "cyc.txt")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert b"a | b | c * 2\n" in proc.stdout
+    printed = parse_profile(proc.stdout.decode("ascii"))
+    assert printed == parse_profile(written.decode("utf-8"))
+
     (tmp_path / "bad.txt").write_bytes(written.replace(b"\xc3\x97 2", b"\xff 2", 1))
     proc = maxkop("aggregate", "--rule", "borda_winner", "bad.txt")
     line = written[: written.index(b"\xc3\x97")].count(b"\n") + 1

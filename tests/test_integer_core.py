@@ -7,6 +7,8 @@ small magnitudes, past 2**62, and with 2**70 denominators, against reference
 loops kept in this file (or against ``solve_bruteforce`` for the solvers).
 """
 
+import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -577,3 +579,74 @@ def test_qualitative_transitivity_of_the_k6_fg_gadget_is_fast():
         seconds.append(time.perf_counter() - start)
     assert got == ref_qualitatively_transitive(t)
     assert min(seconds) < 0.01
+
+
+# ---- the divider DP's ties against the walk, on tied Borda groups -----------------------
+
+
+def tied_potential(rng, m: int, scale) -> WeightedTournament:
+    """A potential tournament whose potentials repeat, so its Borda scores form tied groups."""
+    pot = [rng.randint(-2, 2) for _ in range(m)]
+    return potential_tournament(pot, scale)
+
+
+@pytest.mark.parametrize("magnitude", ["small", "past-2^62"])
+def test_divider_ties_match_the_walk(magnitude):
+    # the divider DP lists a batch's tied groups from shared arrangement tables; the exhaustive
+    # walk scores every level vector.  Both must list the same witnesses under every cap
+    rng = random.Random(21)
+    scale = MAGNITUDES[magnitude]
+    for _ in range(24):
+        m = rng.randint(4, 12)
+        t = tied_potential(rng, m, scale)
+        cyclic = with_cycles(t, rng, 3)
+        for cap, exact_k in ((1, False), (1, True), (3, False), (7, True), (50, False)):
+            kw = dict(all_ties=cap > 1, exact_k=exact_k, witness_cap=cap)
+            same_result(cyclic, solve_2op(cyclic, **kw), solve_bruteforce(cyclic, 2, **kw))
+            if m <= 8:
+                k = rng.randint(3, 4)
+                same_result(t, solve_acyclic_dp(t, k, **kw), solve_bruteforce(t, k, **kw))
+
+
+# ---- ties of profiles with several Borda groups, under caps that cut a group --------------
+
+
+def grouped_profile(groups: list[list[str]]) -> Profile:
+    """Linear ballots ranking the groups in order and rotating within each, one rotation per
+    ballot, so the members of a group tie in Borda score and the groups do not."""
+    alts = tuple(sorted(a for g in groups for a in g))
+    rounds = math.lcm(*(len(g) for g in groups))
+    ballots = []
+    for i in range(rounds):
+        seq = [a for g in groups for a in g[i % len(g) :] + g[: i % len(g)]]
+        ballots.append((WeakOrder.from_classes([[a] for a in seq]), 1))
+    return Profile(alts, ballots)
+
+
+GROUPED = [
+    [["d", "b", "e"], ["a", "f"]],
+    [["c", "a"], ["e", "d", "b"], ["g", "f", "h"]],
+    [["f", "b", "a", "g"], ["c"], ["e", "d"]],
+]
+
+
+@pytest.mark.parametrize("groups", GROUPED, ids=["2-groups", "3-groups", "singleton-between"])
+@pytest.mark.parametrize("cap", [1, 5, 7, 24, 100])
+def test_grouped_ties_on_both_listings(groups, cap):
+    p = grouped_profile(groups)
+    res = aggregate_rule(p, "borda_ranking", witness_cap=cap)
+    orders = [
+        sum(perms, ())
+        for perms in itertools.product(*(permutations(sorted(g)) for g in groups))
+    ]
+    got = [tuple(sorted(p.alternatives, key=dict(zip(p.alternatives, x)).get)) for x in res.levels]
+    assert got == orders[:cap]
+    assert res.truncated == (cap < len(orders))
+    # the divider DP on the same Borda groups: 2-partitions of the induced tournament, and
+    # 3-partitions of its acyclic part, against the walk
+    t = induce_tournament(p)
+    acyclic = cocycle_component(t)
+    for exact_k in (False, True):
+        kw = dict(all_ties=True, exact_k=exact_k, witness_cap=cap)
+        same_result(t, solve_2op(t, **kw), solve_bruteforce(t, 2, **kw))
+        same_result(acyclic, solve_acyclic_dp(acyclic, 3, **kw), solve_bruteforce(acyclic, 3, **kw))

@@ -2,8 +2,9 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from maxkop.profiles import (
     AggregateResult,
     Profile,
     WeakOrder,
-    _first_permutations,
+    _permutation_ranks,
     aggregate,
     aggregate_rule,
 )
 from maxkop.solvers import (
     SolveResult,
+    _arrangements,
     solve,
     solve_2op,
     solve_acyclic_dp,
@@ -41,9 +43,32 @@ def test_first_permutations_match_itertools(size):
         caps |= {math.factorial(r) - 1, math.factorial(r), math.factorial(r) + 1}
     for cap in sorted(c for c in caps if c >= 1):
         want = list(islice(permutations(range(size)), cap))
-        got = _first_permutations(size, cap)
-        assert got.shape == (len(want), size)
-        assert got.tolist() == [list(p) for p in want], (size, cap)
+        got = _permutation_ranks(size, cap)
+        fixed = size - got.shape[1]  # the items before these keep their places
+        assert got.shape[0] == len(want)
+        # per row, each moving item's place among the moving ones in that permutation
+        for row, p in zip(got.tolist(), want):
+            assert list(p[:fixed]) == list(range(fixed)), (size, cap)
+            assert [fixed + x for x in row] == [p.index(v) for v in range(fixed, size)], (size, cap)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_arrangements_match_itertools(n):
+    # every split of n places over up to 4 levels, zero counts among them; one call per level
+    # count takes all the splits of its size, so rows with different level sets share a table.
+    # The subset tables are wider than n and kept from one call to the next, as in the DP
+    tables = [np.zeros((1, n + 2), bool)]
+    for kk in range(1, 5):
+        splits = [c for c in product(range(n + 1), repeat=kk) if sum(c) == n]
+        if n == 9:
+            splits = random.Random(kk).sample(splits, min(len(splits), 6))  # 9! permutations each
+        table, start = _arrangements(np.array(splits, np.intp).reshape(-1, kk), tables)
+        assert table.shape[1] == n
+        ends = [*start[1:], len(table)]
+        for counts, lo, hi in zip(splits, start, ends):
+            items = [b for b, c in enumerate(counts) for _ in range(c)]
+            want = sorted(set(permutations(items)))
+            assert sorted(map(tuple, table[lo:hi].tolist())) == want, counts
 
 
 def linear_profile(alts, orders) -> Profile:
