@@ -8,9 +8,12 @@ Four routes are provided:
   numpy kernel (``_walk_levels``) numbers the labelings of the leading
   vertices (the prefix rows) and scores a chunk of rows times every labeling
   of the trailing vertices, about 2**16 level vectors, in one array per
-  numpy pass; row-major order in that array is lexicographic order.  Its
-  pair term is the ordered one; in unordered mode it is the cut term and
-  each unordered partition is visited once, so
+  numpy pass; row-major order in that array is lexicographic order.  The
+  trailing vertices' own scores and their terms with each leading vertex
+  come from small cached tables of the two halves of the suffix
+  (``_suffix_tables``), not from a pass over every suffix pair times every
+  suffix labeling.  Its pair term is the ordered one; in unordered mode it
+  is the cut term and each unordered partition is visited once, so
   ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.  Vectors the
   walk does not visit are scored as well: each ties a visited vector that
   comes earlier, so only the ties are checked for validity.  ``solve``'s
@@ -150,19 +153,15 @@ def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool):
     ``step[l, c]`` is the pair term of vertices i < j at levels l and c:
     sign(c - l) for ordered partitions (+1 when i's block is above j's, -1
     below, 0 within one), or ``l != c`` with ``unordered`` (cuts).
-    ``digits[j, x]`` is the level of suffix vertex j in suffix labeling x,
-    and ``terms[q, x]`` the term of the q-th suffix pair ``(first[q],
-    second[q])`` under labeling x.  ``valid[pmask]``, for every set of levels
-    ``pmask`` a prefix may use, lists the labelings that complete it into a
-    vector the walk visits: gap-free, using every level with ``exact_k``, and
-    restricted-growth with ``unordered``.
+    ``digits[j, x]`` is the level of suffix vertex j in suffix labeling x.
+    ``valid[pmask]``, for every set of levels ``pmask`` a prefix may use,
+    lists the labelings that complete it into a vector the walk visits:
+    gap-free, using every level with ``exact_k``, and restricted-growth with
+    ``unordered``.
     """
-    digits = np.arange(k**s) // k ** np.arange(s - 1, -1, -1)[:, None] % k
+    digits = _digits(k, s)
     used = np.bitwise_or.reduce(1 << digits, axis=0)
-    lv = np.arange(k)
-    step = (lv[:, None] != lv if unordered else np.sign(lv - lv[:, None])).astype(np.int8)
-    first, second = _pairs(s)
-    terms = step[digits[first], digits[second]]
+    step = _step(k, unordered).astype(np.int8)
     if unordered:  # growth[h]: restricted growth after a prefix whose highest level is h - 1
         # fresh[j, x]: one above the highest level of suffix vertices 0..j-1 (0 for j = 0)
         fresh = np.maximum.accumulate(np.vstack([np.zeros(k**s, np.intp), digits[:-1] + 1]))
@@ -174,9 +173,88 @@ def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool):
         if unordered:
             ok &= growth[pmask.bit_length()]
         valid.append(np.flatnonzero(ok))
-    for table in (digits, step, first, second, terms, *valid):
+    for table in (digits, step, *valid):
         table.flags.writeable = False
-    return digits, step, first, second, terms, tuple(valid)
+    return digits, step, tuple(valid)
+
+
+def _digits(k: int, n: int) -> np.ndarray:
+    """``digits[j, y]``: the level of vertex j in the y-th of the k**n labelings of n vertices."""
+    return np.arange(k**n) // k ** np.arange(n - 1, -1, -1)[:, None] % k
+
+
+def _step(k: int, unordered: bool) -> np.ndarray:
+    """``step[l, c]``: the pair term of vertices i < j at levels l and c (see ``_walk_tables``)."""
+    lv = np.arange(k)
+    return (lv[:, None] != lv if unordered else np.sign(lv - lv[:, None])).astype(np.int64)
+
+
+@lru_cache(maxsize=64)
+def _half_side(k: int, n: int, unordered: bool) -> np.ndarray:
+    """``side[l, i, y]``: the pair term of a vertex at level l before vertex i of n under labeling y.
+
+    Read-only int64: the terms of earlier vertices with a half of the suffix
+    are their weights into the half times this table.
+    """
+    side = _step(k, unordered)[:, _digits(k, n)]
+    side.flags.writeable = False
+    return side
+
+
+@lru_cache(maxsize=64)
+def _half_pairs(k: int, s: int, h: int, unordered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(take, pairs): the pair terms within each half of an s-vertex suffix whose head is h vertices.
+
+    ``pairs`` is block diagonal: row q is a pair, the head's first, and
+    column y1 (or k**h + y2) a labeling of the head (or the tail).
+    ``take[q]`` is the flat index of pair q in the s-by-s suffix weights.
+    Both are read-only, ``pairs`` int64.
+    """
+    step = _step(k, unordered)
+    blocks, take = [], []
+    for n, at in ((h, 0), (s - h, h)):
+        digits = _digits(k, n)
+        first, second = _pairs(n)
+        blocks.append(step[digits[first], digits[second]])
+        take.append((at + first) * s + at + second)
+    pairs = np.zeros((sum(len(b) for b in blocks), k**h + k ** (s - h)), np.int64)
+    pairs[: len(blocks[0]), : k**h] = blocks[0]
+    pairs[len(blocks[0]) :, k**h :] = blocks[1]
+    take = np.concatenate(take)
+    pairs.flags.writeable = take.flags.writeable = False
+    return take, pairs
+
+
+def _suffix_tables(w: np.ndarray, p: int, k: int, s: int, unordered: bool) -> tuple:
+    """The suffix's own scores and its pair terms with the prefix, under weights w, per half.
+
+    The last s of w's vertices are the suffix, split into a head of h
+    vertices and a tail, so suffix labeling x is (y1, y2) = divmod(x,
+    k**(s - h)).  A full suffix (k**(s + 1) past ``_BLOCK``, as every suffix
+    after a prefix is) splits in halves, h = s // 2; a shorter one, the
+    whole of a small tournament, is scored once and is all tail, h = 0.
+    Returns (lift, own): ``own[y1, y2]`` is the score of x within the suffix,
+    and ``lift[b][l, i, y]`` sums the pair terms of prefix vertex i at level
+    l with the vertices of half b (0 the head) under its labeling y; lift is
+    None when p = 0.  Both come from cached per-half tables: own is the
+    head's internal terms plus the tail's (``_half_pairs``) plus the cross
+    terms, each head vertex adding one row block of ``w[head, tail] @
+    _half_side(k, s - h)``, and ``lift[b]`` is ``w[:p, half b]`` times the
+    half's ``_half_side``.
+    """
+    h = s // 2 if k ** (s + 1) > _BLOCK else 0
+    take, pairs = _half_pairs(k, s, h, unordered)
+    inner = w[p:, p:].take(take) @ pairs  # the head's own terms, then the tail's
+    own = inner[None, k**h :]
+    if p + h:  # the tail's terms with every vertex before it: the prefix's, then the head's
+        below = w[: p + h, p + h :] @ _half_side(k, s - h, unordered)
+    for i in range(h):  # head vertex i at each level, one block of rows per level
+        own = (own[:, None] + below[:, p + i][None]).reshape(-1, own.shape[-1])
+    if h > 1:  # a head of one vertex has no internal terms
+        own += inner[: k**h, None]
+    if not p:
+        return None, own
+    return (w[:p, p : p + h] @ _half_side(k, h, unordered), below[:, :p]), own
 
 
 def _walk_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
@@ -249,35 +327,19 @@ def _prefix_labels(rows: np.ndarray, k: int, p: int, unordered: bool) -> np.ndar
     return labels
 
 
-def _prefix_terms(w: np.ndarray, p: int, digits: np.ndarray, step: np.ndarray) -> tuple:
-    """The pair terms of a p-vertex prefix with the suffix under weights w, per half of the suffix.
-
-    Suffix labeling x is (x // width, x % width) over the first ``s // 2``
-    suffix vertices and the rest, ``digits`` and ``step`` being the walk's
-    tables.  Returns ``lift``, where ``lift[h][l, i, y]`` sums the pair terms
-    of prefix vertex i at level l with the vertices of half h under its
-    labeling y.
-    """
-    s, k = digits.shape[0], len(step)
-    half, width = s // 2, k ** (s - s // 2)
-    head = w[:p, p : p + half] @ step[:, digits[:half, ::width]]
-    return head, w[:p, p + half :] @ step[:, digits[half:, :width]]
-
-
 def _row_terms(labels, lift, w, step) -> tuple:
     """The terms of each prefix labeling ``labels[b]`` (a row) that its vectors share.
 
     Returns (score, l0, l1): ``score[b]`` sums the pair terms within the
     prefix (one matmul over the prefix pairs), and ``l0[b, y1]`` and
-    ``l1[b, y2]`` the terms of the prefix with the first and second half of
-    the suffix under their labelings y1 and y2 (gathered from ``lift``, see
-    ``_prefix_terms``, one prefix vertex at a time), all under weights w.
+    ``l1[b, y2]`` the terms of the prefix with the head and the tail of the
+    suffix under their labelings y1 and y2 (gathered from ``lift``, see
+    ``_suffix_tables``, one prefix vertex at a time), all under weights w.
+    The prefix holds at least one vertex.
     """
-    n, p = labels.shape
+    p = labels.shape[1]
     pfirst, psecond = _pairs(p)
     score = step[labels[:, pfirst], labels[:, psecond]] @ w[pfirst, psecond]
-    if not p:
-        return score, *(np.zeros((n, half.shape[-1]), half.dtype) for half in lift)
     head, tail = lift[0][labels[:, 0], 0], lift[1][labels[:, 0], 0]
     for i in range(1, p):  # no n-by-p-by-labelings gather: a bounded block has many rows
         head += lift[0][labels[:, i], i]
@@ -289,13 +351,12 @@ def _row_scores(rows: tuple, own, vals: np.ndarray) -> np.ndarray:
     """Fill ``vals[b, x]`` with the score of row b then suffix labeling x = (y1, y2).
 
     ``rows`` holds the rows' (score, l0, l1) from ``_row_terms`` and
-    ``own[x]`` the suffix-internal score of x; the two halves of the suffix
-    meet in one broadcast add.
+    ``own[y1, y2]`` the suffix-internal score of x (``_suffix_tables``); the
+    two halves of the suffix meet in one broadcast add.
     """
     score, l0, l1 = rows
-    width = l1.shape[1]
-    out = vals.reshape(len(score), -1, width)
-    np.add(own.reshape(-1, width), l1[:, None, :], out=out)
+    out = vals.reshape(len(score), *own.shape)
+    np.add(own, l1[:, None, :], out=out)
     out += (l0 + score[:, None])[:, :, None]
     return vals
 
@@ -333,17 +394,20 @@ def _walk_levels(
     and the first p the prefix.  The prefix labelings (rows) are numbered in
     lexicographic order, only the restricted-growth ones with ``unordered``
     (``_prefix_labels``), and scored in chunks of ``_CHUNK // k**s`` rows.
-    The rows come in blocks, one chunk each unless bounded (below).  A
-    block derives all it needs from its row numbers (``_row_terms``), and
-    nothing is kept from one block to the next: the labels and levels used,
-    the prefix scores (one matmul over the prefix pairs), and the pair terms
-    of the prefix with each half of the suffix under each of its labelings
-    (gathered from ``lift``).  One
-    broadcast add joins the two halves onto ``own``, the suffix-internal
-    scores, into the score of every (row, suffix labeling) pair of a chunk
-    (``_row_scores``).  Row-major order over those pairs is lexicographic
-    order over the vectors, so one ``flatnonzero`` per chunk gives its ties
-    in visit order, merged into the running best.
+    Once per call, ``_suffix_tables`` builds ``own``, the suffix-internal
+    scores over (head, tail) labelings, and ``lift``, the pair terms of each
+    prefix vertex with each half of the suffix, from cached int64 tables of
+    the two halves (``_half_pairs``, ``_half_side``).  The rows come in
+    blocks, one chunk each unless bounded (below).  A block derives all it
+    needs from its row numbers (``_row_terms``), and nothing is kept from
+    one block to the next: the labels and levels used, the prefix scores
+    (one matmul over the prefix pairs), and the pair terms of the prefix
+    with each half of the suffix under each of its labelings (gathered from
+    ``lift``).  One broadcast add joins the two halves onto ``own`` into the
+    score of every (row, suffix labeling) pair of a chunk (``_row_scores``).
+    Row-major order over those pairs is lexicographic order over the
+    vectors, so one ``flatnonzero`` per chunk gives its ties in visit order,
+    merged into the running best.
 
     Vectors the walk does not visit (gapped, or not restricted-growth) are
     scored too.  Each of them compresses its levels (ordered) or relabels
@@ -382,35 +446,34 @@ def _walk_levels(
     maximum joins the lead first, and only the vectors within the slack of
     it (the survivors) are scored exactly.  Each survivor is scored from its
     row's exact prefix score and s-by-k table, rebuilt for the rows holding
-    survivors only; when over a quarter of the vectors of those rows
-    survive, the rows are scored whole, like a chunk, on exact ``own`` and
-    ``lift`` tables built once per call.  Ties, count and cap are taken on
-    exact scores, and every optimal vector is a survivor, so the result is
-    exact.
+    survivors only, plus its suffix pair terms, read from ``digits`` and
+    ``step``; when over a quarter of the vectors of those rows survive, the
+    rows are scored whole, like a chunk, on exact ``own`` and ``lift``
+    tables that ``_suffix_tables`` builds once per call.  Ties, count and
+    cap are taken on exact scores, and every optimal vector is a survivor,
+    so the result is exact.
     """
     m = w.shape[0]
     s = 1
     while s < m and k ** (s + 1) <= _BLOCK:
         s += 1
     p, size = m - s, k**s
-    digits, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered)
+    digits, step, valid = _walk_tables(k, s, exact_k, unordered)
     ok = _walk_mask(k, s, exact_k, unordered)
     w64, slack = _walk_weights(w)
     masked = exact_k or slack  # invalid vectors may outscore the best valid one, or its rounding
-    own = w64[p:, p:][first, second] @ terms  # own[x]: suffix-internal score of labeling x
+    lift, own = _suffix_tables(w64, p, k, s, unordered)  # own[y1, y2]: suffix-internal scores
     nrows = int(_growth_counts(k, p)[p, 0]) if unordered else k**p
     batch = block = min(max(1, _CHUNK // size), nrows)
     bounded = bound and nrows >= _BOUND_ROWS
     labels, pmask = np.zeros((1, 0), np.intp), np.zeros(1, np.intp)  # the one row when p = 0
     if p:
-        lift = _prefix_terms(w64, p, digits, step)
         chunk = np.empty((batch, size), np.int64)  # the chunk's scores
     if bounded:
-        o = own.reshape(-1, lift[1].shape[-1])
-        heads, tails = o.max(1), o.max(0)
+        heads, tails = own.max(1), own.max(0)
         fits = np.array([idx.size > 0 for idx in valid])  # fits[pmask]: some vector is visited
         block = min(max(1, _CHUNK // (len(heads) + len(tails))), nrows)
-    best = lead = xlift = live = rows = None
+    best = lead = xown = live = rows = None
     nopt = nkept = 0
     kept: list[np.ndarray] = []
     for lo in range(0, nrows, block):
@@ -443,7 +506,8 @@ def _walk_levels(
                     if at.size == 0:
                         continue
                 lab, pm, part = labels[at], pmask[at], (score[at], l0[at], l1[at])
-            vals = _row_scores(part, own, chunk[: len(lab)]) if p else own[None].copy()
+            # with p = 0 the one row is ``own`` itself, which nothing reads again
+            vals = _row_scores(part, own, chunk[: len(lab)]) if p else own.reshape(1, -1)
             if masked:
                 np.putmask(vals, ~ok[pm], _FLOOR)
             top = int(vals.max())
@@ -457,18 +521,23 @@ def _walk_levels(
                 r, x = np.divmod(hits, size)
                 held, row_of = np.unique(r, return_inverse=True)
                 hlab = lab[held]  # the rows holding survivors
-                xpairs = w[p:, p:][first, second]  # the exact suffix pairs
                 if 4 * hits.size > held.size * size:  # their whole rows, scored exactly
-                    if xlift is None:
-                        xown, xlift = xpairs @ terms, _prefix_terms(w, p, digits, step)
-                    xvals = np.empty((held.size, size), object)
-                    xvals = _row_scores(_row_terms(hlab, xlift, w, step), xown, xvals)[row_of, x]
+                    if xown is None:
+                        xlift, xown = _suffix_tables(w, p, k, s, unordered)
+                    if p:
+                        xvals = np.empty((held.size, size), object)
+                        xvals = _row_scores(_row_terms(hlab, xlift, w, step), xown, xvals)
+                    else:  # the one row
+                        xvals = xown.reshape(1, -1)
+                    xvals = xvals[row_of, x]
                 else:  # each survivor, from its row's exact prefix score and s-by-k table
                     pfirst, psecond = _pairs(p)
                     xscore = step[hlab[:, pfirst], hlab[:, psecond]] @ w[pfirst, psecond]
                     xtable = w[:p, p:].T @ step[hlab]
-                    xvals = xpairs @ terms[:, x] + xscore[row_of]
-                    xvals += xtable[row_of[:, None], np.arange(s), digits[:, x].T].sum(1)
+                    first, second = _pairs(s)
+                    d = digits[:, x]  # the survivors' suffix labelings
+                    xvals = w[p:, p:][first, second] @ step[d[first], d[second]] + xscore[row_of]
+                    xvals += xtable[row_of[:, None], np.arange(s), d.T].sum(1)
                 top = xvals.max()
                 hits = hits[xvals == top]
             else:
@@ -965,8 +1034,8 @@ def _divider_dp(
     # a fitting step weighs 1 in a group it takes none or all of, so only the groups that a
     # tight divider cuts weigh a binomial
     cut = np.flatnonzero(((share > 0) & (share < size)).any(0))
-    span = range(size.max() + 1)  # binomials within a group, saturated at the ceiling
-    pascal = np.array([[min(comb(n, r), ceiling) for r in span] for n in span], paths.dtype)
+    # binomials within the cut groups, saturated at the ceiling (one entry when none is cut)
+    pascal = _pascal(int(size[cut].max(initial=0)), ceiling, paths.dtype)
 
     def counted(prefix: list[int]):
         # taken[g, b]: prefix vertices of group g at level b; above[g, b]: those at levels >= b
@@ -975,8 +1044,9 @@ def _divider_dp(
         above = taken[:, ::-1].cumsum(1)[:, ::-1]
         want, free = share - taken[:, level].T, after - above[:, level].T
         w = ((want >= 0) & (want <= free)).all(1).astype(paths.dtype)
-        # a step that does not fit reads some in-bounds binomial (want, free >= -size.max())
-        # and keeps its weight 0; saturating per factor keeps each product within ceiling**2
+        # a step that does not fit reads some in-bounds binomial (in group g, want and free lie
+        # in [-size[g], size[g]]) and keeps its weight 0; saturating per factor keeps each
+        # product within ceiling**2
         for b in pascal[free[:, cut], want[:, cut]].T:
             w = np.minimum(w * b, ceiling)
         state, total = paths.counted([None] + [w[layer] for layer in layers])
@@ -1027,6 +1097,20 @@ def _divider_dp(
     truncated = all_ties and total > witness_cap
     optimum = Fraction(int(top), t.integer_form.scale * m)
     return SolveResult(optimum, t.vertices, found, truncated)
+
+
+def _pascal(n: int, ceiling: int, dtype) -> np.ndarray:
+    """``table[a, b]``: min(comb(a, b), ceiling) for a, b <= n, by Pascal's rule, a row at a time.
+
+    An entry at the ceiling makes every sum it enters reach the ceiling, so
+    saturating each row keeps the entries below it exact; a sum stays below
+    2 * ceiling, which ``dtype`` holds.
+    """
+    table = np.zeros((n + 1, n + 1), dtype)
+    table[:, 0] = 1
+    for a in range(1, n + 1):
+        np.minimum(table[a - 1, 1:] + table[a - 1, :-1], ceiling, out=table[a, 1:])
+    return table
 
 
 def _subsets(widths: np.ndarray, sizes: np.ndarray, tables: list) -> tuple[np.ndarray, ...]:

@@ -24,6 +24,7 @@ from maxkop.profiles import (
 from maxkop.solvers import (
     SolveResult,
     _arrangements,
+    _pascal,
     solve,
     solve_2op,
     solve_acyclic_dp,
@@ -69,6 +70,17 @@ def test_arrangements_match_itertools(n):
             items = [b for b, c in enumerate(counts) for _ in range(c)]
             want = sorted(set(permutations(items)))
             assert sorted(map(tuple, table[lo:hi].tolist())) == want, counts
+
+
+@pytest.mark.parametrize("ceiling", [1, 3, 21, 2**20 + 1, 2**61 - 1, 2**64 + 1])
+def test_pascal_matches_saturated_binomials(ceiling):
+    # the divider DP's ceilings are 2 * cap + 1; the last one needs Python ints
+    dtype = np.int64 if 2 * ceiling < 2**63 else object
+    table = _pascal(64, ceiling, dtype)
+    assert table.dtype == dtype
+    want = [[min(math.comb(n, r), ceiling) for r in range(65)] for n in range(65)]
+    assert table.tolist() == want
+    assert _pascal(0, ceiling, dtype).tolist() == [[1]]
 
 
 def linear_profile(alts, orders) -> Profile:

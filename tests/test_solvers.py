@@ -244,6 +244,28 @@ def test_rounded_walk_scores_a_dense_leaf_exactly_under_a_prefix():
     assert_matches_enumeration(t, 4, False)
 
 
+def test_rounded_walk_scores_dense_leaves_under_a_long_prefix_exactly(monkeypatch):
+    # m = 10 at k = 3: one dominant arc rounds every other weight (+-2**100) to about 0, so
+    # about a third of the vectors survive and most rows holding survivors are rescored whole
+    rng = random.Random(5)
+    vertices = tuple(f"v{i}" for i in range(10))
+    weights = {pair: rng.randint(-(2**100), 2**100) for pair in combinations(vertices, 2)}
+    weights["v0", "v1"] = 2**200
+    t = WeightedTournament(vertices, weights)
+    exact = []  # per suffix table built: on the exact weights?
+    tables = solvers._suffix_tables
+    monkeypatch.setattr(solvers, "_suffix_tables",
+                        lambda w, *a: exact.append(w.dtype == object) or tables(w, *a))
+    want = solve_subset_dp(t, 3, all_ties=True)
+    for walk in (solve_bruteforce, solve):
+        exact.clear()
+        got = walk(t, 3, all_ties=True)
+        assert (got.optimum, got.table.tolist(), got.truncated) == (
+            want.optimum, want.table.tolist(), want.truncated,
+        )
+        assert exact == [False, True]  # the rounded tables, then the exact ones, once
+
+
 def _walk_inputs():
     """Ordered and cut weights, int64 and past 2**62, whose walks score many prefix rows."""
     rng = random.Random(17)
@@ -335,13 +357,30 @@ def test_walk_memory_is_bounded_by_its_chunks(m, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_walk_tables_match_a_brute_force_filter(k, exact_k, unordered):
     for s in range(1, 5):
-        digits, step, first, second, terms, valid = _walk_tables(k, s, exact_k, unordered)
+        digits, step, valid = _walk_tables(k, s, exact_k, unordered)
         labelings = list(product(range(k), repeat=s))
         assert digits.T.tolist() == [list(x) for x in labelings]
         for l, c in product(range(k), repeat=2):
             assert step[l, c] == (l != c if unordered else (c > l) - (c < l))
-        pair_terms = [[step[x[i], x[j]] for i, j in zip(first, second)] for x in labelings]
-        assert terms.T.tolist() == pair_terms
+        for n in range(s + 1):  # the per-half tables, against brute-force labelings of a half
+            half = list(product(range(k), repeat=n))
+            side = solvers._half_side(k, n, unordered)
+            assert side.tolist() == [[[step[l, x[i]] for x in half] for i in range(n)]
+                                     for l in range(k)]
+            assert not side.flags.writeable
+        for h in range(s + 1):
+            blocks = []
+            for at, n in ((0, h), (h, s - h)):
+                half = list(product(range(k), repeat=n))
+                blocks.append([((at + i) * s + at + j, [step[x[i], x[j]] for x in half])
+                               for i, j in combinations(range(n), 2)])
+            take, pairs = solvers._half_pairs(k, s, h, unordered)
+            assert take.tolist() == [q for q, _ in blocks[0] + blocks[1]]
+            assert pairs.tolist() == (
+                [row + [0] * k ** (s - h) for _, row in blocks[0]]
+                + [[0] * k**h + row for _, row in blocks[1]]
+            )
+            assert not take.flags.writeable and not pairs.flags.writeable
         assert len(valid) == 2**k
         for pmask in range(2**k):
             want = []
@@ -355,7 +394,7 @@ def test_walk_tables_match_a_brute_force_filter(k, exact_k, unordered):
                 if ok:
                     want.append(x)
             assert valid[pmask].tolist() == want
-        assert not any(a.flags.writeable for a in (digits, step, first, second, terms, *valid))
+        assert not any(a.flags.writeable for a in (digits, step, *valid))
 
 
 def _garbage_routes():

@@ -48,14 +48,12 @@ def _walk_setup(w: np.ndarray, k: int):
     while s < m and k ** (s + 1) <= solvers._BLOCK:
         s += 1
     p = m - s
-    digits, step, first, second, terms, _ = solvers._walk_tables(k, s, False, False)
+    _, step, _ = solvers._walk_tables(k, s, False, False)
     w64, _ = solvers._walk_weights(w)
-    own = w64[p:, p:][first, second] @ terms
-    lift = solvers._prefix_terms(w64, p, digits, step)
-    o = own.reshape(-1, lift[1].shape[-1])
+    lift, own = solvers._suffix_tables(w64, p, k, s, False)
     labels = solvers._prefix_labels(np.arange(k**p), k, p, False)
     rows = solvers._row_terms(labels, lift, w64, step)
-    return w64, step, rows, o.max(1), o.max(0)
+    return w64, step, rows, own.max(1), own.max(0)
 
 
 @settings(max_examples=40, deadline=None)
