@@ -15,16 +15,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .profiles import RANK_DTYPE, Profile, WeakOrder, _coverage_error
+from .profiles import RANK_DTYPE, Profile, WeakOrder
 from .reductions import CutInstance
-from .tournament import (
-    OrderedPartition,
-    WeightedTournament,
-    _abs_sum,
-    _arc_error,
-    _form_dtype,
-    _vertex_index,
-)
+from .tournament import OrderedPartition, WeightedTournament, _arc_error, _arc_form, _vertex_index
 
 
 class ParseError(ValueError):
@@ -293,11 +286,7 @@ def _tournament_bytes(text: str) -> WeightedTournament | None:
     pair = np.minimum(x, y) * m + np.maximum(x, y)
     if (x == y).any() or np.bincount(pair, minlength=1).max() > 1:
         return None
-    # the line reader's dtype, from the same bound
-    dtype = _form_dtype(4 * m * _abs_sum(nums))
-    w = np.zeros((m, m), dtype)
-    w[x, y] = nums if dtype is np.int64 else nums.tolist()
-    return WeightedTournament.from_int_matrix(names, w - w.T, 1)
+    return WeightedTournament(names, _arc_form(m, x, y, nums))
 
 
 def _profile_bytes(text: str) -> Profile | None:
@@ -393,14 +382,7 @@ def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
             raise ValueError(_arc_error(set(names), xs[i], ys[i]))
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
-    scale = 1 if dens is None else math.lcm(*dens)
-    if scale != 1:
-        nums = [num * (scale // den) for num, den in zip(nums, dens)]
-    # the integer form's own dtype (sum(abs(w)) == 2 * sum(abs(nums)) exactly, as no
-    # pair repeats), chosen before the fill because the weights need not fit int64
-    w = np.zeros((m, m), _form_dtype(4 * m * sum(map(abs, nums))))
-    w[xi, yi] = nums
-    return WeightedTournament.from_int_matrix(names, w - w.T, scale)
+    return WeightedTournament(names, _arc_form(m, xi, yi, nums, dens))
 
 
 def format_tournament(t: WeightedTournament) -> str:
@@ -479,7 +461,7 @@ def _ballot_classes(toks: list[str]) -> list[list[str]]:
 
 
 def parse_profile(text: str, path: str = "<string>") -> Profile:
-    """Profile of a text, read straight into its rank matrix.
+    """Profile of a text.
 
     Errors come in the constructors' order: every line's own error first, in
     line order (its multiplicity, then ``WeakOrder``'s checks of its
@@ -488,14 +470,13 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
 
     A plain text of at least ``_PROFILE_BYTES_MIN`` characters with regular
     ballots is read on arrays in one piece (``_profile_bytes``); any other
-    goes to the line reader below, one ``WeakOrder`` per line.
+    goes to the line reader below, one ``WeakOrder`` per line, all handed to
+    the ``Profile`` constructor.
     """
     if len(text) >= _PROFILE_BYTES_MIN and (p := _profile_bytes(text)) is not None:
         return p
     _, names, rest = _parse_header(_lines(text), "profile", path)
-    names = tuple(names)
-    members = set(names)
-    rows, counts, uncovered = [], [], None
+    ballots = []
     for lineno, ln in rest:
         toks = ln.split()
         count = 1
@@ -505,21 +486,11 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
                 raise ParseError(path, lineno, f"multiplicity must be positive, got {count}")
             toks = toks[:-2]
         try:
-            order = WeakOrder.from_classes(_ballot_classes(toks))
+            ballots.append((WeakOrder.from_classes(_ballot_classes(toks)), count))
         except ValueError as exc:
             raise ParseError(path, lineno, str(exc)) from None
-        rank = order.rank_of()
-        if rank.keys() == members:
-            rows.append(list(map(rank.__getitem__, names)))
-        elif uncovered is None:
-            uncovered = order
-        counts.append(count)
     try:
-        _vertex_index(names, None)
-        if uncovered is not None:
-            raise ValueError(_coverage_error(uncovered))
-        ranks = np.array(rows, RANK_DTYPE).reshape(len(rows), len(names))
-        return Profile._of_ranks(names, ranks, tuple(counts))
+        return Profile(names, ballots)
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
 

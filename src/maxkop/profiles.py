@@ -88,8 +88,9 @@ class Profile(_IntegerTable):
     ballot b, 0 the best class) and the multiplicities ``counts``.
     ``ballots`` derives the ``(WeakOrder, count)`` pairs from them on first
     access.  The constructor takes those pairs (or bare ``WeakOrder``s, each
-    counted once); ``parse_profile`` fills the rank matrix directly.  Equal
-    profiles have equal alternatives, rank matrices and counts.
+    counted once); ``parse_profile``'s byte reader fills the rank matrix
+    directly.  Equal profiles have equal alternatives, rank matrices and
+    counts.
     """
 
     _table = "ranks"

@@ -39,6 +39,7 @@ from .solvers import (
 from .tournament import (
     OrderedPartition,
     WeightedTournament,
+    _arc_form,
     _integer,
     _level_blocks,
     _vertex_index,
@@ -190,14 +191,6 @@ def _direction_names(g: CutInstance, order: list[str]) -> dict[tuple[str, str], 
     return names
 
 
-def _arc_matrix(index: Mapping[str, int], arcs: Iterable[tuple[str, str, int]]) -> np.ndarray:
-    """Antisymmetric integer matrix over ``index`` weighing each arc (u, v, c) at c."""
-    w = np.zeros((len(index), len(index)), object)
-    for u, v, c in arcs:
-        w[index[u], index[v]] = c
-    return w - w.T
-
-
 def build_hg(g: CutInstance) -> GadgetMap:
     """Tournament whose ordered tripartitions score like tripartition cuts of g.
 
@@ -210,13 +203,15 @@ def build_hg(g: CutInstance) -> GadgetMap:
     if len(set(order)) != len(order):
         raise ValueError("direction-vertex names collide with existing vertex names")
     index = {v: i for i, v in enumerate(order)}
-    arcs = []
+    ends, nums = [], []
     for a, b, w in g.positive_edges():
         d_ab, d_ba = dir_names[(a, b)], dir_names[(b, a)]
-        arcs += [(a, d_ab, w), (d_ab, b, w), (b, d_ba, w), (d_ba, a, w)]
+        ends += [(a, d_ab), (d_ab, b), (b, d_ba), (d_ba, a)]
+        nums += [w] * 4
+    i, j = np.array([(index[u], index[v]) for u, v in ends], np.intp).reshape(-1, 2).T
     return GadgetMap(
         kind="hg",
-        tournament=WeightedTournament.from_int_matrix(order, _arc_matrix(index, arcs), 1),
+        tournament=WeightedTournament(order, _arc_form(len(order), i, j, nums)),
         source=g,
         ordinary={v: (v,) for v in g.vertices},
         direction=dir_names,
@@ -361,7 +356,10 @@ def build_fg(g: CutInstance) -> GadgetMap:
             if indeg[u] == 0:
                 heappush(heap, u)
 
-    w = _arc_matrix(index, ((u, v, c * scale) for u, v, c in arcs))
+    w = np.zeros((m, m), object)
+    for u, v, c in arcs:
+        w[index[u], index[v]] = c * scale
+    w = w - w.T
     # every heavy arc is positive, so the pairs still at zero are the tiny arcs
     tiny = w == 0
     np.fill_diagonal(tiny, False)

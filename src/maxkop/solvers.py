@@ -147,46 +147,27 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _walk_tables(k: int, s: int, exact_k: bool, unordered: bool):
-    """The walk's read-only tables for k levels and an s-vertex suffix.
+def _digits(k: int, n: int) -> np.ndarray:
+    """``digits[j, y]``: the level of vertex j in the y-th of the k**n labelings of n vertices.
 
-    ``step[l, c]`` is the pair term of vertices i < j at levels l and c:
+    Read-only.
+    """
+    digits = np.arange(k**n) // k ** np.arange(n - 1, -1, -1)[:, None] % k
+    digits.flags.writeable = False
+    return digits
+
+
+@lru_cache(maxsize=64)
+def _step(k: int, unordered: bool) -> np.ndarray:
+    """``step[l, c]``: the pair term of vertices i < j at levels l and c, read-only int64.
+
     sign(c - l) for ordered partitions (+1 when i's block is above j's, -1
     below, 0 within one), or ``l != c`` with ``unordered`` (cuts).
-    ``digits[j, x]`` is the level of suffix vertex j in suffix labeling x.
-    ``valid[pmask]``, for every set of levels ``pmask`` a prefix may use,
-    lists the labelings that complete it into a vector the walk visits:
-    gap-free, using every level with ``exact_k``, and restricted-growth with
-    ``unordered``.
     """
-    digits = _digits(k, s)
-    used = np.bitwise_or.reduce(1 << digits, axis=0)
-    step = _step(k, unordered).astype(np.int8)
-    if unordered:  # growth[h]: restricted growth after a prefix whose highest level is h - 1
-        # fresh[j, x]: one above the highest level of suffix vertices 0..j-1 (0 for j = 0)
-        fresh = np.maximum.accumulate(np.vstack([np.zeros(k**s, np.intp), digits[:-1] + 1]))
-        growth = [(digits <= np.maximum(fresh, h)).all(0) for h in range(k + 1)]
-    valid = []
-    for pmask in range(1 << k):
-        u = used | pmask
-        ok = u == (1 << k) - 1 if exact_k else (u & (u + 1)) == 0  # all k levels, or gap-free
-        if unordered:
-            ok &= growth[pmask.bit_length()]
-        valid.append(np.flatnonzero(ok))
-    for table in (digits, step, *valid):
-        table.flags.writeable = False
-    return digits, step, tuple(valid)
-
-
-def _digits(k: int, n: int) -> np.ndarray:
-    """``digits[j, y]``: the level of vertex j in the y-th of the k**n labelings of n vertices."""
-    return np.arange(k**n) // k ** np.arange(n - 1, -1, -1)[:, None] % k
-
-
-def _step(k: int, unordered: bool) -> np.ndarray:
-    """``step[l, c]``: the pair term of vertices i < j at levels l and c (see ``_walk_tables``)."""
     lv = np.arange(k)
-    return (lv[:, None] != lv if unordered else np.sign(lv - lv[:, None])).astype(np.int64)
+    step = (lv[:, None] != lv if unordered else np.sign(lv - lv[:, None])).astype(np.int64)
+    step.flags.writeable = False
+    return step
 
 
 @lru_cache(maxsize=64)
@@ -284,11 +265,26 @@ def _walk_weights(w: np.ndarray) -> tuple[np.ndarray, int]:
 
 @lru_cache(maxsize=64)
 def _walk_mask(k: int, s: int, exact_k: bool, unordered: bool) -> np.ndarray:
-    """``ok[pmask, x]``: x is in ``valid[pmask]`` (see ``_walk_tables``), as a read-only table."""
-    valid = _walk_tables(k, s, exact_k, unordered)[-1]
-    ok = np.zeros((len(valid), k**s), bool)
-    for pmask, idx in enumerate(valid):
-        ok[pmask, idx] = True
+    """``ok[pmask, x]``: suffix labeling x completes a prefix using the levels ``pmask``.
+
+    That is, into a vector the walk visits: gap-free, using every level with
+    ``exact_k``, and restricted-growth with ``unordered``.  One row for each
+    of the 2**k level sets, over the k**s labelings of an s-vertex suffix;
+    read-only.
+    """
+    digits = _digits(k, s)
+    # each distinct level set of the labelings once, so that the only table of all 2**k
+    # prefix level sets by all k**s labelings is the bool one
+    used, at = np.unique(np.bitwise_or.reduce(1 << digits, axis=0), return_inverse=True)
+    sets = np.arange(1 << k)
+    good = sets == sets[-1] if exact_k else (sets & (sets + 1)) == 0  # all k levels, or gap-free
+    ok = good[sets[:, None] | used][:, at]
+    if unordered:  # restricted growth: each level at most one above the highest before it
+        # fresh[j, x]: one above the highest level of suffix vertices 0..j-1 (0 for j = 0)
+        fresh = np.maximum.accumulate(np.vstack([np.zeros(k**s, np.intp), digits[:-1] + 1]))
+        # need[x]: the least h letting x grow after a prefix whose highest level is h - 1
+        need = np.where(digits > fresh, digits, 0).max(0)
+        ok &= need <= np.array([pmask.bit_length() for pmask in range(1 << k)])[:, None]
     ok.flags.writeable = False
     return ok
 
@@ -383,7 +379,7 @@ def _walk_levels(
 
     A level vector l scores the sum of ``w[i, j] * step[l[i], l[j]]`` over
     pairs i < j, ``step`` being the ordered pair term, or the cut term with
-    ``unordered`` (see ``_walk_tables``).  It is gap-free when the levels it
+    ``unordered`` (see ``_step``).  It is gap-free when the levels it
     uses are 0..j-1, so each ordered partition has exactly one; with
     ``unordered`` only restricted-growth vectors (each level first used after
     every lower one) are visited, one per unordered partition.  Returns the
@@ -458,7 +454,7 @@ def _walk_levels(
     while s < m and k ** (s + 1) <= _BLOCK:
         s += 1
     p, size = m - s, k**s
-    digits, step, valid = _walk_tables(k, s, exact_k, unordered)
+    digits, step = _digits(k, s), _step(k, unordered)
     ok = _walk_mask(k, s, exact_k, unordered)
     w64, slack = _walk_weights(w)
     masked = exact_k or slack  # invalid vectors may outscore the best valid one, or its rounding
@@ -471,7 +467,7 @@ def _walk_levels(
         chunk = np.empty((batch, size), np.int64)  # the chunk's scores
     if bounded:
         heads, tails = own.max(1), own.max(0)
-        fits = np.array([idx.size > 0 for idx in valid])  # fits[pmask]: some vector is visited
+        fits = ok.any(1)  # fits[pmask]: some vector is visited
         block = min(max(1, _CHUNK // (len(heads) + len(tails))), nrows)
     best = lead = xown = live = rows = None
     nopt = nkept = 0

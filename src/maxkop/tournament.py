@@ -7,12 +7,14 @@ function is antisymmetric by construction.
 
 A tournament stores its ``integer_form``: the weights times one common scale
 as an antisymmetric integer matrix, plus its row sums (the scaled Borda
-scores).  ``parse_tournament``, ``induce_tournament`` and the gadget
-builders ``build_hg`` and ``build_fg`` fill an integer matrix and hand it to
-``from_int_matrix``, which gives it its exact dtype; the mapping constructor
-converts its ``Fraction``s once.  Every fast path reads the form, and so do
-the transitivity tests and inner products.  The ``Fraction`` view
-``weights`` is derived on first read.  Results stay exact ``Fraction``s; ``weight`` and
+scores).  The mapping constructor, both readers of ``parse_tournament``
+and the gadget builder ``build_hg`` hand their arcs to ``_arc_form``, which
+takes the scale and the dtype from the arcs before it fills the matrix;
+``induce_tournament``, ``build_fg`` and the decomposition fill a matrix and
+hand it to ``from_int_matrix``, which takes its dtype from an exact pass over
+it (``exact_int_matrix``).  Every fast path reads the form, and so do the
+transitivity tests and inner products.  The ``Fraction`` view ``weights`` is
+derived on first read.  Results stay exact ``Fraction``s; ``weight`` and
 ``partition_score`` keep plain ``Fraction`` loops as the independent
 reference.
 """
@@ -100,6 +102,24 @@ class IntegerForm:
     def is_acyclic(self) -> bool:
         """True iff the weights are differences of vertex potentials (no cyclic part)."""
         return bool((self.w * len(self.w) == self.beta_differences()).all())
+
+
+def _arc_form(m: int, i, j, nums, dens=None) -> IntegerForm:
+    """Form of m vertices weighing each arc (i[a], j[a]) at nums[a] / dens[a], the rest 0.
+
+    ``nums`` is an int64 array or a sequence of Python ints, ``dens`` positive
+    Python ints or None (all 1); the scale is their lcm.  No pair may repeat,
+    so sum(abs(w)) is exactly twice that of the scaled numerators, and the
+    dtype is ``exact_int_matrix``'s, taken from them before the fill.
+    """
+    scale = 1 if dens is None else math.lcm(*dens)
+    if scale != 1:
+        nums = [num * (scale // den) for num, den in zip(nums, dens)]
+    total = _abs_sum(nums) if isinstance(nums, np.ndarray) else sum(map(abs, nums))
+    w = np.zeros((m, m), _form_dtype(4 * m * total))
+    w[i, j] = nums  # an int64 array fills an object matrix with Python ints
+    w = w - w.T
+    return IntegerForm(w, scale, w.sum(1))
 
 
 class ArcWeights(Mapping):
@@ -205,9 +225,9 @@ class WeightedTournament(_VertexLookup):
     on first read.
 
     The constructor takes ``weights`` as a mapping keyed by either
-    orientation of a pair; missing pairs weigh zero.  ``from_int_matrix``
-    (which the parser, ``induce_tournament`` and the gadget builders call)
-    passes an ``IntegerForm`` over the vertex list in its place, which is
+    orientation of a pair; missing pairs weigh zero.  The parsers,
+    ``build_hg`` and ``from_int_matrix`` pass an ``IntegerForm`` over the
+    vertex list in its place (``_arc_form``, ``IntegerForm.of``), which is
     taken as is: only the vertex names are checked.
     """
 
@@ -259,12 +279,9 @@ def _mapping_form(index: Mapping[str, int], weights: Mapping) -> IntegerForm:
             raise ValueError(f"duplicate weight for pair {{{x!r}, {y!r}}}")
         w = _as_fraction(value)
         entries[key] = w if i < j else -w
-    scale = math.lcm(*(w.denominator for w in entries.values()))
-    m = len(index)
-    w = np.zeros((m, m), object)
-    for (i, j), v in entries.items():
-        w[i, j] = v.numerator * (scale // v.denominator)
-    return IntegerForm.of(w - w.T, scale)
+    i, j = np.array(list(entries), np.intp).reshape(-1, 2).T
+    nums = [w.numerator for w in entries.values()]
+    return _arc_form(len(index), i, j, nums, [w.denominator for w in entries.values()])
 
 
 def _ordered_blocks(

@@ -27,6 +27,7 @@ from maxkop import (
     aggregate_rule,
     borda_score,
     build_fg,
+    build_hg,
     cocycle_component,
     cycle_component,
     decompose,
@@ -44,6 +45,8 @@ from maxkop import (
     solve_bruteforce,
     weight,
 )
+from maxkop import formats
+from maxkop.formats import parse_tournament
 from maxkop.profiles import _borda_ranking
 from maxkop.tournament import exact_int_matrix
 from maxkop.selftest import random_weak_order, vertex_names
@@ -274,6 +277,79 @@ def test_exact_int_matrix_dtype_follows_the_exact_absolute_sum(bits):
         got = exact_int_matrix(w)
         assert got.dtype == ref_form_dtype(w)
         assert got.tolist() == w.tolist()
+
+
+# ---- forms built from arc lists ------------------------------------------------------
+
+
+def assert_exact_arc_form(t: WeightedTournament, weights: dict, dtype) -> None:
+    """t's form against Python ints: ``exact_int_matrix``'s dtype (``dtype``) and values.
+
+    ``weights`` maps (i, j) to the weight of the arc from vertex i to vertex j.
+    """
+    m = t.m
+    scale = math.lcm(*(Fraction(v).denominator for v in weights.values()))
+    ref = np.zeros((m, m), object)
+    for (i, j), v in weights.items():
+        ref[i, j] = int(v * scale)
+    ref = ref - ref.T
+    want = exact_int_matrix(ref)
+    form = t.integer_form
+    assert want.dtype == dtype
+    assert form.scale == scale and form.w.dtype == want.dtype
+    assert form.w.tolist() == want.tolist()
+    assert form.beta.tolist() == ref.sum(1).tolist()
+    if dtype is object:  # Python ints: int64 scalars would wrap in w - w.T and the row sums
+        assert {type(v) for v in [*form.w.ravel().tolist(), *form.beta.tolist()]} == {int}
+
+
+# (weights, dtype): at m = 4, 4 * m * sum(abs(nums)) just below 2**62, then at or
+# just above it (integers, then thirds and halves over the scale 6); single weights
+# in [2**63, 2**64) and past 2**64; and 20 vertices of 18-digit weights whose Borda
+# sums pass 2**63
+ARC_CASES = [
+    ({(0, 1): 2**58 - 6, (3, 2): -5}, np.int64),
+    ({(0, 1): 2**58 - 5, (3, 2): -5}, object),
+    ({(0, 2): Fraction(2**57 - 3, 3), (1, 3): Fraction(-1, 2)}, np.int64),
+    ({(0, 2): Fraction(2**57 - 1, 3), (1, 3): Fraction(-1, 2)}, object),
+    *(({(1, 2): v}, object) for v in (2**63, -(2**63), 2**64 - 1, 2**64, -(2**200))),
+    ({(i, j): 10**18 - 1 for i, j in combinations(range(20), 2)}, object),
+]
+
+
+@pytest.mark.parametrize("build", ["mapping", "line reader", "byte reader"])
+def test_arc_built_forms_take_the_exact_dtype(monkeypatch, build):
+    def line_reader(text):
+        raise AssertionError("a plain integer text went to the line reader")
+
+    for weights, dtype in ARC_CASES:
+        names = vertex_names(1 + max(map(max, weights)))
+        arcs = {(names[i], names[j]): v for (i, j), v in weights.items()}
+        if build == "mapping":
+            t = WeightedTournament(names, arcs)
+        elif build == "byte reader" and any(v != int(v) or abs(v) >= 10**18 for v in arcs.values()):
+            continue  # the byte reader reads integers of up to 18 digits
+        else:
+            lines = [f"tournament {len(names)}", *names]
+            lines += [f"{x} {y} {v}" for (x, y), v in arcs.items()]
+            with monkeypatch.context() as patch:
+                if build == "byte reader":
+                    patch.setattr(formats, "_TOURNAMENT_BYTES_MIN", 0)
+                    patch.setattr(formats, "_lines", line_reader)
+                else:
+                    patch.setattr(formats, "_TOURNAMENT_BYTES_MIN", math.inf)
+                t = parse_tournament("\n".join(lines) + "\n")
+        assert_exact_arc_form(t, weights, dtype)
+
+
+@pytest.mark.parametrize("edge", [2**56 - 1, 2**56, 2**63, 2**64 - 1, 2**64, 2**200])
+def test_hg_form_takes_the_exact_dtype(edge):
+    # four arcs at the edge's weight over m = 4: 4 * m * sum(abs(nums)) is 64 * edge,
+    # just below 2**62 at the first edge and at it from the second
+    t = build_hg(CutInstance(("a", "b"), {("a", "b"): edge})).tournament
+    cycle = ["a", "d_a_b", "b", "d_b_a", "a"]
+    weights = {(t.index(x), t.index(y)): edge for x, y in zip(cycle, cycle[1:])}
+    assert_exact_arc_form(t, weights, np.int64 if edge < 2**56 else object)
 
 
 # ---- the divider DP against the exhaustive walk -------------------------------------

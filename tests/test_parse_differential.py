@@ -345,12 +345,15 @@ def test_regular_texts_are_read_on_arrays(monkeypatch, m, weight):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tournament_texts())
 def test_parsed_form_takes_the_exact_dtype(text):
-    # the parser picks the form's dtype before the fill and skips the exact pass
+    # the parser takes the form's dtype from the arcs before the fill (``_arc_form``),
+    # with no pass over the matrix: it must be the exact pass's, over Python ints
     t, _ = outcome(parse_tournament, text)
     if t is not None:
         w = t.integer_form.w
         want = exact_int_matrix(w)
         assert w.dtype == want.dtype and w.tolist() == want.tolist()
+        if w.dtype == object:
+            assert {type(v) for v in w.ravel().tolist()} <= {int}
 
 
 @pytest.mark.parametrize("seed", range(5))

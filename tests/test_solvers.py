@@ -37,11 +37,13 @@ from maxkop.solvers import (
     _BLOCK,
     _CHUNK,
     _canonical_walk,
+    _digits,
     _levels,
     _route,
+    _step,
     _subset_cells,
     _walk_levels,
-    _walk_tables,
+    _walk_mask,
     _walk_weights,
 )
 
@@ -357,7 +359,8 @@ def test_walk_memory_is_bounded_by_its_chunks(m, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_walk_tables_match_a_brute_force_filter(k, exact_k, unordered):
     for s in range(1, 5):
-        digits, step, valid = _walk_tables(k, s, exact_k, unordered)
+        digits, step = _digits(k, s), _step(k, unordered)
+        mask = _walk_mask(k, s, exact_k, unordered)
         labelings = list(product(range(k), repeat=s))
         assert digits.T.tolist() == [list(x) for x in labelings]
         for l, c in product(range(k), repeat=2):
@@ -381,7 +384,7 @@ def test_walk_tables_match_a_brute_force_filter(k, exact_k, unordered):
                 + [[0] * k**h + row for _, row in blocks[1]]
             )
             assert not take.flags.writeable and not pairs.flags.writeable
-        assert len(valid) == 2**k
+        assert mask.shape == (2**k, k**s)
         for pmask in range(2**k):
             want = []
             for x, lab in enumerate(labelings):
@@ -393,8 +396,8 @@ def test_walk_tables_match_a_brute_force_filter(k, exact_k, unordered):
                     fresh = max(fresh, c + 1)
                 if ok:
                     want.append(x)
-            assert valid[pmask].tolist() == want
-        assert not any(a.flags.writeable for a in (digits, step, *valid))
+            assert np.flatnonzero(mask[pmask]).tolist() == want
+        assert not any(a.flags.writeable for a in (digits, step, mask))
 
 
 def _garbage_routes():

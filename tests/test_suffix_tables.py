@@ -44,7 +44,7 @@ def _reference(w: np.ndarray, k: int, s: int, p: int, h: int, unordered: bool):
 
     Each pair term is ``step[l, c]`` of the walk, the levels read from its ``digits``.
     """
-    digits, step, _ = solvers._walk_tables(k, s, False, unordered)
+    digits, step = solvers._digits(k, s), solvers._step(k, unordered)
     wx, step = w.astype(object), step.astype(object)
     own = np.zeros(k**s, object)
     for i, j in combinations(range(s), 2):

@@ -48,7 +48,7 @@ def _walk_setup(w: np.ndarray, k: int):
     while s < m and k ** (s + 1) <= solvers._BLOCK:
         s += 1
     p = m - s
-    _, step, _ = solvers._walk_tables(k, s, False, False)
+    step = solvers._step(k, False)
     w64, _ = solvers._walk_weights(w)
     lift, own = solvers._suffix_tables(w64, p, k, s, False)
     labels = solvers._prefix_labels(np.arange(k**p), k, p, False)
