@@ -8,6 +8,7 @@ elided.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -35,8 +36,18 @@ def format_rational(x: Fraction) -> str:
 
 
 def _rational(token: str) -> Fraction:
-    """The rational a token stands for (``3/6``, ``1.5``, ``1e3``): the one rational reader."""
+    """The rational a token stands for (``3/6``, ``1.5``, ``1e3``): the one rational reader.
+
+    An exponent whose magnitude exceeds ``sys.get_int_max_str_digits()`` (0:
+    no limit) is refused before ``Fraction`` computes 10**exponent, which
+    would take longer than linear time in it; plain digits meet that limit
+    through ``int``.
+    """
+    _, e, exponent = token.lower().rpartition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
     try:
+        if e and limit and abs(int(exponent)) > limit:
+            raise ValueError(token)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"expected a rational p/q, got {token!r}") from None

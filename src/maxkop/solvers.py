@@ -26,8 +26,9 @@ Four routes are provided:
   ``_BOUND_ROWS`` prefix rows skip the pass.  ``solve_bruteforce`` and the
   cut walk stay unbounded, as the oracles.
 * ``solve_subset_dp`` is a dynamic program over the set of vertices placed
-  in the top blocks, adding one block per level: O(m 2^m) for linear orders
-  (exactly m blocks) and O(k 3^m) for k blocks, exact on any weights.
+  in the top blocks, adding one block per level (``_subset_dp``): O(m 2^m)
+  for linear orders (exactly m blocks) and O(k 3^m) for k blocks, exact on
+  any weights.
 * ``solve_acyclic_dp`` handles weights with no cyclic part.  Some optimal
   partition is then monotone in the Borda scores, so a dynamic program over
   divider positions in the sorted score sequence finds the optimum with
@@ -40,12 +41,22 @@ beta alone: the acyclic component is the outer difference of beta over
 scale * m, and the optimum depends on nothing else when the cyclic component
 is zero (acyclic weights) or invisible (2-partitions).
 
-``solve`` plans the route (``_route``): k = 2 and acyclic weights take the
-polynomial routes; otherwise it takes the exponential route with the least
-modeled time among those whose work fits the guard.  A route's modeled time
-is a per-call constant plus a per-unit cost times its units of work (the
-walk's k^m level vectors, the subset program's cells), both fit per integer
-form (``_ROUTE_COST``).  The guard bounds the units, not the time.
+Every solver, ``solve`` included, takes one request path, ``_run_route``.
+It alone checks the request (``_levels``, then the guard of an exponential
+route), runs the route's kernel and builds the ``SolveResult``.  A kernel
+(``_walk_levels``, ``_subset_dp``, ``_divider_dp``) is a function of the
+integer form's arrays and the number of witnesses wanted that returns
+(best, count, table): the optimum in the form's units, the number of
+optimal level vectors, and the least of them, one per row.
+
+``solve`` plans the route (``_route``) and hands it to ``_run_route``: k = 2
+and acyclic weights take the polynomial routes; otherwise it takes the
+exponential route with the least modeled time among those whose work fits
+the guard.  A route's modeled time is a per-call constant plus a per-unit
+cost times its units of work (``_units``: the walk's k^m level vectors, the
+subset program's cells), both fit per integer form (``_ROUTE_COST``).  The
+guard is charged those same units, so it bounds the estimate that picked
+the route: units, not time.
 
 Every route reads the tournament's ``integer_form`` (see
 ``maxkop.tournament``), whose dtype is int64 or Python ints (object arrays).
@@ -573,22 +584,7 @@ def solve_bruteforce(
     Raises GuardExceededError when the level-vector count k^m exceeds
     ``guard``.
     """
-    return _solve_walk(t, k, all_ties, exact_k, guard, witness_cap, bound=False)
-
-
-def _solve_walk(t, k, all_ties, exact_k, guard, witness_cap, *, bound: bool) -> SolveResult:
-    """``solve_bruteforce``, on the walk that skips prefix rows by their bound with ``bound``."""
-    m = t.m
-    kk = _levels(m, k, exact_k, witness_cap)
-    guard = _integer(guard, "guard", 1)
-    if kk**m > guard:
-        raise GuardExceededError(_guard_message("walk", kk**m, guard))
-    form = t.integer_form
-    best, nopt, kept = _walk_levels(
-        form.w, kk, exact_k, witness_cap if all_ties else 1, unordered=False, bound=bound
-    )
-    truncated = all_ties and nopt > len(kept)
-    return SolveResult(Fraction(best, form.scale), t.vertices, kept, truncated)
+    return _run_route(t, "walk", k, all_ties, exact_k, guard, witness_cap)
 
 
 def _subset_bands(m: int, kk: int, exact_k: bool) -> list[tuple[int, int]]:
@@ -777,13 +773,15 @@ def solve_subset_dp(
     ``_canonical_walk``, which counts the chains of E* that fit each prefix.
     Raises GuardExceededError when ``_subset_cells`` exceeds ``guard``.
     """
-    m = t.m
-    kk = _levels(m, k, exact_k, witness_cap)
-    guard = _integer(guard, "guard", 1)
-    cells = _subset_cells(m, kk, exact_k)
-    if cells > guard:
-        raise GuardExceededError(_guard_message("subset", cells, guard))
-    w = t.integer_form.w
+    return _run_route(t, "subset", k, all_ties, exact_k, guard, witness_cap)
+
+
+def _subset_dp(w: np.ndarray, kk: int, exact_k: bool, need: int) -> tuple:
+    """``solve_subset_dp``'s kernel on the integer weights w, returning (best, count, table).
+
+    See ``_run_route`` for the contract.
+    """
+    m = len(w)
     plan = _subset_plan(m, kk, exact_k)
     bands, off = plan.bands, plan.off
     cross = _subset_cross(w, plan)
@@ -824,7 +822,6 @@ def solve_subset_dp(
         edges[j] = (src, np.concatenate(dst) if dst else np.zeros(0, np.intp))
     edges[1] = (np.zeros(live[1].sum(), np.intp), np.flatnonzero(live[1]))
 
-    need = int(witness_cap) if all_ties else 1  # checked by _levels; a numpy cap would wrap below
     paths = _TightPaths(live, edges, tops, 2 * need + 1, (2 * need + 1) << m)  # see _canonical_walk
     sets = [plan.masks[base[j] + ids] for j, ids in enumerate(paths.nodes)]
 
@@ -847,9 +844,7 @@ def solve_subset_dp(
         return found
 
     found, total = _canonical_walk(m, kk, need, counted, listed)
-    truncated = all_ties and total > witness_cap
-    optimum = Fraction(int(best), t.integer_form.scale)
-    return SolveResult(optimum, t.vertices, found, truncated)
+    return best, total, found
 
 
 def _canonical_walk(m: int, kk: int, need: int, counted, listed) -> tuple[np.ndarray, int]:
@@ -963,15 +958,14 @@ class _TightPaths:
         return found
 
 
-def _divider_dp(
-    t: WeightedTournament, kk: int, *, all_ties: bool, exact_k: bool, witness_cap: int
-) -> SolveResult:
-    """Best ordered partitions of the weights' acyclic part into at most (or exactly) kk blocks.
+def _divider_dp(beta: np.ndarray, kk: int, exact_k: bool, need: int) -> tuple:
+    """Best ordered partitions of an acyclic part into at most (or exactly) kk blocks.
 
-    The acyclic part is the outer difference of the Borda vector beta over
-    scale * m, so beta is all this reads, and the optimum is in units of
-    1 / (scale * m).  Some optimal partition cuts the beta-sorted vertex
-    sequence into consecutive runs, so a dynamic program over divider
+    The kernel of both polynomial routes (its contract is ``_run_route``'s):
+    the weights' acyclic part is the outer difference of their Borda vector
+    beta over scale * m, so beta is all this reads, and the optimum is in
+    units of 1 / (scale * m).  Some optimal partition cuts the beta-sorted
+    vertex sequence into consecutive runs, so a dynamic program over divider
     positions finds the optimum.  The weight from the positions above a run
     down into it has a closed form in the prefix sums of the sorted beta,
     and the program's optimal paths are the optimal divider patterns.
@@ -984,8 +978,7 @@ def _divider_dp(
     span several levels, each such group from one table for all the paths
     of the batch (``_arrangements``).
     """
-    m = t.m
-    beta = t.integer_form.beta
+    m = len(beta)
     # group g holds the sorted positions [lo[g], hi[g]); group[v] is vertex v's group
     _, group, size = np.unique(-beta, return_inverse=True, return_counts=True)
     head = np.zeros(m + 1, beta.dtype)  # head[c]: sum of beta over sorted positions [0, c)
@@ -1014,7 +1007,6 @@ def _divider_dp(
         live[j - 1][c] = True
         edges[j] = (c, into[i])
 
-    need = int(witness_cap) if all_ties else 1  # checked by _levels; a numpy cap would wrap below
     ceiling = 2 * need + 1  # counts up to 2 * need stay exact (``_canonical_walk``)
     paths = _TightPaths(live, edges, tops, ceiling, (m + 1) * ceiling**2)
     hi = size.cumsum()
@@ -1090,9 +1082,7 @@ def _divider_dp(
         return [levels]
 
     found, total = _canonical_walk(m, kk, need, counted, listed)
-    truncated = all_ties and total > witness_cap
-    optimum = Fraction(int(top), t.integer_form.scale * m)
-    return SolveResult(optimum, t.vertices, found, truncated)
+    return top, total, found
 
 
 def _pascal(n: int, ceiling: int, dtype) -> np.ndarray:
@@ -1199,13 +1189,7 @@ def solve_acyclic_dp(
     between equal scores, so the search runs over divider positions and the
     tied trades are expanded afterwards.
     """
-    kk = _levels(t.m, k, exact_k, witness_cap)
-    if not t.integer_form.is_acyclic():
-        raise ValueError(
-            "weights have a nonzero cyclic component; this solver needs purely "
-            "acyclic input (decompose first)"
-        )
-    return _divider_dp(t, kk, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
+    return _run_route(t, "acyclic", k, all_ties, exact_k, None, witness_cap)
 
 
 def solve_2op(
@@ -1222,10 +1206,7 @@ def solve_2op(
     component alone is exact for the original weights, and the divider
     program reads only that component.
     """
-    if t.m < 2:
-        raise ValueError("max-2OP needs at least two vertices")
-    kk = _levels(t.m, 2, exact_k, witness_cap)
-    return _divider_dp(t, kk, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
+    return _run_route(t, "2op", 2, all_ties, exact_k, None, witness_cap)
 
 
 # Modeled time of an exponential route: (ns per call, ps per unit of work), on an int64 integer
@@ -1252,14 +1233,19 @@ def _guard_message(route: str, estimate: int, guard: int) -> str:
     return f"{name}: {estimate} {units} exceed the guard of {guard}"
 
 
+def _units(route: str, m: int, kk: int, exact_k: bool) -> int:
+    """An exponential route's units of work: kk**m level vectors on the walk, else subset cells."""
+    return kk**m if route == "walk" else _subset_cells(m, kk, exact_k)
+
+
 def _route(
     t: WeightedTournament, k: int, exact_k: bool, witness_cap: int = 1, guard: int = DEFAULT_GUARD
 ) -> tuple[str, int | None]:
     """The route ``solve`` takes, with its units of work (None on the polynomial routes).
 
     2-partitions go to ``"2op"`` and purely acyclic weights to ``"divider"``.
-    Otherwise ``"walk"`` visits kk**m level vectors and ``"subset"`` evaluates
-    ``_subset_cells`` cells, and the route with the least modeled time
+    Otherwise ``"walk"`` and ``"subset"`` are weighed by their ``_units``,
+    and the route with the least modeled time
     (``_ROUTE_COST``: a per-call constant plus a per-unit cost times the
     units, by integer form) wins among those whose units fit ``guard``; a
     tie goes to the walk.  When neither fits, the modeled faster one is
@@ -1273,7 +1259,7 @@ def _route(
     if form.is_acyclic():
         return "divider", None
     kk = _levels(t.m, k, exact_k, witness_cap)
-    units = {"walk": kk**t.m, "subset": _subset_cells(t.m, kk, exact_k)}
+    units = {route: _units(route, t.m, kk, exact_k) for route in ("walk", "subset")}
     python_ints = form.w.dtype == object
 
     def modeled_ps(route: str) -> int:
@@ -1282,6 +1268,50 @@ def _route(
 
     route = min([r for r in units if units[r] <= guard] or units, key=modeled_ps)
     return route, units[route]
+
+
+def _run_route(t, route, k, all_ties, exact_k, guard, witness_cap, *, bound=False) -> SolveResult:
+    """Run one route on t's integer form: the one request path of every solver.
+
+    ``route`` is ``"walk"``, ``"subset"``, ``"divider"``, ``"2op"`` (the
+    divider at k = 2, whatever k is given: ``solve`` routes any k == 2
+    there), or ``"acyclic"``, the divider on weights first checked to be
+    acyclic.  The request is checked here alone: ``_levels``, then, on an
+    exponential route, the guard against the route's ``_units``.  A kernel
+    takes integer arrays and the number of witnesses wanted, ``need``, and
+    returns (best, count, table): the optimum in the form's units (times m
+    on the divider, which reads beta), the number of optimal level vectors,
+    exact up to 2 * need at least, and the least min(need, count) of them in
+    lexicographic order.  ``bound`` bounds the walk, as ``solve`` runs it.
+    """
+    m, form = t.m, t.integer_form
+    if route == "2op":
+        if m < 2:
+            raise ValueError("max-2OP needs at least two vertices")
+        k = 2
+    kk = _levels(m, k, exact_k, witness_cap)
+    need = int(witness_cap) if all_ties else 1  # a numpy cap would wrap in the kernels
+    if route == "acyclic":
+        if not form.is_acyclic():
+            raise ValueError(
+                "weights have a nonzero cyclic component; this solver needs purely "
+                "acyclic input (decompose first)"
+            )
+        route = "divider"
+    if route in ("2op", "divider"):
+        best, count, table = _divider_dp(form.beta, kk, exact_k, need)
+        scale = form.scale * m
+    else:
+        guard = _integer(guard, "guard", 1)
+        units = _units(route, m, kk, exact_k)
+        if units > guard:
+            raise GuardExceededError(_guard_message(route, units, guard))
+        w, scale = form.w, form.scale
+        if route == "walk":
+            best, count, table = _walk_levels(w, kk, exact_k, need, unordered=False, bound=bound)
+        else:
+            best, count, table = _subset_dp(w, kk, exact_k, need)
+    return SolveResult(Fraction(int(best), scale), t.vertices, table, all_ties and count > need)
 
 
 def solve(
@@ -1304,15 +1334,7 @@ def solve(
     """
     guard = _integer(guard, "guard", 1)
     route, _ = _route(t, k, exact_k, witness_cap, guard)
-    if route == "2op":
-        return solve_2op(t, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
-    if route == "divider":
-        return solve_acyclic_dp(t, k, all_ties=all_ties, exact_k=exact_k, witness_cap=witness_cap)
-    if route == "subset":
-        return solve_subset_dp(
-            t, k, all_ties=all_ties, exact_k=exact_k, guard=guard, witness_cap=witness_cap
-        )
-    return _solve_walk(t, k, all_ties, exact_k, guard, witness_cap, bound=True)
+    return _run_route(t, route, k, all_ties, exact_k, guard, witness_cap, bound=True)
 
 
 def decide(

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -61,6 +63,25 @@ def test_tournament_parse_errors_carry_location():
         parse_tournament("tournament 2\na\nb\na b\n")
     with pytest.raises(ParseError, match="name lines"):
         parse_tournament("tournament 3\na\nb\n")
+
+
+def test_exponents_past_the_int_digit_limit_are_refused(tmp_path):
+    # Fraction computes 10**exponent with no bound, for seconds at 1e10000000
+    limit = sys.get_int_max_str_digits() or pytest.skip("int digit limit disabled")
+    t = parse_tournament(_T3 + "a b 1e3\nb c 1E-2\na c 1.5e3\n")
+    arcs = [("a", "b"), ("b", "c"), ("a", "c")]
+    assert [t.weights[arc] for arc in arcs] == [1000, Fraction(1, 100), 1500]
+    for token in ("1e10000000", f"1e{limit + 1}", f"-2.5E-{limit + 1}"):
+        with pytest.raises(ParseError) as err:
+            parse_tournament(_T3 + f"a b 1\nb c {token}\n", "in.txt")
+        assert str(err.value) == f"in.txt:6: expected a rational p/q, got {token!r}"
+    big, small = tmp_path / "big.txt", tmp_path / "small.txt"
+    big.write_text(_T3 + "a b 1e10000000\n")
+    small.write_text(_T3 + "a b 1\n")
+    start = time.perf_counter()
+    assert cli.main(["solve", "--k", "2", str(big)]) == 1
+    assert cli.main(["decide", "--k", "2", "--threshold", "1e10000000", str(small)]) == 1
+    assert time.perf_counter() - start < 2
 
 
 def test_partition_roundtrip():

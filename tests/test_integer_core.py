@@ -43,6 +43,7 @@ from maxkop import (
     solve_2op,
     solve_acyclic_dp,
     solve_bruteforce,
+    solve_subset_dp,
     weight,
 )
 from maxkop import formats
@@ -394,10 +395,13 @@ def test_all_zero_weights_every_route():
 @pytest.mark.parametrize("cap,truncated", [(30, True), (31, False), (32, False)])
 def test_divider_dp_truncates_only_when_witnesses_are_dropped(cap, truncated):
     # zero weights on 5 vertices: every one of the 2**5 - 1 ordered 2-partitions
-    # with a nonempty top block ties
+    # with a nonempty top block ties, on every route
     t = WeightedTournament.zeros(vertex_names(5))
     for res in (solve_2op(t, all_ties=True, witness_cap=cap),
-                solve_acyclic_dp(t, 2, all_ties=True, witness_cap=cap)):
+                solve_acyclic_dp(t, 2, all_ties=True, witness_cap=cap),
+                solve_bruteforce(t, 2, all_ties=True, witness_cap=cap),
+                solve_subset_dp(t, 2, all_ties=True, witness_cap=cap),
+                solve(t, 2, all_ties=True, witness_cap=cap)):
         assert len(res.witnesses) == min(cap, 31)
         assert res.truncated == truncated
 

@@ -713,12 +713,15 @@ def test_k_follows_the_integer_rule(three_cycle, k):
 
 @pytest.mark.parametrize("cap", [True, np.int64(2), 2.5])
 def test_witness_cap_follows_the_integer_rule(three_cycle, cap):
-    # three tied optima at k = 3, seven tied 2-partitions: a cap of 2 truncates on every route
+    # three tied optima at k = 3, seven tied 2-partitions, and all 13 ordered partitions of
+    # zero (acyclic) weights: a cap of 2 truncates on every route
+    zeros = WeightedTournament.zeros(("a", "b", "c"))
     solvers = (
         lambda: solve(three_cycle, 3, all_ties=True, witness_cap=cap),
         lambda: solve_bruteforce(three_cycle, 3, all_ties=True, witness_cap=cap),
         lambda: solve_subset_dp(three_cycle, 3, all_ties=True, witness_cap=cap),
         lambda: solve_2op(three_cycle, all_ties=True, witness_cap=cap),
+        lambda: solve_acyclic_dp(zeros, 3, all_ties=True, witness_cap=cap),
     )
     for call in solvers:
         if type(cap) is np.int64:

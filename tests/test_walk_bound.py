@@ -89,13 +89,13 @@ def test_bounded_walk_matches_the_unbounded_oracle(seed, shape, kind, exact_k, c
     with patch:
         for cap in (1, 3, 10_000):
             args = dict(all_ties=True, exact_k=exact_k, witness_cap=cap)
-            got = solvers._solve_walk(t, k, guard=10**8, bound=True, **args)
+            got = solvers._run_route(t, "walk", k, guard=10**8, bound=True, **args)
             want = solve_bruteforce(t, k, **args)
             assert (got.optimum, got.table.tolist(), got.truncated) == (
                 want.optimum, want.table.tolist(), want.truncated,
             )
-        one = solvers._solve_walk(t, k, exact_k=exact_k, guard=10**8, bound=True,
-                                  all_ties=False, witness_cap=1)
+        one = solvers._run_route(t, "walk", k, exact_k=exact_k, guard=10**8, bound=True,
+                                 all_ties=False, witness_cap=1)
         assert one.table.tolist() == solve_bruteforce(t, k, exact_k=exact_k).table.tolist()
         w = t.integer_form.w
         assert _walk_levels(w, k, exact_k, 1, unordered=False, bound=True)[1] == _walk_levels(
