@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -32,7 +33,16 @@ class ParseError(ValueError):
 
 
 def format_rational(x: Fraction) -> str:
-    return str(x)
+    """p/q in lowest terms, q = 1 elided, however many digits p and q have.
+
+    ``str`` refuses an integer past ``sys.get_int_max_str_digits()``;
+    ``Decimal`` prints one of any length, and only such a value takes it.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        p = str(Decimal(x.numerator))
+        return p if x.denominator == 1 else f"{p}/{Decimal(x.denominator)}"
 
 
 def _rational(token: str) -> Fraction:
@@ -148,10 +158,9 @@ def _weight_tokens(tokens: Sequence[str], path: str, linenos: Sequence[int]):
 # one uint8 array holds them all.  The byte reader returns None, never an error: a
 # text it declines goes whole to the line reader, the one source of every message.
 
-# texts shorter than these go straight to the line reader, which reads them faster
-# (the crossovers are measured in BENCH_20.json)
-_PROFILE_BYTES_MIN = 1500
-_TOURNAMENT_BYTES_MIN = 3200
+# texts shorter than this go straight to the line reader, which reads them faster; the
+# crossover is about 1,500 characters for profiles and tournaments alike
+_BYTES_MIN = 1500
 
 # every non-ASCII character str.split() splits on; the UTF-8 of each starts with
 # one of the bytes 0xc2, 0xe1, 0xe2, 0xe3
@@ -353,14 +362,14 @@ def _profile_bytes(text: str) -> Profile | None:
 def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
     """Tournament of a text, read straight into its integer form.
 
-    A plain text of at least ``_TOURNAMENT_BYTES_MIN`` characters with
-    integer weights is read on arrays (``_tournament_bytes``); any other goes
-    to the line reader below.  Errors come in the constructor's order: every line's own
+    A plain text of at least ``_BYTES_MIN`` characters with integer weights
+    is read on arrays (``_tournament_bytes``); any other goes to the line
+    reader below.  Errors come in the constructor's order: every line's own
     error first, in line order (the arc line's shape, then its weight, then
     a repeated pair), then the vertex names and the first arc naming no pair
     of them, both reported at line 1.
     """
-    if len(text) >= _TOURNAMENT_BYTES_MIN and (t := _tournament_bytes(text)) is not None:
+    if len(text) >= _BYTES_MIN and (t := _tournament_bytes(text)) is not None:
         return t
     _, names, rest = _parse_header(_lines(text), "tournament", path)
     m = len(names)
@@ -479,12 +488,12 @@ def parse_profile(text: str, path: str = "<string>") -> Profile:
     classes); then, at line 1, each alternative's name, repeated alternatives
     and the first ballot that does not cover the alternatives exactly.
 
-    A plain text of at least ``_PROFILE_BYTES_MIN`` characters with regular
-    ballots is read on arrays in one piece (``_profile_bytes``); any other
-    goes to the line reader below, one ``WeakOrder`` per line, all handed to
-    the ``Profile`` constructor.
+    A plain text of at least ``_BYTES_MIN`` characters with regular ballots
+    is read on arrays in one piece (``_profile_bytes``); any other goes to
+    the line reader below, one ``WeakOrder`` per line, all handed to the
+    ``Profile`` constructor.
     """
-    if len(text) >= _PROFILE_BYTES_MIN and (p := _profile_bytes(text)) is not None:
+    if len(text) >= _BYTES_MIN and (p := _profile_bytes(text)) is not None:
         return p
     _, names, rest = _parse_header(_lines(text), "profile", path)
     ballots = []

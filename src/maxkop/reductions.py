@@ -32,6 +32,7 @@ import numpy as np
 from .solvers import (
     DEFAULT_GUARD,
     GuardExceededError,
+    _growth_counts,
     _guard_message,
     _walk_levels,
     solve_bruteforce,
@@ -144,18 +145,6 @@ def cut_score(g: CutInstance, parts: Sequence[Iterable[str]]) -> int:
     return sum(w for (x, y), w in g.edge_weights.items() if piece_of[x] != piece_of[y])
 
 
-def _partition_count(m: int, pieces: int) -> int:
-    """Number of unordered partitions of m items into at most `pieces` blocks."""
-    # Stirling numbers of the second kind, summed over block counts
-    row = [1] + [0] * m
-    for n in range(1, m + 1):
-        new = [0] * (m + 1)
-        for j in range(1, n + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return sum(row[1 : min(pieces, m) + 1])
-
-
 def solve_cut_bruteforce(
     g: CutInstance, pieces: int, *, guard: int = DEFAULT_GUARD
 ) -> tuple[int, list[tuple[frozenset[str], ...]]]:
@@ -169,7 +158,7 @@ def solve_cut_bruteforce(
     pieces = _integer(pieces, "pieces", 1)
     guard = _integer(guard, "guard", 1)
     m = g.n
-    count = _partition_count(m, pieces)
+    count = int(_growth_counts(min(pieces, m), m)[m, 0])
     if count > guard:
         raise GuardExceededError(_guard_message("cut", count, guard))
     w = np.zeros((m, m), object)

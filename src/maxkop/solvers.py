@@ -16,15 +16,18 @@ Four routes are provided:
   is the cut term and each unordered partition is visited once, so
   ``maxkop.reductions.solve_cut_bruteforce`` runs on it too.  Vectors the
   walk does not visit are scored as well: each ties a visited vector that
-  comes earlier, so only the ties are checked for validity.  ``solve``'s
-  walk is bounded (branch and bound over the prefix rows): each block of
-  rows gets an upper bound per row in one vectorised pass, the row with the
-  highest bound seeds the best accepted score, and only the rows whose bound
-  reaches the best so far are scored.  A skipped row scores strictly below
-  an accepted vector, so it holds no optimum, and the ties, their order and
-  the cap stay those of the unbounded walk.  Walks over fewer than
-  ``_BOUND_ROWS`` prefix rows skip the pass.  ``solve_bruteforce`` and the
-  cut walk stay unbounded, as the oracles.
+  comes earlier, so a chunk's maximum raises the lead (the highest score
+  some visited vector is known to reach) before any validity check, and only
+  the ties are checked.  Every chunk takes its ties by that one rule, on
+  int64 and rounded weights alike.  ``solve``'s walk is bounded (branch and
+  bound over the prefix rows): each block of rows gets an upper bound per
+  row in one vectorised pass, the row with the highest bound seeds the best
+  accepted score, and only the rows whose bound reaches the best so far are
+  scored.  A skipped row scores strictly below an accepted vector, so it
+  holds no optimum, and the ties, their order and the cap stay those of the
+  unbounded walk.  Walks over fewer than ``_BOUND_ROWS`` prefix rows skip
+  the pass.  ``solve_bruteforce`` and the cut walk stay unbounded, as the
+  oracles.
 * ``solve_subset_dp`` is a dynamic program over the set of vertices placed
   in the top blocks, adding one block per level (``_subset_dp``): O(m 2^m)
   for linear orders (exactly m blocks) and O(k 3^m) for k blocks, exact on
@@ -63,8 +66,9 @@ Every route reads the tournament's ``integer_form`` (see
 The walk scores in int64 either way: Python-int weights are divided by a
 power of two and rounded (``_walk_weights``), which moves any two rounded
 scores by at most a known slack against the exact ones, so every vector
-whose rounded score trails the best one seen by more than the slack is
-dropped, and only the survivors are scored exactly, in Python ints.  The
+whose rounded score trails the lead by more than the slack is dropped, and
+only the survivors are scored exactly, in Python ints, over all their pairs
+(``_pair_scores``, which also scores the prefix rows).  The
 optimum, ties and witnesses come from those exact scores alone; no float is
 used anywhere.
 
@@ -304,9 +308,12 @@ def _walk_mask(k: int, s: int, exact_k: bool, unordered: bool) -> np.ndarray:
 def _growth_counts(k: int, p: int) -> np.ndarray:
     """``ways[d, h]``: restricted-growth labelings of d more vertices once levels 0..h-1 are used.
 
-    At most k levels are used; read-only.
+    At most k levels are used, so ``ways[p, 0]`` counts the unordered
+    partitions of p items into at most k blocks.  Every entry is at most
+    k**p, which sets the dtype (``_form_dtype``: int64, or exact Python ints
+    past 2**62); read-only.
     """
-    ways = np.ones((p + 1, k + 1), np.int64)
+    ways = np.ones((p + 1, k + 1), _form_dtype(k**p))
     for d in range(1, p + 1):  # below h: any used level; h itself: a fresh one
         ways[d] = np.arange(k + 1) * ways[d - 1] + np.append(ways[d - 1, 1:], 0)
     ways.flags.writeable = False
@@ -334,19 +341,28 @@ def _prefix_labels(rows: np.ndarray, k: int, p: int, unordered: bool) -> np.ndar
     return labels
 
 
+def _pair_scores(levels: np.ndarray, w: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The score of each row of ``levels`` over the first ``levels.shape[1]`` vertices of w.
+
+    One matmul over the pairs i < j of those vertices: the sum of
+    ``w[i, j] * step[l[i], l[j]]``, exact in w's dtype.
+    """
+    first, second = _pairs(levels.shape[1])
+    return step[levels[:, first], levels[:, second]] @ w[first, second]
+
+
 def _row_terms(labels, lift, w, step) -> tuple:
     """The terms of each prefix labeling ``labels[b]`` (a row) that its vectors share.
 
     Returns (score, l0, l1): ``score[b]`` sums the pair terms within the
-    prefix (one matmul over the prefix pairs), and ``l0[b, y1]`` and
-    ``l1[b, y2]`` the terms of the prefix with the head and the tail of the
-    suffix under their labelings y1 and y2 (gathered from ``lift``, see
-    ``_suffix_tables``, one prefix vertex at a time), all under weights w.
-    The prefix holds at least one vertex.
+    prefix (``_pair_scores``), and ``l0[b, y1]`` and ``l1[b, y2]`` the terms
+    of the prefix with the head and the tail of the suffix under their
+    labelings y1 and y2 (gathered from ``lift``, see ``_suffix_tables``, one
+    prefix vertex at a time), all under weights w.  The prefix holds at least
+    one vertex.
     """
     p = labels.shape[1]
-    pfirst, psecond = _pairs(p)
-    score = step[labels[:, pfirst], labels[:, psecond]] @ w[pfirst, psecond]
+    score = _pair_scores(labels, w, step)
     head, tail = lift[0][labels[:, 0], 0], lift[1][labels[:, 0], 0]
     for i in range(1, p):  # no n-by-p-by-labelings gather: a bounded block has many rows
         head += lift[0][labels[:, i], i]
@@ -413,17 +429,26 @@ def _walk_levels(
     ``lift``).  One broadcast add joins the two halves onto ``own`` into the
     score of every (row, suffix labeling) pair of a chunk (``_row_scores``).
     Row-major order over those pairs is lexicographic order over the
-    vectors, so one ``flatnonzero`` per chunk gives its ties in visit order,
-    merged into the running best.
+    vectors, so one ``flatnonzero`` per chunk gives its ties in visit order.
+
+    Every chunk takes its ties by one rule.  The lead is the highest score
+    some visited vector is known to reach.  A chunk whose maximum is the
+    floor, or below the lead minus the slack (0 on int64 weights, see
+    below), holds no optimum and is skipped; otherwise its maximum raises
+    the lead.  The candidates are the vectors scoring that maximum, or on
+    rounded weights those within the slack of the lead; the unvisited ones
+    are dropped, and the rest are merged into the best, the count of ties
+    and the kept rows.
 
     Vectors the walk does not visit (gapped, or not restricted-growth) are
     scored too.  Each of them compresses its levels (ordered) or relabels
     them by first use (cuts) into a visited vector with the same score that
     is lexicographically smaller, so it sits in the same chunk or an earlier
-    one.  The running best over all vectors is thus the best over visited
-    ones, and only the ties need the validity check.  With ``exact_k`` that
-    argument fails (a vector using fewer levels may score more), so invalid
-    vectors are masked below every score before the maximum is taken.
+    one.  A chunk's maximum over all its vectors is thus a score some
+    visited vector reaches, and may raise the lead before the validity
+    check; only the candidates are checked.  With ``exact_k`` that argument
+    fails (a vector using fewer levels may score more), so invalid vectors
+    are masked below every score before the maximum is taken.
 
     With ``bound`` (``solve``'s walk; ``solve_bruteforce`` and the cut walk
     stay unbounded, as the oracles), rows come in blocks of about
@@ -433,17 +458,17 @@ def _walk_levels(
     row, from the block's prefix scores and half-lifts and two maxima of
     ``own`` taken once per call.  A row with no visited vector gets the
     floor.  The block's row with the highest bound, when that bound passes
-    the lead (the best accepted score seen), raises the lead to its best
-    accepted vector's score; that row is scored again in turn.  Then only
-    the rows whose bound reaches the lead (minus the slack, on rounded
-    weights) are scored, in chunks of the block's terms, and the lead rises
-    as chunks are scored.  A skipped row's bound is strictly below an
-    accepted score, so every vector in it is strictly below the optimum
-    (or, on rounded weights, would not survive the slack) and would never
-    be kept: the best, the count of ties, their order, and the cap stay
-    those of the unbounded walk.  The block's terms are dropped before the
-    next block, so memory stays that of a block.  Walks over fewer than
-    ``_BOUND_ROWS`` rows skip the pass, which would not pay there.
+    the lead, raises the lead to its best accepted vector's score; that row
+    is scored again in turn.  Then only the rows whose bound reaches the
+    lead (minus the slack, on rounded weights) are scored, in chunks of the
+    block's terms, and the lead rises as chunks are scored.  A skipped row's
+    bound is strictly below an accepted score, so every vector in it is
+    strictly below the optimum (or, on rounded weights, would not survive
+    the slack) and would never be kept: the best, the count of ties, their
+    order, and the cap stay those of the unbounded walk.  The block's terms
+    are dropped before the next block, so memory stays that of a block.
+    Walks over fewer than ``_BOUND_ROWS`` rows skip the pass, which would
+    not pay there.
 
     Every score is taken in int64, on the weights of ``_walk_weights``.  For
     int64 weights those scores are exact.  Python-int weights are rounded,
@@ -451,14 +476,13 @@ def _walk_levels(
     2**e, so a vector whose rounded score is below the lead minus the slack
     cannot be optimal.  Invalid vectors are masked here too; the chunk's
     maximum joins the lead first, and only the vectors within the slack of
-    it (the survivors) are scored exactly.  Each survivor is scored from its
-    row's exact prefix score and s-by-k table, rebuilt for the rows holding
-    survivors only, plus its suffix pair terms, read from ``digits`` and
-    ``step``; when over a quarter of the vectors of those rows survive, the
-    rows are scored whole, like a chunk, on exact ``own`` and ``lift``
-    tables that ``_suffix_tables`` builds once per call.  Ties, count and
-    cap are taken on exact scores, and every optimal vector is a survivor,
-    so the result is exact.
+    it (the survivors) are scored exactly, each over all its pairs
+    (``_pair_scores`` on its whole vector).  When over a quarter of the
+    vectors of the rows holding survivors survive, those rows are scored
+    whole instead, like a chunk, on exact ``own`` and ``lift`` tables that
+    ``_suffix_tables`` builds once per call.  Ties, count and cap are taken
+    on exact scores, and every optimal vector is a survivor, so the result
+    is exact.
     """
     m = w.shape[0]
     s = 1
@@ -518,51 +542,36 @@ def _walk_levels(
             if masked:
                 np.putmask(vals, ~ok[pm], _FLOOR)
             top = int(vals.max())
+            if top == _FLOOR or lead is not None and top < lead - slack:
+                continue
+            lead = top if lead is None else max(lead, top)
+            hits = np.flatnonzero(vals >= lead - slack if slack else vals == top)
+            if not masked:  # the unvisited vectors among the ties
+                hits = hits[ok[pm[hits // size], hits % size]]
             if slack:  # the survivors, scored exactly
-                if top == _FLOOR:
-                    continue
-                lead = top if lead is None else max(lead, top)
-                hits = np.flatnonzero(vals >= lead - slack)
-                if hits.size == 0:
-                    continue
                 r, x = np.divmod(hits, size)
                 held, row_of = np.unique(r, return_inverse=True)
-                hlab = lab[held]  # the rows holding survivors
                 if 4 * hits.size > held.size * size:  # their whole rows, scored exactly
                     if xown is None:
                         xlift, xown = _suffix_tables(w, p, k, s, unordered)
                     if p:
                         xvals = np.empty((held.size, size), object)
-                        xvals = _row_scores(_row_terms(hlab, xlift, w, step), xown, xvals)
+                        xvals = _row_scores(_row_terms(lab[held], xlift, w, step), xown, xvals)
                     else:  # the one row
                         xvals = xown.reshape(1, -1)
                     xvals = xvals[row_of, x]
-                else:  # each survivor, from its row's exact prefix score and s-by-k table
-                    pfirst, psecond = _pairs(p)
-                    xscore = step[hlab[:, pfirst], hlab[:, psecond]] @ w[pfirst, psecond]
-                    xtable = w[:p, p:].T @ step[hlab]
-                    first, second = _pairs(s)
-                    d = digits[:, x]  # the survivors' suffix labelings
-                    xvals = w[p:, p:][first, second] @ step[d[first], d[second]] + xscore[row_of]
-                    xvals += xtable[row_of[:, None], np.arange(s), d.T].sum(1)
+                else:  # each survivor over all its pairs
+                    xvals = _pair_scores(np.hstack([lab[r], digits[:, x].T]), w, step)
                 top = xvals.max()
                 hits = hits[xvals == top]
-            else:
-                hits = np.flatnonzero(vals == top)
-                hits = hits[ok[pm[hits // size], hits % size]]
             if hits.size == 0 or best is not None and top < best:
                 continue
             if best is None or top > best:
                 best, nopt, nkept, kept = top, 0, 0, []
-            if not slack:
-                lead = top if lead is None else max(lead, top)
             nopt += hits.size
             r, x = np.divmod(hits[: cap - nkept], size)
             if r.size:
-                found = np.empty((r.size, m), np.intp)
-                found[:, :p] = lab[r]
-                found[:, p:] = digits[:, x].T
-                kept.append(found)
+                kept.append(np.hstack([lab[r], digits[:, x].T]))
                 nkept += r.size
     return best, nopt, np.concatenate(kept)
 
@@ -868,12 +877,8 @@ def _canonical_walk(m: int, kk: int, need: int, counted, listed) -> tuple[np.nda
     table = np.empty((min(need, total), m), np.intp)
     room = len(table)
     stack = [iter([([], state, total)])]
-    while room and stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        prefix, state, n = node
+    while room:  # a descended prefix's children fill the room before its iterator runs dry
+        prefix, state, n = next(stack[-1])
         if n > 2 * room:
             # built now: a generator reading ``prefix`` would see a later node's
             children = [prefix + [b] for b in range(kk)]

@@ -80,6 +80,17 @@ def test_guard_below_one_is_an_input_error(capsys, cyc_file, command):
     assert capsys.readouterr().err == "error: guard must be at least 1\n"
 
 
+def test_an_optimum_past_the_int_string_limit_prints_in_full(capsys, tmp_path):
+    # each weight has 4,300 digits, sys.get_int_max_str_digits()'s default, so it reads
+    # back; the optimum, two of them, has 4,301, which str() refuses
+    nines = "9" * 4300
+    path = tmp_path / "big.txt"
+    path.write_text(f"tournament 3\na\nb\nc\na b {nines}\na c {nines}\nb c {nines}\n")
+    code, out = run_cli(capsys, "solve", "--k", "2", str(path))
+    assert code == 0
+    assert out.splitlines() == ["optimum 1" + "9" * 4299 + "8", "witness a b > c"]
+
+
 def test_decide(capsys, cyc_file):
     code, out = run_cli(capsys, "decide", "--k", "2", "--threshold", "1", str(cyc_file))
     assert code == 0

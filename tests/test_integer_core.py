@@ -335,10 +335,10 @@ def test_arc_built_forms_take_the_exact_dtype(monkeypatch, build):
             lines += [f"{x} {y} {v}" for (x, y), v in arcs.items()]
             with monkeypatch.context() as patch:
                 if build == "byte reader":
-                    patch.setattr(formats, "_TOURNAMENT_BYTES_MIN", 0)
+                    patch.setattr(formats, "_BYTES_MIN", 0)
                     patch.setattr(formats, "_lines", line_reader)
                 else:
-                    patch.setattr(formats, "_TOURNAMENT_BYTES_MIN", math.inf)
+                    patch.setattr(formats, "_BYTES_MIN", math.inf)
                 t = parse_tournament("\n".join(lines) + "\n")
         assert_exact_arc_form(t, weights, dtype)
 

@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 from maxkop import Profile, WeakOrder, WeightedTournament, induce_tournament
 from maxkop import formats
 from maxkop.formats import (
-    _PROFILE_BYTES_MIN,
-    _TOURNAMENT_BYTES_MIN,
+    _BYTES_MIN,
     ParseError,
     _lines,
     _parse_header,
@@ -221,7 +220,7 @@ def profile_texts(draw):
         lines.append(" ".join(toks) + mult)
     body = lines[len(names) + 1 :]
     if body and rng.randrange(20) == 0:  # past the byte reader's size threshold
-        lines += body * (_PROFILE_BYTES_MIN // (len("".join(body)) + 1) + 1)
+        lines += body * (_BYTES_MIN // (len("".join(body)) + 1) + 1)
     return layout(rng, lines)
 
 
@@ -331,8 +330,8 @@ def test_regular_texts_are_read_on_arrays(monkeypatch, m, weight):
     t = random_tournament(rng, m, -weight, weight)
     profile_text, tournament_text = format_profile(p), format_tournament(t)
     assert "×" in profile_text
-    assert len(profile_text) >= _PROFILE_BYTES_MIN
-    assert len(tournament_text) >= _TOURNAMENT_BYTES_MIN
+    assert len(profile_text) >= _BYTES_MIN
+    assert len(tournament_text) >= _BYTES_MIN
 
     def line_reader(text):
         raise AssertionError("a regular text went to the line reader")

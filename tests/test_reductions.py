@@ -34,6 +34,7 @@ from maxkop import (
 )
 from maxkop.formats import format_tournament
 from maxkop.selftest import random_graph
+from maxkop.solvers import _growth_counts
 
 
 def unit_graph(verts: str, *edges: str) -> CutInstance:
@@ -205,6 +206,22 @@ def test_cut_bruteforce_guard_is_the_partition_count():
     assert len(solve_cut_bruteforce(g, 3, guard=count)[1]) == count
     with pytest.raises(GuardExceededError):
         solve_cut_bruteforce(g, 3, guard=count - 1)
+
+
+def test_cut_bruteforce_guard_counts_partitions_past_int64():
+    from maxkop import GuardExceededError
+
+    # S(n, j), Stirling numbers of the second kind: sum_{j <= 3} S(45, j) passes 2**63
+    row = [1] + [0] * 3
+    for n in range(1, 46):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, 4)]
+    count = sum(row)
+    assert count >= 2**63
+    assert _growth_counts(3, 45)[45, 0] == count  # the walk's own table, in Python ints
+    g = CutInstance(tuple(f"v{i}" for i in range(45)), {})
+    with pytest.raises(GuardExceededError) as err:
+        solve_cut_bruteforce(g, 3, guard=1)
+    assert f": {count} " in str(err.value)
 
 
 def test_build_hg_single_edge():

@@ -463,6 +463,25 @@ def test_canonical_walk_counts_only_the_prefixes_it_reaches(need, seen):
     assert found.tolist() == every[:need].tolist()
 
 
+def test_canonical_walk_sorts_a_batch_past_int64_keys_column_by_column():
+    # the 16 optimal 2-partitions differ only in where the four 0-potential vertices go;
+    # their count is at most twice the cap, so they are listed at the root over all 70
+    # free columns, and 2**70 packed keys pass int64
+    pot = [*range(1, 34), 0, 0, 0, 0, *range(-1, -34, -1)]
+    verts = [f"v{i}" for i in range(len(pot))]
+    t = WeightedTournament(
+        verts, {(verts[i], verts[j]): pot[i] - pot[j] for i, j in combinations(range(70), 2)}
+    )
+    res = solve_acyclic_dp(t, 2, all_ties=True)
+    rows = [tuple(row) for row in res.table.tolist()]
+    assert len(rows) == 16 and not res.truncated
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert all(partition_score(t, p) == res.optimum for p in res.witnesses)
+    capped = solve_acyclic_dp(t, 2, all_ties=True, witness_cap=5)
+    assert capped.truncated
+    assert [tuple(row) for row in capped.table.tolist()] == rows[:5]
+
+
 def test_walk_weights_round_python_ints_into_int64():
     rng = random.Random(8)
     w = np.array([[0, 3, -5], [-3, 0, 7], [5, -7, 0]], np.int64)
