@@ -218,7 +218,7 @@ def _run_reduce(ns: argparse.Namespace, out) -> int:
         gstar, sigma = add_club_vertex(g)
         out_path = prefix.parent / (prefix.name + ".club.graph.txt")
         out_path.write_text(format_graph(gstar), encoding="utf-8")
-        map_lines.append("constant sigma " + str(sigma))
+        map_lines.append("constant sigma " + format_rational(sigma))
     else:
         gm = build_hg(g) if ns.gadget == "hg" else build_fg(g)
         out_path = prefix.parent / (prefix.name + f".{ns.gadget}.tournament.txt")
@@ -246,17 +246,17 @@ def _run_verify(ns: argparse.Namespace, out) -> int:
     g = read_graph(ns.file)
     if ns.theorem == "1":
         ok, cut, kop = check_tricut_identity(g, guard=ns.guard)
-        lhs, rhs = cut, format_rational(kop)
+        lhs, rhs = format_rational(cut), format_rational(kop)
     elif ns.theorem == "prop1":
         ok, tri, expected = check_club_identity(g, guard=ns.guard)
-        lhs, rhs = tri, expected
+        lhs, rhs = format_rational(tri), format_rational(expected)
     else:
         report = check_transitive_gadget(g, guard=ns.guard)
         out(f"transitive {'true' if report.transitive else 'false'}")
         out(f"tiny_bound {'true' if report.tiny_bound_ok else 'false'}")
         ok = report.ok
-        lhs = report.brute_rounded if report.brute_rounded is not None else "lift"
-        rhs = report.expected
+        lhs = "lift" if report.brute_rounded is None else format_rational(report.brute_rounded)
+        rhs = format_rational(report.expected)
     if ok:
         out(f"PASS {lhs} = {rhs}")
         return 0

@@ -32,8 +32,8 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
 
 
-def format_rational(x: Fraction) -> str:
-    """p/q in lowest terms, q = 1 elided, however many digits p and q have.
+def format_rational(x: Fraction | int) -> str:
+    """p/q in lowest terms, q = 1 elided, however many digits p and q have (an int is p/1).
 
     ``str`` refuses an integer past ``sys.get_int_max_str_digits()``;
     ``Decimal`` prints one of any length, and only such a value takes it.
@@ -520,7 +520,7 @@ def format_profile(p: Profile) -> str:
     out.extend(p.alternatives)
     lines = "\n".join(_format_levels(p.alternatives, p.ranks, " | ")).split("\n")
     for line, count in zip(lines, p.counts):
-        out.append(line if count == 1 else f"{line} × {count}")
+        out.append(line if count == 1 else f"{line} × {format_rational(count)}")
     return "\n".join(out) + "\n"
 
 
@@ -551,7 +551,7 @@ def format_graph(g: CutInstance) -> str:
         g.edge_weights.items(), key=lambda kv: (g.index(kv[0][0]), g.index(kv[0][1]))
     ):
         if w != 0:
-            out.append(f"{x} {y} {w}")
+            out.append(f"{x} {y} {format_rational(w)}")
     return "\n".join(out) + "\n"
 
 

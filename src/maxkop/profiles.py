@@ -9,7 +9,13 @@ rule, Kemeny) appear at particular (j, k) choices.
 Both ends keep integer forms and build objects only when read.  A
 ``Profile`` stores a rank matrix over its alternatives plus the ballot
 multiplicities; ``induce_tournament`` and ``validate_ballots`` work on that
-matrix, and its ``ballots`` derive the ``WeakOrder`` objects.  An
+matrix, and its ``ballots`` derive the ``WeakOrder`` objects.  An induced
+tournament carries the Borda vector counted from the ballots and fills its
+m-by-m matrix on first read.  At two levels, and for univalent output, only
+the cocycle part of the weights is visible, and that part is the outer
+difference of the Borda vector, so the two-level rules (the mean rule, the
+Borda mean rule, the approval, plurality and Borda winners) read the Borda
+vector alone and never build the matrix.  An
 ``AggregateResult`` stores its orders as one read-only table of level vectors
 over the alternatives and builds tuples (``levels``) and ``WeakOrder``
 objects (``orders``) only when read.
@@ -20,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .solvers import DEFAULT_GUARD, DEFAULT_WITNESS_CAP, _levels, solve
 from .tournament import (
+    IntegerForm,
     WeightedTournament,
     _form_dtype,
     _integer,
@@ -35,6 +42,7 @@ from .tournament import (
     _LevelTableResult,
     _ordered_blocks,
     _vertex_index,
+    exact_int_matrix,
 )
 
 #: Level spec meaning "as many classes as alternatives" (linear orders).
@@ -188,22 +196,62 @@ def _order_of(alternatives: tuple[str, ...], row: Sequence[int]) -> WeakOrder:
 
 
 def induce_tournament(p: Profile) -> WeightedTournament:
-    """Net-majority tournament: arc (x, y) weighs supporters of x minus of y."""
+    """Net-majority tournament: arc (x, y) weighs supporters of x minus of y.
+
+    Its integer form carries the Borda vector counted from the ballots
+    (``_ballot_beta``) and fills the m-by-m matrix on the first read of ``w``
+    (``_net_majorities``).
+    """
     m = len(p.alternatives)
     if m < 2:
         raise ValueError("inducing a tournament needs at least two alternatives")
-    # sum(abs(w)) <= m**2 * voters, so the fill cannot wrap in this dtype
-    dtype = _form_dtype(2 * m**3 * p.voter_count)
-    # the narrowest dtype holding every rank difference keeps the sign table small
-    ranks = p.ranks.astype(np.min_scalar_type(-m))
+    form = IntegerForm(partial(_net_majorities, p), 1, _ballot_beta(p))
+    return WeightedTournament(p.alternatives, form)  # type: ignore[arg-type]
+
+
+def _ballot_beta(p: Profile) -> np.ndarray:
+    """The induced tournament's Borda vector, from the rank matrix in O(n * m).
+
+    Ballot b adds c_b to x's arcs down to the alternatives below x's class
+    and takes c_b from those up to the ones above it, so
+    beta[x] = sum over b of c_b * (m - 2 * above_b(x) - same_b(x)), same_b(x)
+    the size of x's class (x included).  The class sizes of every ballot come
+    from one ``bincount`` over cells rank * n + b.  The dtype is
+    ``IntegerForm``'s rule for beta, taken from an exact sum.
+    """
+    n, m = p.ranks.shape
+    classes = int(p.ranks.max()) + 1
+    cell = p.ranks * np.intp(n) + np.arange(n)[:, None]  # intp: a cell may pass 2**31
+    size = np.bincount(cell.ravel(), minlength=classes * n).reshape(classes, n)
+    # m - 2 * (above + same) + same, where above + same is the running total of the class sizes
+    net = size.cumsum(0)
+    net *= -2
+    net += size
+    net += m
+    # |net| < m, so no entry of beta wraps in this dtype
+    beta = np.array(p.counts, _form_dtype(m * p.voter_count)) @ net.take(cell)
+    return beta.astype(_form_dtype(2 * m * sum(map(abs, beta.tolist()))))
+
+
+def _net_majorities(p: Profile) -> np.ndarray:
+    """The induced tournament's matrix, N - N.T with N[x, y] the voters ranking x above y.
+
+    N is summed over chunks of ballots from a bool "ranks above" table with
+    the ballots on its last axis, in int32 while the voter total is below
+    2**31, in int64 below 2**62 and in Python ints past that (no entry of N
+    exceeds the voter total).  The matrix takes ``exact_int_matrix``'s dtype.
+    """
+    n, m = p.ranks.shape
+    voters = p.voter_count
+    dtype = np.int32 if voters < 2**31 else _form_dtype(voters)
     counts = np.array(p.counts, dtype)
-    w = np.zeros((m, m), dtype)
-    step = max(1, 2**16 // m**2)  # ballots per pass, bounding the sign table
-    for lo in range(0, len(ranks), step):
-        r = ranks[lo : lo + step]
-        # sign[b, x, y] is +1 when ballot b ranks x above y, -1 when below
-        w += np.tensordot(counts[lo : lo + step], np.sign(r[:, None, :] - r[:, :, None]), 1)
-    return WeightedTournament.from_int_matrix(p.alternatives, w, 1)
+    ranks = p.ranks.T.astype(np.min_scalar_type(m), order="C")
+    ahead = np.zeros((m, m), dtype)
+    step = max(1, 2**20 // m**2)  # ballots per chunk, bounding the table
+    for lo in range(0, n, step):
+        r = ranks[:, lo : lo + step]
+        ahead += np.einsum("xyb,b->xy", r[:, None] < r[None], counts[lo : lo + step])
+    return exact_int_matrix(ahead - ahead.T)
 
 
 def _spec_description(spec: LevelSpec) -> str:

@@ -10,9 +10,13 @@ as an antisymmetric integer matrix, plus its row sums (the scaled Borda
 scores).  The mapping constructor, both readers of ``parse_tournament``
 and the gadget builder ``build_hg`` hand their arcs to ``_arc_form``, which
 takes the scale and the dtype from the arcs before it fills the matrix;
-``induce_tournament``, ``build_fg`` and the decomposition fill a matrix and
-hand it to ``from_int_matrix``, which takes its dtype from an exact pass over
-it (``exact_int_matrix``).  Every fast path reads the form, and so do the
+``build_fg`` and the decomposition fill a matrix and hand it to
+``from_int_matrix``, which takes its dtype from an exact pass over it
+(``exact_int_matrix``).  ``induce_tournament`` carries the Borda vector
+counted from the ballots and a function that fills the matrix, which runs on
+the first read of ``w``: the routes that read the Borda vector alone (every
+two-level rule, where only the cocycle part of the weights is visible) never
+build the m-by-m matrix.  Every fast path reads the form, and so do the
 transitivity tests and inner products.  The ``Fraction`` view ``weights`` is
 derived on first read.  Results stay exact ``Fraction``s; ``weight`` and
 ``partition_score`` keep plain ``Fraction`` loops as the independent
@@ -26,9 +30,9 @@ import operator
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Container, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -78,22 +82,34 @@ class IntegerForm:
     """Exact integer image of a tournament's weights.
 
     ``w`` is the antisymmetric m-by-m matrix with ``w == scale * weights`` and
-    ``beta = w.sum(1)`` the scaled Borda vector.  The dtype is int64 when every
-    quantity derived from ``w`` stays below 2**62 (``m * w``, ``beta`` and its
-    differences, ``m`` times the prefix sums of ``beta`` in any order, each at
-    most ``2 * m * sum(abs(w))``) and object (Python ints) otherwise: int64
-    wraps silently, so bounding ``w`` alone is not enough.
+    ``beta = w.sum(1)`` the scaled Borda vector.  ``fill`` returns ``w`` and
+    runs on its first read, so a form whose ``beta`` is known without the
+    matrix (``induce_tournament``'s) builds it only for a reader of ``w``;
+    a form given the matrix fills it by ``partial(np.asarray, w)``.  Both
+    are partials of module functions, so a form pickles.
+    The dtype of ``w`` is int64 when every quantity derived from it stays
+    below 2**62 (``m * w``, ``beta`` and its differences, ``m`` times the
+    prefix sums of ``beta`` in any order, each at most
+    ``2 * m * sum(abs(w))``) and object (Python ints) otherwise: int64 wraps
+    silently, so bounding ``w`` alone is not enough.  ``beta`` has the dtype
+    of ``w`` or its own by the same rule, int64 iff
+    ``2 * m * sum(abs(beta)) < 2**62``, which bounds the same quantities of
+    ``beta``.
     """
 
-    w: np.ndarray
+    fill: Callable[[], np.ndarray] = field(repr=False)
     scale: int
     beta: np.ndarray
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self.fill()
 
     @classmethod
     def of(cls, w: np.ndarray, scale: int) -> "IntegerForm":
         """Form of an exact integer matrix (int64 input must not have wrapped)."""
         w = exact_int_matrix(w)
-        return cls(w, scale, w.sum(1))
+        return cls(partial(np.asarray, w), scale, w.sum(1))
 
     def beta_differences(self) -> np.ndarray:
         """beta[x] - beta[y] at [x, y]: the acyclic part of the weights times scale * m."""
@@ -119,7 +135,7 @@ def _arc_form(m: int, i, j, nums, dens=None) -> IntegerForm:
     w = np.zeros((m, m), _form_dtype(4 * m * total))
     w[i, j] = nums  # an int64 array fills an object matrix with Python ints
     w = w - w.T
-    return IntegerForm(w, scale, w.sum(1))
+    return IntegerForm(partial(np.asarray, w), scale, w.sum(1))
 
 
 class ArcWeights(Mapping):
@@ -226,9 +242,10 @@ class WeightedTournament(_VertexLookup):
 
     The constructor takes ``weights`` as a mapping keyed by either
     orientation of a pair; missing pairs weigh zero.  The parsers,
-    ``build_hg`` and ``from_int_matrix`` pass an ``IntegerForm`` over the
-    vertex list in its place (``_arc_form``, ``IntegerForm.of``), which is
-    taken as is: only the vertex names are checked.
+    ``build_hg``, ``from_int_matrix`` and ``induce_tournament`` pass an
+    ``IntegerForm`` over the vertex list in its place (``_arc_form``,
+    ``IntegerForm.of``), which is taken as is: only the vertex names are
+    checked.
     """
 
     vertices: tuple[str, ...]

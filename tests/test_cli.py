@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -390,6 +391,21 @@ def test_verify_prop1(capsys, k3_file):
     code, out = run_cli(capsys, "verify", "--theorem", "prop1", str(k3_file))
     assert code == 0
     assert out.strip() == "PASS 14 = 14"
+
+
+def test_verify_sides_past_the_int_string_limit_print_in_full(capsys, tmp_path):
+    # three edges of 4,300 nines: every side has 4,301 digits or more, which str() refuses
+    nines = "9" * 4300
+    path = tmp_path / "big.txt"
+    path.write_text(f"graph 3\na\nb\nc\na b {nines}\na c {nines}\nb c {nines}\n")
+    cut = str(Decimal(3 * int(nines)))
+    code, out = run_cli(capsys, "verify", "--theorem", "1", str(path))
+    assert code == 0
+    assert out.strip() == f"PASS {cut} = {cut}"
+    code, out = run_cli(capsys, "verify", "--theorem", "prop1", str(path))
+    assert code == 0
+    verdict, lhs, eq, rhs = out.split()
+    assert (verdict, eq) == ("PASS", "=") and lhs == rhs and len(lhs) > 4300
 
 
 def test_verify_theorem_6(capsys, tmp_path):

@@ -135,6 +135,19 @@ def test_graph_roundtrip():
     assert parse_graph(text) == CutInstance(("a", "b", "c"), {("a", "b"): 2})
 
 
+def test_graph_and_profile_integers_past_the_int_string_limit():
+    # 4,300 digits, sys.get_int_max_str_digits()'s default, still read back
+    nines = int("9" * 4300)
+    g = CutInstance(("a", "b", "c"), {("a", "b"): nines, ("a", "c"): nines, ("b", "c"): nines})
+    assert parse_graph(format_graph(g)) == g
+    # one digit more cannot be read back, but prints in full
+    big = 10**4300
+    text = format_graph(CutInstance(("a", "b"), {("a", "b"): big}))
+    assert text.splitlines()[-1] == "a b 1" + "0" * 4300
+    p = Profile(("a", "b"), ((WeakOrder.from_classes([["a"], ["b"]]), big),))
+    assert format_profile(p).splitlines()[-1] == "a | b × 1" + "0" * 4300
+
+
 def test_graph_roundtrip_random():
     rng = random.Random(72)
     for _ in range(10):

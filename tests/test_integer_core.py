@@ -9,6 +9,7 @@ loops kept in this file (or against ``solve_bruteforce`` for the solvers).
 
 import itertools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -182,6 +183,127 @@ def test_induced_form_takes_the_exact_dtype(voters):
         assert w.dtype == want.dtype and w.tolist() == want.tolist()
         assert t.weights == ref_induce(p)
     assert (induce_tournament(single).integer_form.w.dtype == object) == (36 * voters >= 2**62)
+
+
+def ref_beta(alts, weights):
+    """Row sums of the reference induce's weights, in alternative order."""
+    beta = dict.fromkeys(alts, 0)
+    for (x, y), w in weights.items():
+        beta[x] += w
+        beta[y] -= w
+    return [int(beta[a]) for a in alts]
+
+
+def shaped_order(rng, alts, shape):
+    m = len(alts)
+    if shape == "univalent":
+        top = rng.choice(alts)
+        return WeakOrder.from_classes([[top], [a for a in alts if a != top]])
+    classes = {"weak": rng.randint(1, m), "linear": m, "dichotomous": 2, "indifferent": 1}[shape]
+    return random_weak_order(rng, alts, classes)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("shape", ["weak", "linear", "dichotomous", "univalent", "indifferent"])
+def test_induced_beta_and_matrix_match_reference(shape, mirrored):
+    rng = random.Random(len(shape) + mirrored)
+    for m in (2, 3, 6, 11):
+        alts = vertex_names(m)
+        ballots = [(shaped_order(rng, alts, shape), rng.randint(1, 50)) for _ in range(12)]
+        if mirrored:  # each ballot and its reversal: every net majority is 0
+            ballots += [(WeakOrder(order.classes[::-1]), n) for order, n in ballots]
+        p = Profile(alts, ballots)
+        t = induce_tournament(p)
+        want = ref_induce(p)
+        assert t.integer_form.beta.tolist() == ref_beta(alts, want)
+        assert t.weights == want
+        if mirrored or shape == "indifferent":
+            assert not t.integer_form.w.any() and not t.integer_form.beta.any()
+
+
+def test_induced_matrix_sums_every_chunk_of_ballots():
+    # 64 alternatives take 256 ballots per chunk, so 300 lines fill two chunks
+    rng = random.Random(4)
+    alts = vertex_names(64)
+    p = Profile(alts, [(random_weak_order(rng, alts, rng.randint(1, 64)), rng.randint(1, 9))
+                       for _ in range(300)])
+    want = np.zeros((64, 64), np.int64)
+    for row, n in zip(p.ranks.tolist(), p.counts):
+        for x, y in combinations(range(64), 2):
+            want[x, y] += n * ((row[x] < row[y]) - (row[x] > row[y]))
+    want -= want.T
+    t = induce_tournament(p)
+    assert t.integer_form.w.tolist() == want.tolist()
+    assert t.integer_form.beta.tolist() == want.sum(1).tolist()
+
+
+# int32 wraps silently at 2**31 and int64 at 2**63, so each side of each change of the
+# accumulators is its own case: N in int32 below 2**31 voters, beta in int64 below
+# 2**62 // m of them, N in int64 below 2**62
+@pytest.mark.parametrize(
+    "voters", [2**31 - 1, 2**31, 2**62 // 4 - 1, 2**62 // 4, 2**62 - 1, 2**62, 2**64 + 3]
+)
+def test_induce_across_the_accumulator_changes(voters):
+    rng = random.Random(voters % 1000)
+    alts = vertex_names(4)
+    up = WeakOrder.from_classes([[a] for a in alts])
+    # nearly every voter casts one linear order, and every voter ranks alts[0] first, so
+    # N[0, y] is the voter total and the other counts of N come within a few voters of it
+    others = [(WeakOrder((frozenset(alts[:1]), *random_weak_order(rng, alts[1:], 2).classes)),
+               rng.randint(1, 3)) for _ in range(5)]
+    p = Profile(alts, [(up, voters - sum(n for _, n in others))] + others)
+    assert p.voter_count == voters
+    t = induce_tournament(p)
+    want = ref_induce(p)
+    assert t.integer_form.beta.tolist() == ref_beta(alts, want)
+    assert t.weights == want
+
+
+def test_induced_beta_takes_its_own_dtype():
+    # a Condorcet cycle: beta is 0, while 2 * m * sum(abs(w)) = 36 * n passes 2**62
+    n = 2**62 // 36 + 1
+    alts = vertex_names(3)
+    p = Profile(alts, [(WeakOrder.from_classes([[a] for a in alts[r:] + alts[:r]]), n)
+                       for r in range(3)])
+    t = induce_tournament(p)
+    form = t.integer_form
+    assert form.beta.dtype == np.int64 and not form.beta.any()
+    assert form.w.dtype == object and t.weights == ref_induce(p)
+    assert is_purely_cyclic(t) and not is_purely_acyclic(t)
+    assert cycle_component(t).weights == t.weights
+    for k in (2, 3):
+        same_result(t, solve(t, k, all_ties=True), solve_bruteforce(t, k, all_ties=True))
+
+
+def test_two_level_rules_never_fill_the_matrix(monkeypatch):
+    def fill(p):
+        raise AssertionError("the net-majority matrix was built")
+
+    monkeypatch.setattr("maxkop.profiles._net_majorities", fill)
+    rng = random.Random(8)
+    alts = vertex_names(7)
+    dich = Profile(alts, [(random_weak_order(rng, alts, 2), rng.randint(1, 9)) for _ in range(20)])
+    lin = Profile(alts, [(random_weak_order(rng, alts, 7), rng.randint(1, 9)) for _ in range(20)])
+    aggregate(dich, 2, 2)
+    aggregate(lin, "linear", 2)
+    aggregate_rule(dich, "approval_winner")
+    t = induce_tournament(dich)
+    solve(t, 2, all_ties=True)
+    assert "w" not in vars(t.integer_form)
+    # the check itself: a route reading w fills it
+    with pytest.raises(AssertionError, match="built"):
+        aggregate(lin, "linear", 3)
+
+
+def test_forms_pickle_before_and_after_the_fill():
+    rng = random.Random(6)
+    alts = vertex_names(5)
+    p = Profile(alts, [(random_weak_order(rng, alts, 3), rng.randint(1, 9)) for _ in range(8)])
+    for t in (induce_tournament(p), random_general(rng, 5, MAGNITUDES["2^70-denominators"])):
+        for _ in range(2):  # the second pass has w filled
+            back = pickle.loads(pickle.dumps(t))
+            assert back.integer_form.beta.tolist() == t.integer_form.beta.tolist()
+            assert back.weights == t.weights
 
 
 # ---- Borda and the decomposition ----------------------------------------------------
