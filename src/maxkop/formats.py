@@ -173,6 +173,8 @@ _SPACES = np.array([0x2020202020202020 >> 8 * n << 8 * n for n in range(8)] + [0
 _POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
 # the heads of the tokens '|', '*' and '×'
 _BAR, _STAR, _TIMES = (int.from_bytes(s.encode().ljust(8, b" "), "little") for s in "|*×")
+# 2^64 / golden ratio, odd: the multiplier of Fibonacci hashing
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
 
 
 class _ByteText:
@@ -203,8 +205,9 @@ class _ByteText:
     def header(self, keyword: bytes) -> tuple[str, ...] | None:
         """The names after a header line ``keyword <count>``, one per line, all valid.
 
-        Sets ``body``, the index of the first token after the names; None
-        when any of this does not hold or a name is over 7 bytes.
+        Sets ``body``, the index of the first token after the names, and
+        ``index``, their ``_vertex_index``; None when any of this does not
+        hold or a name is over 7 bytes.
         """
         start, stop, brk, data = self.start, self.stop, self.brk, self.data
         if len(start) < 2 or data[start[0] : stop[0]] != keyword:
@@ -218,10 +221,10 @@ class _ByteText:
             return None
         if (stop[2 : m + 2] - start[2 : m + 2]).max() > 7:
             return None  # a name that its head does not tell apart
-        spans = zip(start[2 : m + 2].tolist(), stop[2 : m + 2].tolist())
-        names = tuple(data[i:j].decode() for i, j in spans)
+        # the only blanks between them are " \t\n\r", where str.split() splits
+        names = tuple(data[start[2] : stop[m + 1]].decode().split())
         try:
-            _vertex_index(names, None)
+            self.index = _vertex_index(names, None)
         except ValueError:
             return None
         self.body = m + 2
@@ -230,15 +233,34 @@ class _ByteText:
     def codes(self, i) -> np.ndarray:
         """Code of each token i: the position of the name it is, or -1.
 
-        As every name is its head exactly, one search over the sorted name
-        heads and one comparison find every code.
+        The names' heads sit in a linear-probing table of 2^b >= 4m slots
+        (Knuth, TAOCP 3, 6.4), each at its Fibonacci hash or at the first
+        free slot after it.  A token steps past each slot holding another
+        head, at most as many times as the longest run found at build time;
+        as every name is its head exactly, the head it then stops at is its
+        name's or no name's.
         """
         names = self.head[2 : self.body]
-        order = np.argsort(names)
+        bits = (4 * len(names) - 1).bit_length()
+        shift = np.uint64(64 - bits)
+        home = (names * _FIBONACCI >> shift).view(np.intp)
+        order = home.argsort(kind="stable")
+        rank = np.arange(len(order))
+        # the names by home slot, each at the running maximum of home - rank, plus its rank
+        lag = home[order] - rank
+        run = np.maximum.accumulate(lag)
+        probes = int((run - lag).max())
+        table = np.full((1 << bits) + probes, _SPACES[0])  # the head of no token
+        code = np.empty(len(table), np.intp)
+        slot = run + rank
+        table[slot], code[slot] = names[order], order
         heads = self.head[i]
-        at = np.minimum(np.searchsorted(names[order], heads), len(order) - 1)
-        code = order[at]
-        return np.where(names[code] == heads, code, -1)
+        at = (heads * _FIBONACCI >> shift).view(np.intp)
+        for _ in range(probes):
+            at += table[at] != heads
+        found = code[at]
+        found[table[at] != heads] = -1
+        return found
 
     def integers(self, i, signed: bool) -> np.ndarray | None:
         """Values of tokens i spelled ``[-+]?[0-9]{1,18}`` (a sign only if ``signed``), or None."""
@@ -306,7 +328,7 @@ def _tournament_bytes(text: str) -> WeightedTournament | None:
     pair = np.minimum(x, y) * m + np.maximum(x, y)
     if (x == y).any() or np.bincount(pair, minlength=1).max() > 1:
         return None
-    return WeightedTournament(names, _arc_form(m, x, y, nums))
+    return WeightedTournament._of_form(names, _arc_form(m, x, y, nums), t.index)
 
 
 def _profile_bytes(text: str) -> Profile | None:
@@ -348,7 +370,7 @@ def _profile_bytes(text: str) -> Profile | None:
     # a name's class: the '|' tokens before it on its line
     classes = np.cumsum(sep)[at].reshape(n, m)
     ranks = np.full((n, m), -1, RANK_DTYPE)
-    ranks[np.arange(n)[:, None], code.reshape(n, m)] = classes - classes[:, :1]
+    ranks.put(code + np.arange(0, n * m, m).repeat(m), classes - classes[:, :1])
     if (ranks < 0).any():  # a name twice on a line, so another missing
         return None
     multiplicity = np.ones(n, np.int64)
@@ -372,7 +394,7 @@ def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
     if len(text) >= _BYTES_MIN and (t := _tournament_bytes(text)) is not None:
         return t
     _, names, rest = _parse_header(_lines(text), "tournament", path)
-    m = len(names)
+    names, m = tuple(names), len(names)
     arcs = [ln.split() for _, ln in rest]
     linenos = [lineno for lineno, _ in rest]
     n = next((i for i, toks in enumerate(arcs) if len(toks) != 3), len(arcs))
@@ -395,14 +417,14 @@ def parse_tournament(text: str, path: str = "<string>") -> WeightedTournament:
     if error is not None:
         raise error
     try:
-        _vertex_index(tuple(names))
+        index = _vertex_index(names)
         bad = (xi >= m) | (yi >= m) | (xi == yi)
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(_arc_error(set(names), xs[i], ys[i]))
+            raise ValueError(_arc_error(index, xs[i], ys[i]))
     except ValueError as exc:
         raise ParseError(path, 1, str(exc)) from None
-    return WeightedTournament(names, _arc_form(m, xi, yi, nums, dens))
+    return WeightedTournament._of_form(names, _arc_form(m, xi, yi, nums, dens), index)
 
 
 def format_tournament(t: WeightedTournament) -> str:
@@ -435,33 +457,63 @@ _CHUNK_ROWS = 2048  # rows per text chunk, bounding the transient cell table and
 
 @lru_cache(maxsize=16)
 def _vocabulary(names: tuple[str, ...], sep: str, head: str) -> np.ndarray:
-    """``vocab[v, g]``: name v followed by " ", ``sep`` or a line end and ``head``; read-only."""
-    vocab = np.array(names, object)[:, None] + np.array([" ", sep, "\n" + head], object)
+    """``vocab[g * m + v]``: name v, then " " (g = 0), ``sep`` (1) or a line end and ``head`` (2).
+
+    Read-only, as is ``_cell_keys``' table.
+    """
+    vocab = (np.array(names, object) + np.array([" ", sep, "\n" + head], object)[:, None]).ravel()
     vocab.flags.writeable = False
     return vocab
+
+
+@lru_cache(maxsize=16)
+def _cell_keys(m: int) -> tuple[np.ndarray, int]:
+    """``(cols, bits)``: the vertices 0..m-1 as cell keys ``(level << bits) | vertex`` of level 0.
+
+    ``bits`` is the width of a vertex; ``cols`` has the narrowest unsigned
+    dtype holding every key of a level below m.
+    """
+    bits = (m - 1).bit_length()
+    cols = np.arange(m, dtype=np.min_scalar_type((m - 1) << bits | (1 << bits) - 1))
+    cols.flags.writeable = False
+    return cols, bits
 
 
 def _format_levels(
     names: Sequence[str], table: np.ndarray, sep: str, head: str = ""
 ) -> Iterator[str]:
-    """The lines of a level-vector table over ``names``, in text chunks of up to 2048 lines.
+    """The lines of a gap-free level-vector table over ``names``, in chunks of up to 2048 lines.
 
     A row's line is ``head``, then the names by level, level 0 first and in
     the order of ``names`` within a level, levels separated by ``sep`` (" > "
     for partitions, " | " for weak orders and ballot lines).  A chunk joins
-    its lines with newlines, without a trailing one.  Per chunk: one stable
-    argsort, one gather from a vocabulary of each name followed by " ",
-    ``sep`` or a line end (``_vocabulary``, kept across calls), and one join.
+    its lines with newlines, without a trailing one.  A gap-free vector's
+    levels are below m, so each cell packs into one key ``(level << bits)
+    | vertex`` (``_cell_keys``), and the keys are distinct.  Per chunk: one
+    sort of the keys, which gives each row's names in line order (``key &
+    mask``) and the level breaks (keys that differ above ``mask``); one
+    flat take from a vocabulary of each name followed by " ", ``sep`` or a
+    line end (``_vocabulary``); and one join.  Both tables are kept across
+    calls.
     """
+    m = len(names)
     vocab = _vocabulary(tuple(names), sep, head)
+    cols, bits = _cell_keys(m)
+    mask = (1 << bits) - 1
     for lo in range(0, len(table), _CHUNK_ROWS):
-        lv = table[lo : lo + _CHUNK_ROWS]
-        order = np.argsort(lv, axis=1, kind="stable")
-        ranked = np.take_along_axis(lv, order, 1)
-        gap = np.full(lv.shape, 2, np.intp)  # 0: same level next, 1: next level, 2: line end
-        gap[:, :-1] = ranked[:, 1:] != ranked[:, :-1]
-        cells = vocab[order, gap]
-        cells[-1, -1] = names[order[-1, -1]]  # the chunk's last name ends no line
+        key = table[lo : lo + _CHUNK_ROWS].astype(cols.dtype) << bits | cols
+        key.sort()
+        # a cell's gap kind: 0 same level next, 1 next level (keys differ above the
+        # mask), 2 line end; then its vocabulary entry, kind * m + vertex (< 3m, so
+        # the key's dtype holds it)
+        cell = np.empty_like(key)
+        flat = key.ravel()
+        np.greater(flat[1:] ^ flat[:-1], mask, out=cell.ravel()[:-1])
+        cell[:, -1] = 2
+        cell *= m
+        cell += key & mask
+        cells = vocab.take(cell)
+        cells[-1, -1] = names[key[-1, -1] & mask]  # the chunk's last name ends no line
         cells[0, 0] = head + cells[0, 0]
         yield "".join(cells.ravel().tolist())
 

@@ -241,11 +241,12 @@ class WeightedTournament(_VertexLookup):
     on first read.
 
     The constructor takes ``weights`` as a mapping keyed by either
-    orientation of a pair; missing pairs weigh zero.  The parsers,
-    ``build_hg``, ``from_int_matrix`` and ``induce_tournament`` pass an
-    ``IntegerForm`` over the vertex list in its place (``_arc_form``,
-    ``IntegerForm.of``), which is taken as is: only the vertex names are
-    checked.
+    orientation of a pair; missing pairs weigh zero.  ``build_hg``,
+    ``from_int_matrix`` and ``induce_tournament`` pass an ``IntegerForm``
+    over the vertex list in its place (``_arc_form``, ``IntegerForm.of``),
+    which is taken as is: only the vertex names are checked.  The parsers,
+    which have checked the names already, hand over the form with their
+    ``_vertex_index`` (``_of_form``).
     """
 
     vertices: tuple[str, ...]
@@ -258,6 +259,18 @@ class WeightedTournament(_VertexLookup):
         form = self.weights
         if not isinstance(form, IntegerForm):
             form = _mapping_form(index, form)
+        self._store(vertices, form, index)
+
+    @classmethod
+    def _of_form(
+        cls, vertices: tuple[str, ...], form: IntegerForm, index: dict[str, int]
+    ) -> "WeightedTournament":
+        """Tournament of checked vertex names, their ``_vertex_index``, and a form over them."""
+        t = cls.__new__(cls)
+        t._store(vertices, form, index)
+        return t
+
+    def _store(self, vertices: tuple[str, ...], form: IntegerForm, index: dict[str, int]) -> None:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "weights", ArcWeights(vertices, form))
         object.__setattr__(self, "integer_form", form)

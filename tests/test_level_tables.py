@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from maxkop import cli, induce_tournament
-from maxkop.formats import _format_levels, format_partition, format_profile, parse_profile
+from maxkop.formats import (
+    _cell_keys,
+    _format_levels,
+    format_partition,
+    format_profile,
+    parse_profile,
+)
 from maxkop.profiles import (
     LINEAR,
     UNIVALENT,
@@ -239,6 +245,38 @@ def test_formatter_chunks_match_per_line_rendering(rows, m):
         for order in agg.orders
     )
     assert "\n".join(chunks) == want
+
+
+def _lines_by_level(names, table, sep, head) -> str:
+    """Each row's line built name by name: the formatter's reference, O(m) a row."""
+    lines = []
+    for row in table.tolist():
+        levels: dict[int, list[str]] = {}
+        for name, level in zip(names, row):
+            levels.setdefault(level, []).append(name)
+        lines.append(head + sep.join(" ".join(levels[lv]) for lv in sorted(levels)))
+    return "\n".join(lines)
+
+
+# the cell key (level << bits) | vertex of a linear row fills uint8 up to m = 16,
+# uint16 up to m = 256, and uint32 past it
+@pytest.mark.parametrize("rows", [2047, 2048, 2049])
+@pytest.mark.parametrize("m, width", [(1, 1), (2, 1), (16, 1), (17, 2), (127, 2), (128, 2),
+                                      (255, 2), (256, 2), (300, 4)])
+def test_formatter_keys_cross_their_widths(rows, m, width):
+    # names of 1 to 9 bytes and more, some ending in the 2-byte 'δ'
+    names = tuple(str(i) + "v" * (i % 7) + "δ" * (i % 5 == 2) for i in range(m))
+    assert m < 16 or {len(n.encode()) for n in names} >= set(range(1, 10))
+    assert _cell_keys(m)[0].dtype.itemsize == width
+    rng = np.random.default_rng(rows * m)
+    two = rng.integers(0, 2, (rows, m))
+    two -= two.min(1, keepdims=True)  # gap-free: levels {0} or {0, 1}
+    linear = rng.random((rows, m)).argsort(1).argsort(1)  # each row a permutation of 0..m-1
+    for table, sep, head in ((two, " > ", "witness "), (linear, " | ", "order ")):
+        table = table.astype(np.intp)
+        chunks = list(_format_levels(names, table, sep, head))
+        assert len(chunks) == -(-rows // 2048)
+        assert "\n".join(chunks) == _lines_by_level(names, table, sep, head)
 
 
 def test_formatter_prints_nothing_for_no_rows():

@@ -279,6 +279,30 @@ def test_parse_profile_matches_reference(text):
         same_profile(got, want)
 
 
+def _sharing_a_slot(count: int, m: int) -> list[str]:
+    """``count`` names of up to 7 bytes whose heads share one home slot of an m-name table.
+
+    The slot is the byte reader's: the Fibonacci hash of the head, shifted
+    to the table's 2^b >= 4m slots.
+    """
+    words = [f"n{i}" for i in range(64 * count * m)]
+    heads = np.array(
+        [int.from_bytes(w.encode().ljust(8, b" "), "little") for w in words], np.uint64
+    )
+    shift = np.uint64(64 - (4 * m - 1).bit_length())
+    home = (heads * formats._FIBONACCI >> shift).astype(np.intp)
+    slot = np.bincount(home).argmax()
+    shared = [w for w, h in zip(words, home.tolist()) if h == slot]
+    assert len(shared) >= count
+    return shared[:count]
+
+
+# five names in one slot, and a sixth word in it that is no name
+SHARED = _sharing_a_slot(6, 5)
+SHARED_NAMES = "\n".join(SHARED[:5])
+NULS = "\x00" * 8
+
+
 @FUZZ
 @given(st.one_of(tournament_texts(), profile_texts()))
 # refused texts the generators seldom write: as many names as a full profile's but
@@ -290,6 +314,23 @@ def test_parse_profile_matches_reference(text):
 @example("tournament 2\nabcdefgh\nb\nabcdefghi b 1\n")
 @example("profile 2\nabcdefg\nb\nabcdefgh | b\n")
 @example("tournament 2\nabcdefg\nb\nabcdefg\x00 b 1\n")
+# names that share a home slot, so that all but one sit further on, and a token in
+# that slot that is no name
+@example(f"profile 5\n{SHARED_NAMES}\n{' | '.join(SHARED[4::-1])}\n{' '.join(SHARED[:5])} * 2\n")
+@example(f"profile 5\n{SHARED_NAMES}\n{' '.join(SHARED[1:])}\n")
+@example(f"tournament 5\n{SHARED_NAMES}\n{SHARED[4]} {SHARED[0]} 3\n{SHARED[1]} {SHARED[3]} -2\n")
+@example(f"tournament 5\n{SHARED_NAMES}\n{SHARED[5]} {SHARED[0]} 3\n")
+# one name; a name and one more byte; an 8-byte token whose first 7 bytes are a name
+@example("profile 1\na\na\na * 3\n")
+@example("tournament 1\na\n")
+@example("profile 2\nab\nc\nab | c\nabc | c\n")
+@example("tournament 2\nab\nc\nabc c 1\n")
+@example("tournament 2\nabcdefg\nb\nabcdefgh b 1\n")
+# tokens of NUL bytes: 8 of them make the head 0, 7 are a name's head
+@example(f"profile 2\na\nb\n{NULS} | b\n")
+@example(f"tournament 2\na\nb\n{NULS} b 1\n")
+@example(f"profile 2\n{NULS[1:]}\nb\n{NULS[1:]} | b\n{NULS} | b\n")
+@example(f"tournament 2\n{NULS[1:]}\nb\n{NULS[1:]} b 1\n")
 def test_byte_reader_reads_like_the_reference_or_declines(text):
     # the byte reader itself, below its size threshold too: it returns the
     # reference's value or None, and None whenever the reference raises
@@ -303,6 +344,44 @@ def test_byte_reader_reads_like_the_reference_or_declines(text):
         assert got is None
     elif got is not None:
         same(got, want)
+
+
+@pytest.mark.parametrize("kind", ["profile", "tournament"])
+@pytest.mark.parametrize("count", [5, 2000])
+def test_byte_reader_finds_every_name(kind, count):
+    # five names in one home slot, and 2,000 names of 1 to 7 bytes in a table of 8,192
+    # slots, where many share a home slot: every name is found, and no other token
+    rng = random.Random(count)
+    if count == 5:
+        names = SHARED[:5]
+    else:
+        names = [f"{i:x}" + "δ" * (i % 5 == 0) + "_" * (i % 3) for i in range(count)]
+        rng.shuffle(names)
+    lines = [f"{kind} {count}", *names]
+    if kind == "profile":
+        for _ in range(4):
+            order = rng.sample(names, count)
+            toks = [order[0]]
+            for name in order[1:]:
+                toks += ["|", name] if rng.random() < 0.3 else [name]
+            lines.append(" ".join(toks) + f" × {rng.randint(1, 9)}")
+        text = "\n".join(lines) + "\n"
+        same_profile(_profile_bytes(text), _reference_parse_profile(text))
+    else:
+        pairs = {tuple(sorted(rng.sample(range(count), 2))) for _ in range(min(3000, count * 2))}
+        for i, j in pairs:
+            x, y = (names[i], names[j]) if rng.random() < 0.5 else (names[j], names[i])
+            lines.append(f"{x} {y} {rng.randint(-9, 9)}")
+        text = "\n".join(lines) + "\n"
+        got, want = _tournament_bytes(text), _reference_parse_tournament(text)
+        # 2,000 names make two million arcs: compare the forms, not the weight mappings
+        assert got.vertices == want.vertices
+        assert got.integer_form.scale == want.integer_form.scale
+        assert got.integer_form.w.dtype == want.integer_form.w.dtype
+        assert (got.integer_form.w == want.integer_form.w).all()
+    # the last line's first token one byte longer names nothing
+    bad = "\n".join([*lines[:-1], lines[-1].replace(" ", "x ", 1)]) + "\n"
+    assert (_profile_bytes if kind == "profile" else _tournament_bytes)(bad) is None
 
 
 def test_byte_reader_declines_every_other_blank_and_line_break():
