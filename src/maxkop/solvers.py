@@ -31,7 +31,10 @@ Four routes are provided:
 * ``solve_subset_dp`` is a dynamic program over the set of vertices placed
   in the top blocks, adding one block per level (``_subset_dp``): O(m 2^m)
   for linear orders (exactly m blocks) and O(k 3^m) for k blocks, exact on
-  any weights.
+  any weights.  Its vertex sets are numbered by size, then in colex order,
+  each grown from a set one smaller by one step of ``_colex_steps``, the one
+  enumeration of r-subsets (the divider DP's tie expansion, ``_subsets``,
+  reads it too).
 * ``solve_acyclic_dp`` handles weights with no cyclic part.  Some optimal
   partition is then monotone in the Borda scores, so a dynamic program over
   divider positions in the sorted score sequence finds the optimum with
@@ -91,7 +94,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -100,6 +102,7 @@ import numpy as np
 from .tournament import (
     OrderedPartition,
     WeightedTournament,
+    _as_fraction,
     _form_dtype,
     _integer,
     _level_blocks,
@@ -630,14 +633,19 @@ def _subset_cells(m: int, kk: int, exact_k: bool) -> int:
 
 
 @lru_cache(maxsize=512)
-def _combination_steps(u: int, r: int):
-    """The r-subsets of range(u) in lexicographic order, each grown from an (r-1)-subset.
+def _colex_steps(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The r-subsets of range(n) in colex order, each grown from an (r-1)-subset.
 
-    The i-th r-subset is the ``parent[i]``-th (r-1)-subset plus ``last[i]``.
+    The i-th r-subset is the ``parent[i]``-th (r-1)-subset plus its largest
+    element ``last[i]``.  In the combinatorial number system (Knuth, TAOCP
+    4A, 7.2.1.3) the subsets whose largest element is t take the comb(t, r - 1)
+    numbers from comb(t, r) on, in the order of the (r-1)-subsets of range(t)
+    that they extend.  Colex order is the order of the subsets' bit masks, and
+    the r-subsets of range(n) are the first comb(n, r) of any longer range.
     """
-    prev = {c: i for i, c in enumerate(combinations(range(u), r - 1))}
-    steps = [(prev[c[:-1]], c[-1]) for c in combinations(range(u), r)]
-    parent, last = np.array(steps, np.intp).reshape(-1, 2).T.copy()
+    count = np.array([comb(t, r - 1) for t in range(r - 1, n)], np.intp)
+    last = np.repeat(np.arange(r - 1, n), count)
+    parent = np.arange(len(last)) - np.repeat(np.cumsum(count) - count, count)
     parent.flags.writeable = last.flags.writeable = False
     return parent, last
 
@@ -645,11 +653,12 @@ def _combination_steps(u: int, r: int):
 class _SizeTables(NamedTuple):
     """Tables of a ``_SubsetPlan`` for the vertex sets of one size u; row n is the n-th such set U.
 
-    ``elems[n]`` lists U's vertices in increasing order and ``parents[n]`` is
-    the row of U minus its lowest vertex among the sets of size u - 1.  Each
-    column of ``apos`` is one split of U into a top part A and a block T
-    below it and holds the number of A; the splits with |A| = a fill columns
-    ``col[a - a_lo]:col[a - a_lo + 1]``.  The blocks T are grown one vertex at
+    The rows follow the plan's numbering of the sets of size u, in colex
+    order from ``_colex_steps(m, u)``.  ``elems[n]`` lists U's vertices in
+    increasing order.  Each column of ``apos`` is one split of U into a top
+    part A and a block T below it and holds the number of A; the splits with
+    |A| = a fill columns ``col[a - a_lo]:col[a - a_lo + 1]``, in the colex
+    order of T (``_grown_blocks``).  The blocks T are grown one vertex at
     a time, which never enumerates more subsets than growing A would: a split
     at level j >= 2 has |A| >= j - 1, so a_lo >= 1; a_hi is at least u - 1
     or, with ``exact_k``, m - kk + a_lo, and u - a_lo is at most either (a set
@@ -658,7 +667,6 @@ class _SizeTables(NamedTuple):
     """
 
     elems: np.ndarray
-    parents: np.ndarray
     a_lo: int
     col: np.ndarray | None
     apos: np.ndarray | None
@@ -667,14 +675,16 @@ class _SizeTables(NamedTuple):
 class _SubsetPlan(NamedTuple):
     """The weight-independent tables of ``solve_subset_dp`` for m vertices and kk levels.
 
-    Vertex sets are bit masks, numbered by size, then value: ``masks[x]`` is
-    the set numbered x, ``pos`` the inverse, ``off[u]`` the number of the
-    first set of size u; ``sizes[u]`` holds the tables of size u.
+    Vertex sets are bit masks, numbered by size, then in colex order, which
+    is the order of their values: ``masks[x]`` is the set numbered x and
+    ``off[u]`` the number of the first set of size u.  The n-th set of size u
+    is the ``parent[n]``-th set of size u - 1 plus its largest vertex
+    ``last[n]``, from ``_colex_steps(m, u)``.  ``sizes[u]`` holds the tables
+    of size u.
     """
 
     bands: list
     masks: np.ndarray
-    pos: np.ndarray
     off: np.ndarray
     sizes: list
 
@@ -689,12 +699,13 @@ def _grown_blocks(u: int, a_lo: int, a_hi: int, bit: np.ndarray):
     """Yield (a, sums) for a = a_hi..a_lo: per split with |A| = a, the sum of ``bit`` over T.
 
     ``bit[n, b]`` is a value attached to the b-th vertex of the n-th set of
-    size u; the splits come in ``_combination_steps`` order of T.
+    size u; the splits come in the colex order of T as a subset of range(u)
+    (``_colex_steps(u, |T|)``).
     """
     sums = bit  # over the 1-subsets
     for r in range(1, u - a_lo + 1):
         if r > 1:
-            parent, last = _combination_steps(u, r)
+            parent, last = _colex_steps(u, r)
             sums = sums[:, parent] + bit[:, last]
         if u - r <= a_hi:
             yield u - r, sums
@@ -702,29 +713,28 @@ def _grown_blocks(u: int, a_lo: int, a_hi: int, bit: np.ndarray):
 
 def _build_subset_plan(m: int, kk: int, exact_k: bool) -> _SubsetPlan:
     bands = _subset_bands(m, kk, exact_k)
-    size = sum((np.arange(1 << m) >> v) & 1 for v in range(m))
-    masks = np.argsort(size, kind="stable")
-    pos = np.empty_like(masks)
-    pos[masks] = np.arange(1 << m)
-    off = np.concatenate(([0], np.cumsum(np.bincount(size, minlength=m + 1))))
-    shifts = np.arange(m)
+    off = np.cumsum([0] + [comb(m, u) for u in range(m + 1)])
+    masks = np.zeros(1 << m, np.intp)
+    pos = np.zeros(1 << m, np.intp)  # pos[masks[x]] == x, filled a size at a time
+    sets, elems = masks[:1], np.zeros((1, 0), np.intp)
     sizes: list = [None] * (m + 1)
     for u in range(1, m + 1):
-        sets = masks[off[u] : off[u + 1]]
-        elems = np.nonzero((sets[:, None] >> shifts) & 1)[1].reshape(-1, u)
-        parents = pos[sets & (sets - 1)] - off[u - 1]
+        parent, last = _colex_steps(m, u)
+        masks[off[u] : off[u + 1]] = sets = sets[parent] | 1 << last
+        pos[sets] = np.arange(off[u], off[u + 1])
+        elems = np.column_stack((elems[parent], last))
         split = [_subset_sizes(bands, j, u) for j in range(2, kk + 1) if bands[j][0] <= u <= bands[j][1]]
         if not split:
-            sizes[u] = _SizeTables(elems, parents, 0, None, None)
+            sizes[u] = _SizeTables(elems, 0, None, None)
             continue
         a_lo, a_hi = min(lo for lo, _ in split), max(hi for _, hi in split)
         parts = {a: sets[:, None] ^ block for a, block in _grown_blocks(u, a_lo, a_hi, 1 << elems)}
         apos = pos[np.concatenate([parts[a] for a in range(a_lo, a_hi + 1)], axis=1)]
         col = np.cumsum([0] + [parts[a].shape[1] for a in range(a_lo, a_hi + 1)])
-        sizes[u] = _SizeTables(elems, parents, a_lo, col, apos)
-    for table in (masks, pos, off, *(t for s in sizes[1:] for t in s if isinstance(t, np.ndarray))):
+        sizes[u] = _SizeTables(elems, a_lo, col, apos)
+    for table in (masks, off, *(t for s in sizes[1:] for t in s if isinstance(t, np.ndarray))):
         table.flags.writeable = False
-    return _SubsetPlan(bands, masks, pos, off, sizes)
+    return _SubsetPlan(bands, masks, off, sizes)
 
 
 _PLAN_CACHE_CELLS = 2**22  # plans up to this many cells (about 16 MiB of tables) stay cached
@@ -748,8 +758,9 @@ def _subset_cross(w: np.ndarray, plan: _SubsetPlan) -> list:
     cross: list = [None] * (m + 1)
     colsum = np.zeros((1, m), w.dtype)  # colsum[n, t]: sum of w[x, t] over x in the n-th set
     for u in range(1, m + 1):
-        elems, parents, a_lo, col, apos = plan.sizes[u]
-        colsum = colsum[parents] + w[elems[:, 0]]
+        elems, a_lo, col, apos = plan.sizes[u]
+        parent, last = _colex_steps(m, u)
+        colsum = colsum[parent] + w[last]
         if apos is None:
             continue
         g = colsum[np.arange(len(elems))[:, None], elems]
@@ -1109,12 +1120,11 @@ def _subsets(widths: np.ndarray, sizes: np.ndarray, tables: list) -> tuple[np.nd
 
     Returns the rows, those of v after those of v - 1, and how many each v
     has.  tables[r] lists r-subsets in colex order, and tables[0], the empty
-    subset, sets n.  The r-subsets whose largest element is t are the
-    (r - 1)-subsets of range(t), which are the first comb(t, r - 1) rows one
-    size down, plus t.  So the r-subsets of range(w) are the first comb(w, r)
-    rows of a table grown for any longer range: the tables are grown on
-    demand and kept in ``tables``.  A size past w / 2 is read as the
-    complements of the other side.
+    subset, sets n.  Row i of tables[r] is row ``parent[i]`` of tables[r - 1]
+    with column ``last[i]`` set (``_colex_steps``), and the r-subsets of
+    range(w) are the first comb(w, r) rows of a table grown for any longer
+    range: the tables are grown on demand and kept in ``tables``.  A size
+    past w / 2 is read as the complements of the other side.
     """
     side = np.minimum(sizes, widths - sizes)
     spare = (widths - side).tolist()
@@ -1123,9 +1133,9 @@ def _subsets(widths: np.ndarray, sizes: np.ndarray, tables: list) -> tuple[np.nd
         reach = j + max(x for x, r in zip(spare, side.tolist()) if r >= j)
         if j < len(tables) and len(tables[j]) >= comb(reach, j):
             continue
-        below = np.array([comb(t, j - 1) for t in range(j - 1, reach)])
-        grown = tables[j - 1][np.arange(below.sum()) - np.repeat(np.cumsum(below) - below, below)]
-        grown[np.arange(len(grown)), np.repeat(np.arange(j - 1, reach), below)] = True
+        parent, last = _colex_steps(reach, j)
+        grown = tables[j - 1][parent]
+        grown[np.arange(len(grown)), last] = True
         tables[j : j + 1] = [grown]
     rows, counts = [], []
     for w, r, c in zip(widths.tolist(), side.tolist(), sizes.tolist()):
@@ -1345,10 +1355,15 @@ def solve(
 def decide(
     t: WeightedTournament,
     k: int,
-    threshold: Fraction,
+    threshold: Fraction | int | str,
     *,
     guard: int = DEFAULT_GUARD,
 ) -> bool:
-    """True iff some ordered partition into at most k blocks scores >= threshold."""
+    """True iff some ordered partition into at most k blocks scores >= threshold.
+
+    The threshold is read exactly, as weights are: a Fraction, an int or a
+    string such as ``"1/10"``; a float is refused with TypeError.
+    """
+    threshold = _as_fraction(threshold, "threshold must be an exact rational")
     res = solve(t, k, all_ties=False, guard=guard)
     return res.optimum >= threshold

@@ -48,9 +48,10 @@ def _validate_name(name: object) -> str:
     return name
 
 
-def _as_fraction(value: object) -> Fraction:
+def _as_fraction(value: object, what: str = "weights must be exact rationals") -> Fraction:
+    """``value`` as a Fraction; a float is refused, with ``what`` naming the rule it breaks."""
     if isinstance(value, float):
-        raise TypeError(f"weights must be exact rationals, got float {value!r}")
+        raise TypeError(f"{what}, got float {value!r}")
     return Fraction(value)
 
 

@@ -620,6 +620,31 @@ def test_decide_examples(three_cycle):
     assert decide(three_cycle, 2, Fraction(-(10**9)))
 
 
+def test_decide_reads_the_threshold_exactly():
+    t = WeightedTournament(("a", "b"), {("a", "b"): Fraction(1, 10)})  # the optimum is 1/10
+    assert decide(t, 2, "1/10")
+    assert decide(t, 2, Fraction(1, 10))
+    assert not decide(t, 2, "1/9")
+    with pytest.raises(TypeError, match="threshold must be an exact rational, got float 0.1"):
+        decide(t, 2, 0.1)  # its binary value lies above 1/10
+
+
+@pytest.mark.parametrize("route", ["walk", "subset", "divider"])
+def test_decide_agrees_with_solve_on_every_route(monkeypatch, route):
+    monkeypatch.setattr(solvers, "_route", lambda *args: (route, None))  # the route solve takes
+    rng = random.Random(37)
+    make = random_acyclic_tournament if route == "divider" else random_tournament
+    for _ in range(8):
+        t = scale_weights(make(rng, rng.randint(2, 6), -4, 4), Fraction(1, rng.randint(1, 6)))
+        k = rng.randint(3, 4)
+        optimum = solve(t, k).optimum
+        assert optimum == solve_bruteforce(t, k).optimum
+        unit = Fraction(1, t.integer_form.scale * t.m)  # finer than any score's units
+        assert decide(t, k, optimum)
+        assert decide(t, k, optimum - unit)
+        assert not decide(t, k, optimum + unit)
+
+
 def test_solve_dispatch_agrees_with_bruteforce():
     rng = random.Random(36)
     for _ in range(25):

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from maxkop import (
 from maxkop.profiles import LINEAR, UNIVALENT, Profile, WeakOrder
 from maxkop.selftest import random_profile, random_tournament
 from maxkop import solvers
-from maxkop.solvers import _route, _subset_cells
+from maxkop.solvers import _build_subset_plan, _colex_steps, _route, _subset_cells
 
 
 def assert_same(got, want):
@@ -239,3 +241,39 @@ def test_paper_threshold_of_the_routes(j, k):
     for _ in range(20):
         route = aggregate_route(random_profile(rng, 6, rng.randint(4, 9), j), k)
         assert route in (("2op", "divider", "univalent") if easy else ("walk", "subset"))
+
+
+def colex(n, r):
+    return sorted(combinations(range(n), r), key=lambda c: c[::-1])
+
+
+def test_colex_steps_grow_each_subset_from_one_smaller():
+    for n in range(11):
+        for r in range(1, n + 1):
+            parent, last = _colex_steps(n, r)
+            below = colex(n, r - 1)
+            assert [below[p] + (v,) for p, v in zip(parent.tolist(), last.tolist())] == colex(n, r)
+            assert last.tolist() == [max(c) for c in colex(n, r)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_plan_numbers_sets_by_size_then_value(m):
+    for kk, exact_k in {(min(k, m), x) for k in (1, 2, 3) for x in (False, True)} | {(m, True)}:
+        plan = _build_subset_plan(m, kk, exact_k)
+        assert plan.masks.tolist() == sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
+        assert plan.off.tolist() == [sum(comb(m, v) for v in range(u)) for u in range(m + 2)]
+        for u in range(1, m + 1):
+            sets = plan.masks[plan.off[u] : plan.off[u + 1]]
+            parent, last = _colex_steps(m, u)
+            assert (sets == plan.masks[plan.off[u - 1] + parent] | 1 << last).all()
+            elems, a_lo, col, apos = plan.sizes[u]
+            assert elems.tolist() == [[v for v in range(m) if x >> v & 1] for x in sets.tolist()]
+            if apos is None:
+                continue
+            for a in range(a_lo, a_lo + len(col) - 1):
+                tops = plan.masks[apos[:, col[a - a_lo] : col[a - a_lo + 1]]]
+                # the columns of one band are the top parts A of size a, each once
+                assert tops.shape[1] == comb(u, a)
+                for x, row in zip(sets.tolist(), tops.tolist()):
+                    assert len(set(row)) == len(row)
+                    assert all(y & ~x == 0 and y.bit_count() == a for y in row)
