@@ -8,7 +8,6 @@ elided.
 from __future__ import annotations
 
 import math
-import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +18,14 @@ import numpy as np
 
 from .profiles import RANK_DTYPE, Profile, WeakOrder
 from .reductions import CutInstance
-from .tournament import OrderedPartition, WeightedTournament, _arc_error, _arc_form, _vertex_index
+from .tournament import (
+    OrderedPartition,
+    WeightedTournament,
+    _arc_error,
+    _arc_form,
+    _string_fraction,
+    _vertex_index,
+)
 
 
 class ParseError(ValueError):
@@ -46,19 +52,13 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def _rational(token: str) -> Fraction:
-    """The rational a token stands for (``3/6``, ``1.5``, ``1e3``): the one rational reader.
+    """The rational a token stands for (``3/6``, ``1.5``, ``1e3``), as the files' one reader.
 
-    An exponent whose magnitude exceeds ``sys.get_int_max_str_digits()`` (0:
-    no limit) is refused before ``Fraction`` computes 10**exponent, which
-    would take longer than linear time in it; plain digits meet that limit
-    through ``int``.
+    The token is read as the library reads a string (``_string_fraction``,
+    which refuses an exponent past ``sys.get_int_max_str_digits()``).
     """
-    _, e, exponent = token.lower().rpartition("e")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
     try:
-        if e and limit and abs(int(exponent)) > limit:
-            raise ValueError(token)
-        return Fraction(token)
+        return _string_fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"expected a rational p/q, got {token!r}") from None
 

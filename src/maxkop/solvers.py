@@ -34,7 +34,12 @@ Four routes are provided:
   any weights.  Its vertex sets are numbered by size, then in colex order,
   each grown from a set one smaller by one step of ``_colex_steps``, the one
   enumeration of r-subsets (the divider DP's tie expansion, ``_subsets``,
-  reads it too).
+  reads it too).  One forward loop visits the sizes in increasing order: it
+  grows a size's sets from the size below, builds their split tables
+  (``_split_tables``), updates every level whose band holds that size, and
+  drops the tables before the next size, so memory holds one size class's
+  splits.  The backward pass rebuilds the splits of the sets on optimal
+  chains only, through the same helper.
 * ``solve_acyclic_dp`` handles weights with no cyclic part.  Some optimal
   partition is then monotone in the Borda scores, so a dynamic program over
   divider positions in the sorted score sequence finds the optimum with
@@ -94,8 +99,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
@@ -650,125 +655,40 @@ def _colex_steps(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return parent, last
 
 
-class _SizeTables(NamedTuple):
-    """Tables of a ``_SubsetPlan`` for the vertex sets of one size u; row n is the n-th such set U.
+def _split_tables(
+    pos: np.ndarray, sets: np.ndarray, elems: np.ndarray, g: np.ndarray, a_lo: int, a_hi: int
+) -> tuple:
+    """(row, top, cross): the splits U = A + T with a_lo <= |A| <= a_hi of vertex sets of one size u.
 
-    The rows follow the plan's numbering of the sets of size u, in colex
-    order from ``_colex_steps(m, u)``.  ``elems[n]`` lists U's vertices in
-    increasing order.  Each column of ``apos`` is one split of U into a top
-    part A and a block T below it and holds the number of A; the splits with
-    |A| = a fill columns ``col[a - a_lo]:col[a - a_lo + 1]``, in the colex
-    order of T (``_grown_blocks``).  The blocks T are grown one vertex at
-    a time, which never enumerates more subsets than growing A would: a split
-    at level j >= 2 has |A| >= j - 1, so a_lo >= 1; a_hi is at least u - 1
-    or, with ``exact_k``, m - kk + a_lo, and u - a_lo is at most either (a set
-    first split at level a_lo + 1 holds at most m - kk + a_lo + 1 vertices).
-    ``apos`` and ``col`` are None when no level splits sets of size u.
+    Column n is the set with mask ``sets[n]``, whose vertices ``elems[:, n]``
+    lists in increasing order; ``g[b, n]`` is the column sum of w over U at
+    U's b-th vertex.  Each row is one split: those with |A| = a fill rows
+    ``row[a_hi - a]:row[a_hi - a + 1]``, in the colex order of T as a subset
+    of U's positions (``_colex_steps(u, |T|)``).  ``top`` holds the number of
+    A (``pos[mask]`` numbers a set) and ``cross`` the weight from A down to
+    T, which, since w is antisymmetric, is the sum of g over T.  The blocks T
+    are grown one vertex at a time, a gather of whole rows per step, which
+    never enumerates more subsets than growing A would: a split at level
+    j >= 2 has |A| >= j - 1, so a_lo >= 1; a_hi is at least u - 1 or, with
+    ``exact_k``, m - kk + a_lo, and u - a_lo is at most either (a set first
+    split at level a_lo + 1 holds at most m - kk + a_lo + 1 vertices).
     """
-
-    elems: np.ndarray
-    a_lo: int
-    col: np.ndarray | None
-    apos: np.ndarray | None
-
-
-class _SubsetPlan(NamedTuple):
-    """The weight-independent tables of ``solve_subset_dp`` for m vertices and kk levels.
-
-    Vertex sets are bit masks, numbered by size, then in colex order, which
-    is the order of their values: ``masks[x]`` is the set numbered x and
-    ``off[u]`` the number of the first set of size u.  The n-th set of size u
-    is the ``parent[n]``-th set of size u - 1 plus its largest vertex
-    ``last[n]``, from ``_colex_steps(m, u)``.  ``sizes[u]`` holds the tables
-    of size u.
-    """
-
-    bands: list
-    masks: np.ndarray
-    off: np.ndarray
-    sizes: list
-
-    def columns(self, j: int, u: int) -> slice:
-        """The columns of ``sizes[u]`` whose top part fits level j - 1."""
-        tables = self.sizes[u]
-        lo, hi = _subset_sizes(self.bands, j, u)
-        return slice(tables.col[lo - tables.a_lo], tables.col[hi + 1 - tables.a_lo])
-
-
-def _grown_blocks(u: int, a_lo: int, a_hi: int, bit: np.ndarray):
-    """Yield (a, sums) for a = a_hi..a_lo: per split with |A| = a, the sum of ``bit`` over T.
-
-    ``bit[n, b]`` is a value attached to the b-th vertex of the n-th set of
-    size u; the splits come in the colex order of T as a subset of range(u)
-    (``_colex_steps(u, |T|)``).
-    """
-    sums = bit  # over the 1-subsets
+    u = len(elems)
+    bit = 1 << elems
+    block, sums = bit, g  # per 1-subset T: its mask and its sum of g
+    blocks, cross = [], []
     for r in range(1, u - a_lo + 1):
-        if r > 1:
+        if r > 1:  # take gathers whole rows faster than indexing does
             parent, last = _colex_steps(u, r)
-            sums = sums[:, parent] + bit[:, last]
+            block = block.take(parent, 0) + bit.take(last, 0)
+            sums = sums.take(parent, 0) + g.take(last, 0)
         if u - r <= a_hi:
-            yield u - r, sums
-
-
-def _build_subset_plan(m: int, kk: int, exact_k: bool) -> _SubsetPlan:
-    bands = _subset_bands(m, kk, exact_k)
-    off = np.cumsum([0] + [comb(m, u) for u in range(m + 1)])
-    masks = np.zeros(1 << m, np.intp)
-    pos = np.zeros(1 << m, np.intp)  # pos[masks[x]] == x, filled a size at a time
-    sets, elems = masks[:1], np.zeros((1, 0), np.intp)
-    sizes: list = [None] * (m + 1)
-    for u in range(1, m + 1):
-        parent, last = _colex_steps(m, u)
-        masks[off[u] : off[u + 1]] = sets = sets[parent] | 1 << last
-        pos[sets] = np.arange(off[u], off[u + 1])
-        elems = np.column_stack((elems[parent], last))
-        split = [_subset_sizes(bands, j, u) for j in range(2, kk + 1) if bands[j][0] <= u <= bands[j][1]]
-        if not split:
-            sizes[u] = _SizeTables(elems, 0, None, None)
-            continue
-        a_lo, a_hi = min(lo for lo, _ in split), max(hi for _, hi in split)
-        parts = {a: sets[:, None] ^ block for a, block in _grown_blocks(u, a_lo, a_hi, 1 << elems)}
-        apos = pos[np.concatenate([parts[a] for a in range(a_lo, a_hi + 1)], axis=1)]
-        col = np.cumsum([0] + [parts[a].shape[1] for a in range(a_lo, a_hi + 1)])
-        sizes[u] = _SizeTables(elems, a_lo, col, apos)
-    for table in (masks, off, *(t for s in sizes[1:] for t in s if isinstance(t, np.ndarray))):
-        table.flags.writeable = False
-    return _SubsetPlan(bands, masks, off, sizes)
-
-
-_PLAN_CACHE_CELLS = 2**22  # plans up to this many cells (about 16 MiB of tables) stay cached
-_cached_subset_plan = lru_cache(maxsize=8)(_build_subset_plan)
-
-
-def _subset_plan(m: int, kk: int, exact_k: bool) -> _SubsetPlan:
-    """The plan for (m, kk, ``exact_k``); small plans are kept for the next call."""
-    if _subset_cells(m, kk, exact_k) <= _PLAN_CACHE_CELLS:
-        return _cached_subset_plan(m, kk, exact_k)
-    return _build_subset_plan(m, kk, exact_k)
-
-
-def _subset_cross(w: np.ndarray, plan: _SubsetPlan) -> list:
-    """``cross[u][n, c]``: the weight from A down to T over split c of the n-th set U of size u.
-
-    Since w is antisymmetric, that is the sum over T of the column sums of w
-    over U.
-    """
-    m = len(w)
-    cross: list = [None] * (m + 1)
-    colsum = np.zeros((1, m), w.dtype)  # colsum[n, t]: sum of w[x, t] over x in the n-th set
-    for u in range(1, m + 1):
-        elems, a_lo, col, apos = plan.sizes[u]
-        parent, last = _colex_steps(m, u)
-        colsum = colsum[parent] + w[last]
-        if apos is None:
-            continue
-        g = colsum[np.arange(len(elems))[:, None], elems]
-        a_hi = a_lo + len(col) - 2
-        out = cross[u] = np.empty(apos.shape, w.dtype)
-        for a, sums in _grown_blocks(u, a_lo, a_hi, g):
-            out[:, col[a - a_lo] : col[a - a_lo + 1]] = sums
-    return cross
+            blocks.append(block)
+            cross.append(sums)
+    row = list(accumulate(map(len, blocks), initial=0))
+    if len(blocks) > 1:  # a single band is returned as grown, not copied
+        block, sums = np.concatenate(blocks), np.concatenate(cross)
+    return row, pos[sets ^ block], sums
 
 
 def solve_subset_dp(
@@ -787,8 +707,12 @@ def solve_subset_dp(
     U = A + T (T the j-th block) of ``F[j-1][A]`` plus the weight from A down
     to T.  Only sets and splits that can still end in a partition of the
     requested size are visited (``_subset_bands``), so linear orders cost
-    O(m 2^m) and k blocks O(k 3^m).  A backward pass from the optimal full
-    sets keeps the tight splits (the optimal-edge set E*); every optimal
+    O(m 2^m) and k blocks O(k 3^m).  The sets are visited one size at a time,
+    smallest first: each size's split tables are built from the size below
+    it, read by every level whose band holds that size, and dropped, so
+    memory holds one size class's splits, not all of them.  A backward pass
+    from the optimal full sets rebuilds the splits of the sets on optimal
+    chains and keeps the tight ones (the optimal-edge set E*); every optimal
     partition is a chain of them.  Witnesses come in canonical order from
     ``_canonical_walk``, which counts the chains of E* that fit each prefix.
     Raises GuardExceededError when ``_subset_cells`` exceeds ``guard``.
@@ -799,23 +723,42 @@ def solve_subset_dp(
 def _subset_dp(w: np.ndarray, kk: int, exact_k: bool, need: int) -> tuple:
     """``solve_subset_dp``'s kernel on the integer weights w, returning (best, count, table).
 
-    See ``_run_route`` for the contract.
+    See ``_run_route`` for the contract.  Vertex sets are bit masks, numbered
+    by size, then in colex order, which is the order of their values:
+    ``masks[x]`` is the set numbered x and ``off[u]`` the number of the first
+    set of size u.  The n-th set of size u is the ``parent[n]``-th set of
+    size u - 1 plus its largest vertex ``last[n]`` (``_colex_steps(m, u)``),
+    and so are its columns of ``elems`` and ``g`` (``_split_tables``).
     """
     m = len(w)
-    plan = _subset_plan(m, kk, exact_k)
-    bands, off = plan.bands, plan.off
-    cross = _subset_cross(w, plan)
+    bands = _subset_bands(m, kk, exact_k)
+    off = np.cumsum([0] + [comb(m, u) for u in range(m + 1)]).tolist()
     base = [off[lo] for lo, _ in bands]  # F[j][x] is the set numbered base[j] + x
+    F = [np.zeros(off[hi + 1] - base[j], w.dtype) for j, (_, hi) in enumerate(bands)]
 
-    F = [np.zeros(1, w.dtype), np.zeros(off[bands[1][1] + 1] - base[1], w.dtype)]
-    for j in range(2, kk + 1):
-        lo, hi = bands[j]
-        f = np.empty(off[hi + 1] - base[j], w.dtype)
-        for u in range(lo, hi + 1):
-            cols = plan.columns(j, u)
-            vals = F[j - 1][plan.sizes[u].apos[:, cols] - base[j - 1]] + cross[u][:, cols]
-            f[off[u] - base[j] : off[u + 1] - base[j]] = vals.max(1)
-        F.append(f)
+    masks = np.zeros(1 << m, np.intp)
+    pos = np.zeros(1 << m, np.intp)  # pos[masks[x]] == x, filled a size at a time
+    sets, elems, g = masks[:1], np.zeros((0, 1), np.intp), np.zeros((0, 1), w.dtype)
+    for u in range(1, m + 1):  # F[j] at size u reads F[j - 1] at smaller sizes only
+        parent, last = _colex_steps(m, u)
+        masks[off[u] : off[u + 1]] = sets = sets[parent] | 1 << last
+        pos[sets] = np.arange(off[u], off[u + 1])
+        elems = np.concatenate((elems.take(parent, 1), last[None]))
+        grown = w[last, elems]  # from the new vertex to each of U's, 0 to itself
+        grown[-1] -= grown.sum(0)  # the sum into the new vertex: w is antisymmetric
+        grown[:-1] += g.take(parent, 1)
+        g = grown
+        levels = [j for j in range(2, kk + 1) if bands[j][0] <= u <= bands[j][1]]
+        if not levels:
+            continue
+        split = [_subset_sizes(bands, j, u) for j in levels]
+        a_hi = max(hi for _, hi in split)
+        row, top, cross = _split_tables(pos, sets, elems, g, min(lo for lo, _ in split), a_hi)
+        for j, (lo, hi) in zip(levels, split):
+            rows = slice(row[a_hi - hi], row[a_hi + 1 - lo])
+            vals = F[j - 1][top[rows] - base[j - 1]] + cross[rows]
+            vals.max(0, out=F[j][off[u] - base[j] : off[u + 1] - base[j]])
+        del top, cross, vals  # this size's splits, dropped before the next size is grown
     finals = [j for j in range(1, kk + 1) if bands[j][1] == m]  # the last entry is the full set
     best = max(F[j][-1] for j in finals)
     tops = [j for j in finals if F[j][-1] == best]
@@ -829,21 +772,25 @@ def _subset_dp(w: np.ndarray, kk: int, exact_k: bool, need: int) -> tuple:
         src, dst = [], []
         for u in range(bands[j][0], bands[j][1] + 1):
             first = off[u] - base[j]
-            rows = np.flatnonzero(live[j][first : off[u + 1] - base[j]])
-            if rows.size == 0:
+            ids = np.flatnonzero(live[j][first : off[u + 1] - base[j]])
+            if ids.size == 0:
                 continue
-            cols = plan.columns(j, u)
-            top = plan.sizes[u].apos[rows, cols] - base[j - 1]
-            r, c = np.nonzero(F[j - 1][top] + cross[u][rows, cols] == F[j][first + rows][:, None])
-            src.append(top[r, c])
-            dst.append(first + rows[r])
+            sets = masks[off[u] + ids]
+            bits = sets >> np.arange(m)[:, None] & 1
+            elems = np.nonzero(bits.T)[1].reshape(-1, u).T
+            g = (w.T @ bits)[elems, np.arange(len(ids))]
+            _, top, cross = _split_tables(pos, sets, elems, g, *_subset_sizes(bands, j, u))
+            top = top - base[j - 1]
+            n, c = np.nonzero((F[j - 1][top] + cross == F[j][first + ids]).T)
+            src.append(top[c, n])
+            dst.append(first + ids[n])
         src = np.concatenate(src) if src else np.zeros(0, np.intp)
         live[j - 1][src] = True
         edges[j] = (src, np.concatenate(dst) if dst else np.zeros(0, np.intp))
     edges[1] = (np.zeros(live[1].sum(), np.intp), np.flatnonzero(live[1]))
 
     paths = _TightPaths(live, edges, tops, 2 * need + 1, (2 * need + 1) << m)  # see _canonical_walk
-    sets = [plan.masks[base[j] + ids] for j, ids in enumerate(paths.nodes)]
+    sets = [masks[base[j] + ids] for j, ids in enumerate(paths.nodes)]
 
     def counted(prefix: list[int]):
         # a chain fits when each of its sets holds just the prefix vertices above its level
@@ -1266,14 +1213,15 @@ def _route(
     tie goes to the walk.  When neither fits, the modeled faster one is
     returned, for its guard to refuse.  The route with fewer units fits
     whenever either does, so a call is refused only when both exceed the
-    guard.  The request is validated before the estimates are taken.
+    guard.  The request is validated first, so k = 2.0 is refused as any
+    other non-integer k is, not routed to ``"2op"``.
     """
+    kk = _levels(t.m, k, exact_k, witness_cap)
     if k == 2 and t.m >= 2:
         return "2op", None
     form = t.integer_form
     if form.is_acyclic():
         return "divider", None
-    kk = _levels(t.m, k, exact_k, witness_cap)
     units = {route: _units(route, t.m, kk, exact_k) for route in ("walk", "subset")}
     python_ints = form.w.dtype == object
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, partial
@@ -49,10 +50,33 @@ def _validate_name(name: object) -> str:
 
 
 def _as_fraction(value: object, what: str = "weights must be exact rationals") -> Fraction:
-    """``value`` as a Fraction; a float is refused, with ``what`` naming the rule it breaks."""
+    """``value`` as a Fraction; a float is refused, with ``what`` naming the rule it breaks.
+
+    A string is read by ``_string_fraction``, as in files.
+    """
     if isinstance(value, float):
         raise TypeError(f"{what}, got float {value!r}")
-    return Fraction(value)
+    return _string_fraction(value) if isinstance(value, str) else Fraction(value)
+
+
+def _string_fraction(token: str) -> Fraction:
+    """``Fraction(token)`` for ``3/6``, ``1.5`` or ``1e3``, its exponent checked first.
+
+    An exponent whose magnitude exceeds ``sys.get_int_max_str_digits()`` (0:
+    no limit) raises ValueError before ``Fraction`` computes 10**exponent,
+    which would take longer than linear time in it; plain digits meet that
+    limit through ``int``.  The one reader of rational strings, in library
+    calls (``_as_fraction``) and in files (``maxkop.formats._rational``).
+    """
+    _, e, exponent = token.lower().rpartition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    try:
+        power = abs(int(exponent)) if e else 0
+    except ValueError:  # no exponent int reads, so Fraction reads none either
+        power = 0
+    if limit and power > limit:
+        raise ValueError(f"exponent of {token!r} exceeds the {limit}-digit integer string limit")
+    return Fraction(token)
 
 
 def _form_dtype(bound: int) -> type:

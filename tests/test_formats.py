@@ -12,6 +12,7 @@ from maxkop import (
     WeakOrder,
     WeightedTournament,
     cli,
+    decide,
     validate_ballots,
 )
 from maxkop.formats import (
@@ -81,6 +82,22 @@ def test_exponents_past_the_int_digit_limit_are_refused(tmp_path):
     start = time.perf_counter()
     assert cli.main(["solve", "--k", "2", str(big)]) == 1
     assert cli.main(["decide", "--k", "2", "--threshold", "1e10000000", str(small)]) == 1
+    assert time.perf_counter() - start < 2
+
+
+def test_library_strings_meet_the_exponent_limit():
+    # the readers' check guards strings handed to the library too
+    limit = sys.get_int_max_str_digits() or pytest.skip("int digit limit disabled")
+    t = parse_tournament(_T3 + "a b 1\n")
+    pair = ("a", "b")
+    assert WeightedTournament(pair, {pair: "-2.5E-2"}).weights[pair] == Fraction(-1, 40)
+    assert decide(t, 2, "1e-3")
+    start = time.perf_counter()
+    for token in ("1e10000000", f"-2.5E-{limit + 1}"):
+        with pytest.raises(ValueError, match="integer string limit"):
+            WeightedTournament(pair, {pair: token})
+        with pytest.raises(ValueError, match="integer string limit"):
+            decide(t, 2, token)
     assert time.perf_counter() - start < 2
 
 

@@ -354,6 +354,23 @@ def test_walk_memory_is_bounded_by_its_chunks(m, k):
     assert peak <= 4 * 2**20
 
 
+def test_subset_dp_memory_is_bounded_by_one_size_class():
+    # Kemeny at m = 18: the largest size class, C(18, 9) * 9 = 437,580 splits, takes about
+    # 3.3 MiB per int64 table; holding the tables of every size at once took 69 MiB
+    m = 18
+    rng = np.random.default_rng(m)
+    w = np.triu(rng.integers(-50, 51, (m, m)), 1)
+    w -= w.T
+    solvers._subset_dp(w, m, True, 1)  # the cached step tables are built here
+    tracemalloc.start()
+    try:
+        solvers._subset_dp(w, m, True, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 @pytest.mark.parametrize("unordered", [False, True])
 @pytest.mark.parametrize("exact_k", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -741,7 +758,7 @@ def test_k_is_taken_as_a_python_int_and_never_as_a_bool(three_cycle):
         assert str(err.value) == "k must be an integer, got True"
 
 
-@pytest.mark.parametrize("k", [True, np.int64(2), 2.5])
+@pytest.mark.parametrize("k", [True, np.int64(2), 2.5, 2.0, Fraction(2)])
 def test_k_follows_the_integer_rule(three_cycle, k):
     if type(k) is np.int64:
         assert type(_levels(3, k, False, 1)) is int
@@ -749,7 +766,12 @@ def test_k_follows_the_integer_rule(three_cycle, k):
         ref = solve_bruteforce(three_cycle, 2, all_ties=True)
         assert (res.optimum, res.levels, res.truncated) == (ref.optimum, ref.levels, ref.truncated)
         return
-    for call in (lambda: solve(three_cycle, k), lambda: solve_bruteforce(three_cycle, k)):
+    calls = (
+        lambda: solve(three_cycle, k),
+        lambda: solve_bruteforce(three_cycle, k),
+        lambda: decide(three_cycle, k, 0),
+    )
+    for call in calls:
         with pytest.raises(TypeError) as err:
             call()
         assert str(err.value) == f"k must be an integer, got {k!r}"

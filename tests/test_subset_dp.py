@@ -21,7 +21,7 @@ from maxkop import (
 from maxkop.profiles import LINEAR, UNIVALENT, Profile, WeakOrder
 from maxkop.selftest import random_profile, random_tournament
 from maxkop import solvers
-from maxkop.solvers import _build_subset_plan, _colex_steps, _route, _subset_cells
+from maxkop.solvers import _colex_steps, _route, _subset_cells
 
 
 def assert_same(got, want):
@@ -187,15 +187,6 @@ def test_solve_validates_the_request_on_every_route(route):
             solve(t, bad, exact_k=exact_k, guard=1)
 
 
-def test_uncached_plan_matches_the_cached_one(monkeypatch):
-    t = random_tournament(random.Random(88), 7, -2, 2)
-    cached = solve_subset_dp(t, 4, all_ties=True, exact_k=True, witness_cap=50)
-    monkeypatch.setattr(solvers, "_PLAN_CACHE_CELLS", 0)
-    info = solvers._cached_subset_plan.cache_info()
-    assert_same(solve_subset_dp(t, 4, all_ties=True, exact_k=True, witness_cap=50), cached)
-    assert solvers._cached_subset_plan.cache_info() == info  # built afresh, the cache untouched
-
-
 def test_solve_matches_walk_on_both_routes():
     rng = random.Random(86)
     taken = set()
@@ -257,23 +248,36 @@ def test_colex_steps_grow_each_subset_from_one_smaller():
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_plan_numbers_sets_by_size_then_value(m):
+def test_plan_numbers_sets_by_size_then_value(m, monkeypatch):
+    # every call of the per-size helper: whole size classes forward, the live rows backward
+    calls = []
+    split_tables = solvers._split_tables
+    monkeypatch.setattr(solvers, "_split_tables", lambda *a: calls.append(a) or split_tables(*a))
+    rng = np.random.default_rng(m)
+    w = np.triu(rng.integers(-3, 4, (m, m)), 1)
+    w -= w.T
+    numbered = sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
+    off = [sum(comb(m, v) for v in range(u)) for u in range(m + 2)]
     for kk, exact_k in {(min(k, m), x) for k in (1, 2, 3) for x in (False, True)} | {(m, True)}:
-        plan = _build_subset_plan(m, kk, exact_k)
-        assert plan.masks.tolist() == sorted(range(1 << m), key=lambda x: (x.bit_count(), x))
-        assert plan.off.tolist() == [sum(comb(m, v) for v in range(u)) for u in range(m + 2)]
-        for u in range(1, m + 1):
-            sets = plan.masks[plan.off[u] : plan.off[u + 1]]
-            parent, last = _colex_steps(m, u)
-            assert (sets == plan.masks[plan.off[u - 1] + parent] | 1 << last).all()
-            elems, a_lo, col, apos = plan.sizes[u]
-            assert elems.tolist() == [[v for v in range(m) if x >> v & 1] for x in sets.tolist()]
-            if apos is None:
-                continue
-            for a in range(a_lo, a_lo + len(col) - 1):
-                tops = plan.masks[apos[:, col[a - a_lo] : col[a - a_lo + 1]]]
-                # the columns of one band are the top parts A of size a, each once
-                assert tops.shape[1] == comb(u, a)
-                for x, row in zip(sets.tolist(), tops.tolist()):
-                    assert len(set(row)) == len(row)
-                    assert all(y & ~x == 0 and y.bit_count() == a for y in row)
+        calls.clear()
+        solvers._subset_dp(w, kk, exact_k, 1)
+        whole = set()
+        for pos, sets, elems, g, a_lo, a_hi in calls:
+            u = len(elems)
+            if len(sets) == comb(m, u):
+                assert pos[sets].tolist() == list(range(off[u], off[u + 1]))
+                whole.add(u)
+            assert [numbered[x] for x in pos[sets].tolist()] == sets.tolist()
+            assert elems.T.tolist() == [[v for v in range(m) if x >> v & 1] for x in sets.tolist()]
+            assert g.T.tolist() == [[int(w[e, v].sum()) for v in e] for e in elems.T.tolist()]
+            row, top, cross = split_tables(pos, sets, elems, g, a_lo, a_hi)
+            for a in range(a_lo, a_hi + 1):
+                # the rows of one band are the top parts A of size a, each once
+                tops = top[row[a_hi - a] : row[a_hi - a + 1]]
+                assert len(tops) == comb(u, a)
+                for x, numbers in zip(sets.tolist(), tops.T.tolist()):
+                    members = [v for v in range(m) if x >> v & 1]
+                    want = [sum(1 << v for v in c) for c in combinations(members, a)]
+                    assert sorted(numbered[y] for y in numbers) == sorted(want)
+        bands = solvers._subset_bands(m, kk, exact_k)
+        assert whole == {u for lo, hi in bands[2:] for u in range(lo, hi + 1)}
